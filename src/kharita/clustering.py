@@ -18,7 +18,10 @@ from .geo import (
     GpsPoint,
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
+    angle_diff_deg,
+    angle_diff_deg_many,
     circular_mean_deg,
+    heading_variability_deg,
     vincenty_m,
     vincenty_m_many,
 )
@@ -64,7 +67,6 @@ class ClusterCentroid:
     lon: float
     heading_deg: float
     support: int = 1
-    heading_var_deg: float = 0.0
     max_speed_kmh: float = 0.0
     last_seen: float = 0.0
     active: bool = True
@@ -181,8 +183,7 @@ def _combined_pairs(pts: PointArrays, pair_p: np.ndarray,
                     theta: float) -> np.ndarray:
     d = vincenty_m_many(pts.lat[pair_p], pts.lon[pair_p],
                         clat[pair_c], clon[pair_c])
-    da = np.abs(pts.heading[pair_p] - chdg[pair_c]) % 360.0
-    da = np.where(da > 180.0, 360.0 - da, da)
+    da = angle_diff_deg_many(pts.heading[pair_p], chdg[pair_c])
     return np.hypot(d, theta * da / 180.0)
 
 
@@ -246,8 +247,7 @@ class _Assigner:
             # prescreen: equirectangular + heading, certified within 2%+2m
             dlat = (pts.lat[pp] - clat[cc]) * M_PER_DEG_LAT
             dlon = (pts.lon[pp] - clon[cc]) * self.coslat_m[pp]
-            da = np.abs(pts.heading[pp] - chdg[cc]) % 360.0
-            da = np.where(da > 180.0, 360.0 - da, da)
+            da = angle_diff_deg_many(pts.heading[pp], chdg[cc])
             eq = np.hypot(np.hypot(dlat, dlon), self.theta * da / 180.0)
             eq_min = np.minimum.reduceat(eq, seg)
             keep = eq <= np.repeat(eq_min * 1.02 + 2.0, lens)
@@ -341,13 +341,6 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
     return counts, lat, lon, hdg
 
 
-def _heading_var(pts: PointArrays, assign: np.ndarray, hdg: np.ndarray,
-                 k: int, counts: np.ndarray) -> np.ndarray:
-    d = np.abs(pts.heading - hdg[assign]) % 360.0
-    d = np.where(d > 180.0, 360.0 - d, d)
-    return np.bincount(assign, weights=d, minlength=k) / np.maximum(counts, 1)
-
-
 def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
                   cfg: ClusterConfig, assigner: _Assigner | None = None):
     """Lloyd iterations under the combined distance.
@@ -395,18 +388,16 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
 
 def finalize_centroids(pts: PointArrays, assign: np.ndarray,
                        clat, clon, chdg) -> list[ClusterCentroid]:
-    """Build centroid records with support, spread, and recency stats."""
+    """Build centroid records with support, speed, and recency stats."""
     k = clat.size
     counts = np.bincount(assign, minlength=k)
-    hv = _heading_var(pts, assign, chdg, k, counts)
     speed = np.zeros(k)
     has = ~np.isnan(pts.speed)
     np.maximum.at(speed, assign[has], pts.speed[has])
     seen = np.zeros(k)
     np.maximum.at(seen, assign, pts.ts)
     return [ClusterCentroid(float(clat[i]), float(clon[i]), float(chdg[i]),
-                            int(counts[i]), float(hv[i]), float(speed[i]),
-                            float(seen[i]))
+                            int(counts[i]), float(speed[i]), float(seen[i]))
             for i in range(k)]
 
 
@@ -425,8 +416,7 @@ def _farthest_heading_pair(h: np.ndarray) -> tuple[int, int]:
             b = int(order[q % m])
             if b == a:
                 continue
-            d = abs(h[a] - h[b]) % 360.0
-            d = min(d, 360.0 - d)
+            d = angle_diff_deg(h[a], h[b])
             i, j = (a, b) if a < b else (b, a)
             cand = (d, -i, -j)
             if cand > (best[0], -best[1], -best[2]):
@@ -441,16 +431,11 @@ def _two_means_headings(h: np.ndarray) -> np.ndarray | None:
     if i >= h.size or j >= h.size:
         return None
     c0, c1 = float(h[i]), float(h[j])
-    d = abs(c0 - c1) % 360.0
-    if min(d, 360.0 - d) == 0.0:
+    if angle_diff_deg(c0, c1) == 0.0:
         return None
     side = None
     for _ in range(100):
-        d0 = np.abs(h - c0) % 360.0
-        d0 = np.where(d0 > 180.0, 360.0 - d0, d0)
-        d1 = np.abs(h - c1) % 360.0
-        d1 = np.where(d1 > 180.0, 360.0 - d1, d1)
-        new_side = d1 < d0
+        new_side = angle_diff_deg_many(h, c1) < angle_diff_deg_many(h, c0)
         if not new_side.any() or new_side.all():
             break
         if side is not None and np.array_equal(side, new_side):
@@ -479,11 +464,6 @@ def split_by_heading(pts: PointArrays, clat, clon, chdg,
     def members_of(cid):
         return np.nonzero(assign == cid)[0]
 
-    def hv_of(idx, heading):
-        d = np.abs(pts.heading[idx] - heading) % 360.0
-        d = np.where(d > 180.0, 360.0 - d, d)
-        return float(d.mean())
-
     def recenter(cid, idx):
         clat[cid] = float(pts.lat[idx].mean())
         clon[cid] = float(pts.lon[idx].mean())
@@ -493,7 +473,8 @@ def split_by_heading(pts: PointArrays, clat, clon, chdg,
 
     queue = [cid for cid in range(len(clat))
              if (idx := members_of(cid)).size >= 2
-             and hv_of(idx, chdg[cid]) > cfg.split_threshold_deg]
+             and heading_variability_deg(pts.heading[idx], chdg[cid])
+             > cfg.split_threshold_deg]
     while queue:
         cid = queue.pop(0)
         idx = members_of(cid)
@@ -509,54 +490,7 @@ def split_by_heading(pts: PointArrays, clat, clon, chdg,
         recenter(new_id, idx[side])
         for c in (cid, new_id):
             m = members_of(c)
-            if m.size >= 2 and hv_of(m, chdg[c]) > cfg.split_threshold_deg:
+            if m.size >= 2 and heading_variability_deg(
+                    pts.heading[m], chdg[c]) > cfg.split_threshold_deg:
                 queue.append(c)
     return (np.asarray(clat), np.asarray(clon), np.asarray(chdg)), assign
-
-
-# ---------------------------------------------------------------------------
-# object-level entry points
-
-def select_seeds(points: list[GpsPoint], cfg: ClusterConfig) -> list[ClusterCentroid]:
-    """Greedy seed pass over points in order; see select_seed_indices."""
-    cfg.validate()
-    pts = PointArrays.from_points(points)
-    idx = select_seed_indices(pts, cfg)
-    return [ClusterCentroid(float(pts.lat[i]), float(pts.lon[i]),
-                            float(pts.heading[i]), 1, 0.0,
-                            0.0 if np.isnan(pts.speed[i]) else float(pts.speed[i]),
-                            float(pts.ts[i]))
-            for i in idx]
-
-
-def kmeans(points: list[GpsPoint], seeds: list[ClusterCentroid],
-           cfg: ClusterConfig) -> tuple[list[ClusterCentroid], np.ndarray]:
-    """Refine seeds over the points; returns centroids and per-point
-    cluster ids (consistent with the returned centroids)."""
-    cfg.validate()
-    if not seeds:
-        raise ValueError("kmeans needs at least one seed")
-    pts = PointArrays.from_points(points)
-    cents, assign, _ = kmeans_arrays(
-        pts,
-        np.array([s.lat for s in seeds]),
-        np.array([s.lon for s in seeds]),
-        np.array([s.heading_deg for s in seeds]),
-        cfg)
-    return finalize_centroids(pts, assign, cents["lat"], cents["lon"],
-                              cents["heading"]), assign
-
-
-def split_heterogeneous(points: list[GpsPoint], centroids: list[ClusterCentroid],
-                        assignments: np.ndarray,
-                        cfg: ClusterConfig) -> tuple[list[ClusterCentroid], np.ndarray]:
-    """Split direction-mixing clusters; see split_by_heading."""
-    cfg.validate()
-    pts = PointArrays.from_points(points)
-    (clat, clon, chdg), assign = split_by_heading(
-        pts,
-        np.array([c.lat for c in centroids]),
-        np.array([c.lon for c in centroids]),
-        np.array([c.heading_deg for c in centroids]),
-        np.asarray(assignments), cfg)
-    return finalize_centroids(pts, assign, clat, clon, chdg), assign

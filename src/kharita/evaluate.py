@@ -18,10 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterCentroid
-from .geo import GpsPoint, M_PER_DEG_LAT, initial_bearing_deg, vincenty_m
+from .geo import (
+    GpsPoint,
+    M_PER_DEG_LAT,
+    angle_diff_deg_many,
+    initial_bearing_deg,
+    vincenty_m,
+)
 from .graphs import RoadGraph
 from .ingest import Trajectory
-from .spatial import nearest_within
+from .spatial import nearest_within, pairs_within
 
 log = logging.getLogger(__name__)
 
@@ -145,11 +151,6 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
                     np.asarray(lengths), np.asarray(bearings))
 
 
-def _angle_diff_many(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b)) % 360.0
-    return np.minimum(d, 360.0 - d)
-
-
 def geo_score(inferred: RoadGraph, truth: RoadGraph, cfg: EvalConfig) -> EvalReport:
     """Geometric agreement: what fraction of each map's sample points
     the other map covers, per matching threshold."""
@@ -212,6 +213,18 @@ def _reachable(graph: RoadGraph, s: _Samples, start: int,
     return np.nonzero(cost <= radius)[0]
 
 
+def _first_match(owner: np.ndarray, dist: np.ndarray, keep: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Per owner, the distance of its first kept pair (inf if none);
+    pairs are grouped by owner with the nearest first."""
+    o, d = owner[keep], dist[keep]
+    first = np.ones(o.size, dtype=bool)
+    first[1:] = o[1:] != o[:-1]
+    out = np.full(n, np.inf)
+    out[o[first]] = d[first]
+    return out
+
+
 def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
                cfg: EvalConfig) -> EvalReport:
     """Connectivity agreement: from random matched starting points,
@@ -240,10 +253,16 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     usable = sd <= cfg.start_match_distance_m
     mb = marbles.bearing[marbles.edge_id]
     hb = holes.bearing[holes.edge_id[np.where(usable, si, 0)]]
-    usable &= _angle_diff_many(mb, hb) <= cfg.start_angle_tolerance_deg
+    usable &= angle_diff_deg_many(mb, hb) <= cfg.start_angle_tolerance_deg
     # draw through a geometric ordering so node relabelings that leave
     # the map unchanged leave the sampled starts unchanged too
     order = np.lexsort((marbles.offset, mb, marbles.lon, marbles.lat))
+    # every marble-hole pair within the largest threshold, ordered from
+    # each side; a sample's nearest match is then the first pair whose
+    # other end it reached
+    pm, ph, pd = pairs_within(marbles.lat, marbles.lon, holes.lat, holes.lon, rmax)
+    by_hole = np.lexsort((pm, pd, ph))
+    hm, hh, hdist = pm[by_hole], ph[by_hole], pd[by_hole]
 
     p_sum = np.zeros(len(ts))
     r_sum = np.zeros(len(ts))
@@ -261,10 +280,12 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
             continue
         rm = _reachable(inferred, marbles, start, cfg.topo_radius_m)
         rh = _reachable(pruned, holes, int(si[start]), cfg.topo_radius_m)
-        md, _ = nearest_within(marbles.lat[rm], marbles.lon[rm],
-                               holes.lat[rh], holes.lon[rh], rmax)
-        hd, _ = nearest_within(holes.lat[rh], holes.lon[rh],
-                               marbles.lat[rm], marbles.lon[rm], rmax)
+        in_m = np.zeros(marbles.lat.size, dtype=bool)
+        in_h = np.zeros(holes.lat.size, dtype=bool)
+        in_m[rm] = True
+        in_h[rh] = True
+        md = _first_match(pm, pd, in_m[pm] & in_h[ph], marbles.lat.size)[rm]
+        hd = _first_match(hh, hdist, in_m[hm] & in_h[hh], holes.lat.size)[rh]
         for k, t in enumerate(ts):
             p = float(np.mean(md <= t))
             r = float(np.mean(hd <= t))

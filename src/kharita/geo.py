@@ -58,6 +58,15 @@ def angle_diff_deg(a: float, b: float) -> float:
     return d if d <= 180.0 else 360.0 - d
 
 
+def angle_diff_deg_many(a, b) -> np.ndarray:
+    """Vectorized angle_diff_deg (broadcast to a common shape), done in
+    place on one array: k-means passes inputs millions long."""
+    d = np.asarray(np.subtract(a, b), dtype=np.float64)
+    np.abs(d, out=d)
+    np.remainder(d, 360.0, out=d)
+    return np.subtract(360.0, d, out=d, where=d > 180.0)
+
+
 def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     p1, p2 = math.radians(lat1), math.radians(lat2)
     dp = p2 - p1
@@ -233,9 +242,7 @@ def heading_variability_deg(headings, mean_deg: float | None = None) -> float:
         raise ValueError("heading_variability_deg of an empty set")
     if mean_deg is None:
         mean_deg = circular_mean_deg(h)
-    d = np.abs(h - mean_deg) % 360.0
-    d = np.where(d > 180.0, 360.0 - d, d)
-    return float(np.mean(d))
+    return float(np.mean(angle_diff_deg_many(h, mean_deg)))
 
 
 def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -250,13 +257,3 @@ def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> f
     y = math.sin(dl) * math.cos(p2)
     x = math.cos(p1) * math.sin(p2) - math.sin(p1) * math.cos(p2) * math.cos(dl)
     return normalize_heading(math.degrees(math.atan2(y, x)))
-
-
-def initial_bearing_deg_many(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Vectorized initial_bearing_deg. Coincident pairs yield 0."""
-    p1 = np.radians(np.asarray(lat1, dtype=np.float64))
-    p2 = np.radians(np.asarray(lat2, dtype=np.float64))
-    dl = np.radians(np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64))
-    y = np.sin(dl) * np.cos(p2)
-    x = np.cos(p1) * np.sin(p2) - np.sin(p1) * np.cos(p2) * np.cos(dl)
-    return np.degrees(np.arctan2(y, x)) % 360.0

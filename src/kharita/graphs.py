@@ -34,6 +34,8 @@ log = logging.getLogger(__name__)
 # length for shortest-path math
 MIN_EDGE_WEIGHT_M = 1e-3
 
+_NO_EDGES: dict = {}
+
 
 @dataclass
 class SpannerConfig:
@@ -68,7 +70,8 @@ class RoadGraph:
     def __init__(self, nodes: list[ClusterCentroid] | None = None):
         self.nodes: list[ClusterCentroid] = nodes if nodes is not None else []
         self.edges: dict[tuple[int, int], Edge] = {}
-        self._out: dict[int, list[int]] = {}
+        # src -> {dst: edge}; insertion order breaks ties between routes
+        self._out: dict[int, dict[int, Edge]] = {}
 
     def __repr__(self) -> str:
         return f"RoadGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
@@ -87,45 +90,50 @@ class RoadGraph:
         e = Edge(src, dst, max(weight_m, MIN_EDGE_WEIGHT_M), traj_count,
                  last_seen, active)
         self.edges[(src, dst)] = e
-        self._out.setdefault(src, []).append(dst)
+        self._out.setdefault(src, {})[dst] = e
         return e
 
     def remove_edge(self, src: int, dst: int) -> None:
         del self.edges[(src, dst)]
-        self._out[src].remove(dst)
+        del self._out[src][dst]
 
     def out_edges(self, src: int):
-        for dst in self._out.get(src, ()):
-            yield self.edges[(src, dst)]
+        yield from self._out.get(src, _NO_EDGES).values()
 
     def active_edges(self):
-        for e in self.edges.values():
-            if e.active:
-                yield e
+        return (e for e in self.edges.values() if e.active)
 
-    def shortest_dist(self, src: int, dst: int, cutoff: float = math.inf,
-                      active_only: bool = True) -> float:
-        """Weighted directed distance src -> dst, or inf when dst is
-        unreachable within cutoff."""
-        if src == dst:
-            return 0.0
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
+    def _search(self, src: int, target: int | None = None,
+                cutoff: float = math.inf, active_only: bool = True,
+                start_cost: float = 0.0, prev: dict | None = None) -> dict:
+        """Dijkstra from src counting from start_cost, never past cutoff;
+        stops once target is settled. Returns node -> distance, all final
+        without a target; with one, only the target's is final, present
+        exactly when reached. prev, when given, collects predecessors."""
+        dist = {src: start_cost}
+        heap = [(start_cost, src)]
         while heap:
             d, u = heapq.heappop(heap)
-            if u == dst:
-                return d
-            if d > dist.get(u, math.inf):
+            if u == target:
+                break
+            if d > dist[u]:
                 continue
-            for v in self._out.get(u, ()):
-                e = self.edges[(u, v)]
+            for v, e in self._out.get(u, _NO_EDGES).items():
                 if active_only and not e.active:
                     continue
                 nd = d + e.weight_m
                 if nd <= cutoff and nd < dist.get(v, math.inf):
                     dist[v] = nd
+                    if prev is not None:
+                        prev[v] = u
                     heapq.heappush(heap, (nd, v))
-        return math.inf
+        return dist
+
+    def shortest_dist(self, src: int, dst: int, cutoff: float = math.inf,
+                      active_only: bool = True) -> float:
+        """Weighted directed distance src -> dst, or inf when dst is
+        unreachable within cutoff."""
+        return self._search(src, dst, cutoff, active_only).get(dst, math.inf)
 
     def dists_within(self, src: int, cutoff: float, active_only: bool = True,
                      start_cost: float = 0.0) -> dict:
@@ -133,54 +141,23 @@ class RoadGraph:
         starting the count at start_cost (for mid-edge starting points)."""
         if start_cost > cutoff:
             return {}
-        dist = {src: start_cost}
-        heap = [(start_cost, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            for v in self._out.get(u, ()):
-                e = self.edges[(u, v)]
-                if active_only and not e.active:
-                    continue
-                nd = d + e.weight_m
-                if nd <= cutoff and nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
+        return self._search(src, cutoff=cutoff, active_only=active_only,
+                            start_cost=start_cost)
 
     def shortest_path(self, src: int, dst: int,
                       active_only: bool = True) -> list | None:
         """Node sequence of one shortest route src -> dst, or None."""
-        if src == dst:
-            return [src]
-        dist = {src: 0.0}
-        prev = {}
-        heap = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u == dst:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            if d > dist.get(u, math.inf):
-                continue
-            for v in self._out.get(u, ()):
-                e = self.edges[(u, v)]
-                if active_only and not e.active:
-                    continue
-                nd = d + e.weight_m
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return None
+        prev: dict[int, int] = {}
+        if dst not in self._search(src, dst, active_only=active_only, prev=prev):
+            return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path[::-1]
 
     def copy_nodes(self) -> "RoadGraph":
         """New graph sharing this graph's node records, no edges."""
-        g = RoadGraph(list(self.nodes))
-        return g
+        return RoadGraph(list(self.nodes))
 
 
 def spurious_edge_threshold(support_u: int, support_v: int) -> float:
@@ -232,17 +209,6 @@ def candidate_edges_from_arrays(centroids: list[ClusterCentroid],
                            centroids[v].lat, centroids[v].lon)
             g.add_edge(u, v, w, traj_count=f_e, last_seen=last[(u, v)])
     return g
-
-
-def infer_candidate_edges(trajectories: list[Trajectory],
-                          centroids: list[ClusterCentroid],
-                          assignments: np.ndarray) -> RoadGraph:
-    """Candidate graph from trajectories and their point-to-cluster
-    assignments (aligned with the concatenation of all points)."""
-    ts = np.array([p.timestamp for tr in trajectories for p in tr.points])
-    lengths = [len(tr.points) for tr in trajectories]
-    return candidate_edges_from_arrays(centroids, np.asarray(assignments),
-                                       ts, lengths)
 
 
 def greedy_spanner(graph: RoadGraph, cfg: SpannerConfig) -> RoadGraph:

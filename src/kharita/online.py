@@ -92,6 +92,14 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     and carry its bearing; the endpoints keep their measured headings,
     falling back to the bearing when a heading is missing. bearing is
     None only when the fixes coincide and neither carries a heading.
+
+    Unlike ingest.densify, which feeds clustering, this feeds node
+    steps: there is no angle gate (no inference pass has filled missing
+    headings, and a gap left sparse would become one long edge); both
+    endpoints are returned because each pair arrives alone and
+    process_pair drops a first point already folded in; and the spacing
+    is d/k with k = max(1, floor(d/sr)), at least sr once d reaches sr,
+    where batch spacing d/(floor(d/sr)+1) stays at or below sr.
     """
     d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
     if d > 1e-9:
@@ -146,7 +154,7 @@ def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int
         _update_node(state, item, p)
         return item
     node = ClusterCentroid(p.lat, p.lon, normalize_heading(p.heading_deg),
-                           support=1, heading_var_deg=0.0,
+                           support=1,
                            max_speed_kmh=p.speed_kmh if p.speed_kmh is not None else 0.0,
                            last_seen=p.timestamp, active=True)
     nid = state.graph.add_node(node)
@@ -246,12 +254,17 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
                    on_pair=None) -> StreamState:
     """Feed an arrival-ordered stream of fixes through process_pair.
 
-    Pairs are formed per vehicle. Fixes at or below min_speed_kmh are
-    dropped (idle-vehicle jitter); silence longer than gap_s splits a
-    vehicle's stream so no edge spans it; a pair whose implied speed is
-    at or below the floor is skipped the same way. Resparsifies every
-    cfg.resparsify_interval pairs. on_pair, when given, is called with
-    the state after every processed pair.
+    Pairs are formed per vehicle, applying three ingest rules one fix
+    at a time: fixes at or below min_speed_kmh are dropped as idle
+    jitter (filter_slow_points); silence longer than gap_s splits a
+    vehicle's stream so no edge spans it (parse_trajectories); and a
+    pair whose first fix has no speed is skipped when its implied speed
+    is at or below the floor (infer_speed_heading, then the drop). The
+    batch functions take whole trajectories, sorted and split up front
+    with each fix's speed inferred from the next one; a one-pass stream
+    holds only each vehicle's previous fix, so it cannot call them.
+    Resparsifies every cfg.resparsify_interval pairs; on_pair, when
+    given, is called with the state after every processed pair.
     """
     if state is None:
         state = StreamState(cfg)

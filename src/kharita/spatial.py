@@ -73,24 +73,11 @@ def gather_3x3(buckets: dict, row: int, col: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def nearest_within(qlat, qlon, rlat, rlon, radius_m: float,
-                   pair_budget: int = 2_000_000):
-    """Nearest reference point within radius_m of each query point.
-
-    Returns (dist, idx) arrays; unmatched queries get (inf, -1).
-    Work is bucketed on a grid of cell size radius_m so only a 3x3
-    neighborhood is examined per query, in chunks bounded by pair_budget.
-    """
-    qlat = np.asarray(qlat, dtype=np.float64)
-    qlon = np.asarray(qlon, dtype=np.float64)
-    rlat = np.asarray(rlat, dtype=np.float64)
-    rlon = np.asarray(rlon, dtype=np.float64)
-    nq = qlat.size
-    dist = np.full(nq, np.inf)
-    idx = np.full(nq, -1, dtype=np.int64)
-    if nq == 0 or rlat.size == 0:
-        return dist, idx
-
+def _candidate_chunks(qlat, qlon, rlat, rlon, radius_m: float,
+                      pair_budget: int):
+    """Yield (pq, pr, lens): query/reference index pairs from each
+    query's 3x3 cell neighborhood, in chunks of about pair_budget pairs.
+    Pairs of one query are contiguous; lens holds each query's count."""
     scale = min(safe_lon_scale(qlat), safe_lon_scale(rlat))
     rr, rc = cell_arrays(rlat, rlon, radius_m, scale)
     buckets = bucket_map(rr, rc)
@@ -100,27 +87,9 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float,
     order = np.lexsort((qc, qr))
     gr, gc = qr[order], qc[order]
     change = np.nonzero((gr[1:] != gr[:-1]) | (gc[1:] != gc[:-1]))[0] + 1
-    starts = np.concatenate(([0], change, [nq]))
+    starts = np.concatenate(([0], change, [qlat.size]))
 
     buf_q, buf_r, buf_len = [], [], []
-
-    def flush():
-        if not buf_q:
-            return
-        pq = np.concatenate(buf_q)
-        pr = np.concatenate(buf_r)
-        d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
-        seg = np.concatenate(([0], np.cumsum(buf_len)[:-1]))
-        dmin = np.minimum.reduceat(d, seg)
-        heads = pq[seg]
-        take = d == np.repeat(dmin, buf_len)
-        cand = np.where(take, pr, np.iinfo(np.int64).max)
-        imin = np.minimum.reduceat(cand, seg)
-        ok = dmin <= radius_m
-        dist[heads[ok]] = dmin[ok]
-        idx[heads[ok]] = imin[ok]
-        buf_q.clear(); buf_r.clear(); buf_len.clear()
-
     pending = 0
     for i in range(starts.size - 1):
         grp = order[starts[i]:starts[i + 1]]
@@ -132,10 +101,92 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float,
         buf_len.extend([cand.size] * grp.size)
         pending += grp.size * cand.size
         if pending >= pair_budget:
-            flush()
+            yield np.concatenate(buf_q), np.concatenate(buf_r), np.asarray(buf_len)
+            buf_q, buf_r, buf_len = [], [], []
             pending = 0
-    flush()
+    if buf_q:
+        yield np.concatenate(buf_q), np.concatenate(buf_r), np.asarray(buf_len)
+
+
+def _gated_dist(qlat, qlon, rlat, rlon, radius_m: float) -> np.ndarray:
+    """Vincenty distance of each pair, or inf where a lower bound
+    already exceeds radius_m.
+
+    A path of length <= radius_m stays in the latitude band of half
+    width radius_m / M_PER_DEG_LAT_MIN around the query. In that band a
+    degree of latitude is at least M_PER_DEG_LAT_MIN meters and a
+    degree of longitude at least M_PER_DEG_LAT * cos(band edge), so the
+    planar distance under those scales never exceeds the geodesic one.
+    """
+    band = np.minimum(np.abs(qlat) + radius_m / M_PER_DEG_LAT_MIN, 90.0)
+    ns = (qlat - rlat) * M_PER_DEG_LAT_MIN
+    ew = (qlon - rlon) * (M_PER_DEG_LAT * np.cos(np.radians(band)))
+    near = ns * ns + ew * ew <= (radius_m * 1.001) ** 2
+    d = np.full(qlat.size, np.inf)
+    d[near] = vincenty_m_many(qlat[near], qlon[near], rlat[near], rlon[near])
+    return d
+
+
+def nearest_within(qlat, qlon, rlat, rlon, radius_m: float,
+                   pair_budget: int = 2_000_000):
+    """Nearest reference point within radius_m of each query point.
+
+    Returns (dist, idx) arrays; unmatched queries get (inf, -1); ties
+    go to the lowest reference index. Work is bucketed on a grid of cell
+    size radius_m so only a 3x3 neighborhood is examined per query, in
+    chunks bounded by pair_budget.
+    """
+    qlat = np.asarray(qlat, dtype=np.float64)
+    qlon = np.asarray(qlon, dtype=np.float64)
+    rlat = np.asarray(rlat, dtype=np.float64)
+    rlon = np.asarray(rlon, dtype=np.float64)
+    nq = qlat.size
+    dist = np.full(nq, np.inf)
+    idx = np.full(nq, -1, dtype=np.int64)
+    if nq == 0 or rlat.size == 0:
+        return dist, idx
+
+    for pq, pr, lens in _candidate_chunks(qlat, qlon, rlat, rlon,
+                                          radius_m, pair_budget):
+        d = _gated_dist(qlat[pq], qlon[pq], rlat[pr], rlon[pr], radius_m)
+        seg = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        dmin = np.minimum.reduceat(d, seg)
+        heads = pq[seg]
+        take = d == np.repeat(dmin, lens)
+        cand = np.where(take, pr, np.iinfo(np.int64).max)
+        imin = np.minimum.reduceat(cand, seg)
+        ok = dmin <= radius_m
+        dist[heads[ok]] = dmin[ok]
+        idx[heads[ok]] = imin[ok]
     return dist, idx
+
+
+def pairs_within(qlat, qlon, rlat, rlon, radius_m: float,
+                 pair_budget: int = 2_000_000):
+    """Every (query, reference) pair at most radius_m apart.
+
+    Returns (q, r, dist) arrays sorted by query, then distance, then
+    reference index, so the first pair of a query is its nearest_within
+    match. Searching a subset of the references is then a scan of the
+    pairs whose reference is in it, with no distance recomputed.
+    """
+    qlat = np.asarray(qlat, dtype=np.float64)
+    qlon = np.asarray(qlon, dtype=np.float64)
+    rlat = np.asarray(rlat, dtype=np.float64)
+    rlon = np.asarray(rlon, dtype=np.float64)
+    out_q, out_r, out_d = [], [], []
+    if qlat.size and rlat.size:
+        for pq, pr, _ in _candidate_chunks(qlat, qlon, rlat, rlon,
+                                           radius_m, pair_budget):
+            d = _gated_dist(qlat[pq], qlon[pq], rlat[pr], rlon[pr], radius_m)
+            ok = d <= radius_m
+            out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
+    if not out_q:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0))
+    q, r, d = np.concatenate(out_q), np.concatenate(out_r), np.concatenate(out_d)
+    order = np.lexsort((r, d, q))
+    return q[order], r[order], d[order]
 
 
 class GridIndex:

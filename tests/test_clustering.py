@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 
 from kharita.clustering import (
-    ClusterCentroid,
     ClusterConfig,
     PointArrays,
     _Assigner,
     distinct_points,
-    kmeans,
+    finalize_centroids,
     kmeans_arrays,
     select_seed_indices,
-    select_seeds,
     split_by_heading,
-    split_heterogeneous,
 )
-from kharita.geo import GpsPoint, vincenty_m
+from kharita.geo import GpsPoint, heading_variability_deg, vincenty_m
 
 
 def combined(lat1, lon1, h1, lat2, lon2, h2, theta):
@@ -41,10 +38,14 @@ def random_points(rng, n, span=0.01):
     )
 
 
-def as_gps(pts: PointArrays) -> list[GpsPoint]:
-    return [GpsPoint("v", float(pts.ts[i]), float(pts.lat[i]), float(pts.lon[i]),
-                     float(pts.speed[i]), float(pts.heading[i]))
-            for i in range(pts.n)]
+def seeded_kmeans(pts: PointArrays, cfg: ClusterConfig):
+    """Greedy seeds, then k-means, as the offline pipeline runs them."""
+    sid = select_seed_indices(pts, cfg)
+    return kmeans_arrays(pts, pts.lat[sid], pts.lon[sid], pts.heading[sid], cfg)
+
+
+def as_arrays(cents: dict):
+    return cents["lat"], cents["lon"], cents["heading"]
 
 
 class TestConfig:
@@ -95,13 +96,13 @@ class TestSeedSelection:
         pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
                GpsPoint("v", 1.0, 25.0, 51.0, 30.0, 180.0)]
         cfg = ClusterConfig(seed_radius_cr=20.0)
-        assert len(select_seeds(pts, cfg)) == 2
+        assert list(select_seed_indices(PointArrays.from_points(pts), cfg)) == [0, 1]
 
     def test_first_point_always_seeds(self):
-        pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 90.0)]
-        seeds = select_seeds(pts, ClusterConfig())
-        assert len(seeds) == 1
-        assert seeds[0].lat == 25.0 and seeds[0].heading_deg == 90.0
+        pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 90.0),
+               GpsPoint("v", 1.0, 25.0, 51.0, 30.0, 90.0)]
+        seeds = select_seed_indices(PointArrays.from_points(pts), ClusterConfig())
+        assert list(seeds) == [0]
 
 
 class TestAssignment:
@@ -153,60 +154,61 @@ class TestKmeans:
         pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
                GpsPoint("v", 1.0, 25.01, 51.0, 30.0, 0.0),
                GpsPoint("v", 2.0, 25.02, 51.0, 30.0, 0.0)]
-        seeds = select_seeds(pts, ClusterConfig())
-        cents, assign = kmeans(pts, seeds, ClusterConfig())
-        assert len(cents) == 3
-        assert [c.lat for c in cents] == [25.0, 25.01, 25.02]
+        cents, assign, costs = seeded_kmeans(PointArrays.from_points(pts),
+                                             ClusterConfig())
+        assert list(cents["lat"]) == [25.0, 25.01, 25.02]
         assert list(assign) == [0, 1, 2]
+        assert costs == [0.0]
 
     def test_assignments_consistent_with_returned_centroids(self):
         rng = np.random.default_rng(53)
         pts = random_points(rng, 300)
         cfg = ClusterConfig(seed_radius_cr=30.0)
-        gps = as_gps(pts)
-        cents, assign = kmeans(gps, select_seeds(gps, cfg), cfg)
+        cents, assign, _ = seeded_kmeans(pts, cfg)
         assert assign.size == pts.n
         for i in range(pts.n):
             ds = [combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                           c.lat, c.lon, c.heading_deg, cfg.theta) for c in cents]
+                           la, lo, h, cfg.theta) for la, lo, h in zip(*as_arrays(cents))]
             assert ds[assign[i]] == pytest.approx(min(ds), abs=1e-9)
 
     def test_centroid_stats(self):
         # two points in one cluster: mean position, max speed, last seen
-        pts = [GpsPoint("v", 10.0, 25.0, 51.0, 30.0, 10.0),
-               GpsPoint("v", 20.0, 25.0001, 51.0, 50.0, 20.0)]
-        seeds = [ClusterCentroid(25.00005, 51.0, 15.0)]
-        cents, assign = kmeans(pts, seeds, ClusterConfig())
-        assert len(cents) == 1
-        c = cents[0]
+        pts = PointArrays.from_points([GpsPoint("v", 10.0, 25.0, 51.0, 30.0, 10.0),
+                                       GpsPoint("v", 20.0, 25.0001, 51.0, 50.0, 20.0)])
+        cents, assign, _ = kmeans_arrays(pts, np.array([25.00005]), np.array([51.0]),
+                                         np.array([15.0]), ClusterConfig())
+        got = finalize_centroids(pts, assign, *as_arrays(cents))
+        assert len(got) == 1
+        c = got[0]
         assert c.lat == pytest.approx(25.00005)
         assert c.support == 2
         assert c.max_speed_kmh == 50.0
         assert c.last_seen == 20.0
         assert c.heading_deg == pytest.approx(15.0, abs=1e-6)
-        assert c.heading_var_deg == pytest.approx(5.0, abs=1e-6)
+        assert heading_variability_deg(pts.heading, c.heading_deg) == \
+            pytest.approx(5.0, abs=1e-6)
         assert list(assign) == [0, 0]
 
     def test_empty_clusters_dropped(self):
         # second seed attracts nothing and must vanish
-        pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
-               GpsPoint("v", 1.0, 25.00001, 51.0, 30.0, 0.0)]
-        seeds = [ClusterCentroid(25.0, 51.0, 0.0),
-                 ClusterCentroid(25.1, 51.0, 0.0)]
-        cents, assign = kmeans(pts, seeds, ClusterConfig())
-        assert len(cents) == 1
+        pts = PointArrays.from_points([GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
+                                       GpsPoint("v", 1.0, 25.00001, 51.0, 30.0, 0.0)])
+        cents, assign, _ = kmeans_arrays(pts, np.array([25.0, 25.1]),
+                                         np.array([51.0, 51.0]), np.zeros(2),
+                                         ClusterConfig())
+        assert cents["lat"].size == 1
         assert set(assign) == {0}
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = random_points(rng, 250)
         cfg = ClusterConfig()
-        gps = as_gps(pts)
-        a = kmeans(gps, select_seeds(gps, cfg), cfg)
-        b = kmeans(gps, select_seeds(gps, cfg), cfg)
-        assert [(c.lat, c.lon, c.heading_deg) for c in a[0]] == \
-               [(c.lat, c.lon, c.heading_deg) for c in b[0]]
+        a = seeded_kmeans(pts, cfg)
+        b = seeded_kmeans(pts, cfg)
+        for x, y in zip(as_arrays(a[0]), as_arrays(b[0])):
+            assert np.array_equal(x, y)
         assert np.array_equal(a[1], b[1])
+        assert a[2] == b[2]
 
 
 class TestSplit:
@@ -241,33 +243,36 @@ class TestSplit:
         rng = np.random.default_rng(12)
         pts = random_points(rng, 300, span=0.002)
         cfg = ClusterConfig(seed_radius_cr=40.0)
-        gps = as_gps(pts)
-        cents, assign = kmeans(gps, select_seeds(gps, cfg), cfg)
-        cents2, assign2 = split_heterogeneous(gps, cents, assign, cfg)
-        assert len(cents2) >= len(cents)
+        cents, assign, _ = seeded_kmeans(pts, cfg)
+        split, assign2 = split_by_heading(pts, *as_arrays(cents), assign, cfg)
+        cents2 = finalize_centroids(pts, assign2, *split)
+        assert len(cents2) >= cents["lat"].size
         for cid, c in enumerate(cents2):
             members = np.nonzero(assign2 == cid)[0]
             if members.size >= 2:
-                assert c.heading_var_deg <= cfg.split_threshold_deg + 1e-9
+                assert heading_variability_deg(pts.heading[members], c.heading_deg) \
+                    <= cfg.split_threshold_deg + 1e-9
             assert c.support == members.size
 
     def test_homogeneous_cluster_untouched(self):
-        pts = [GpsPoint("v", float(i), 25.0, 51.0, 30.0, 100.0 + i) for i in range(5)]
-        cents = [ClusterCentroid(25.0, 51.0, 102.0)]
-        got, assign = split_heterogeneous(pts, cents, np.zeros(5, dtype=np.int64),
-                                          ClusterConfig())
-        assert len(got) == 1
+        pts = PointArrays.from_points(
+            [GpsPoint("v", float(i), 25.0, 51.0, 30.0, 100.0 + i) for i in range(5)])
+        (clat, _, chdg), assign = split_by_heading(
+            pts, np.array([25.0]), np.array([51.0]), np.array([102.0]),
+            np.zeros(5, dtype=np.int64), ClusterConfig())
+        assert clat.size == 1 and list(chdg) == [102.0]
         assert set(assign) == {0}
 
     def test_split_partitions_by_heading_only(self):
         # members keep their cluster's geography; only headings separate
-        pts = [GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
-               GpsPoint("v", 1.0, 25.0002, 51.0, 30.0, 0.0),
-               GpsPoint("v", 2.0, 25.0, 51.0, 30.0, 180.0),
-               GpsPoint("v", 3.0, 25.0002, 51.0, 30.0, 180.0)]
-        cents = [ClusterCentroid(25.0001, 51.0, 0.0)]
-        got, assign = split_heterogeneous(pts, cents, np.zeros(4, dtype=np.int64),
-                                          ClusterConfig())
+        pts = PointArrays.from_points([GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
+                                       GpsPoint("v", 1.0, 25.0002, 51.0, 30.0, 0.0),
+                                       GpsPoint("v", 2.0, 25.0, 51.0, 30.0, 180.0),
+                                       GpsPoint("v", 3.0, 25.0002, 51.0, 30.0, 180.0)])
+        split, assign = split_by_heading(
+            pts, np.array([25.0001]), np.array([51.0]), np.array([0.0]),
+            np.zeros(4, dtype=np.int64), ClusterConfig())
+        got = finalize_centroids(pts, assign, *split)
         assert len(got) == 2
         assert assign[0] == assign[1] and assign[2] == assign[3]
         assert assign[0] != assign[2]

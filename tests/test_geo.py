@@ -12,11 +12,11 @@ import pytest
 
 from kharita.geo import (
     angle_diff_deg,
+    angle_diff_deg_many,
     circular_mean_deg,
     combined_distance_m,
     heading_variability_deg,
     initial_bearing_deg,
-    initial_bearing_deg_many,
     normalize_heading,
     valid_latlon,
     vincenty_m,
@@ -96,6 +96,15 @@ class TestAngles:
             assert d == pytest.approx(angle_diff_deg(b, a))
         assert angle_diff_deg(123.4, 123.4) == 0.0
         assert angle_diff_deg(0.0, 180.0) == 180.0
+
+    def test_vectorized_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        a = np.concatenate([rng.uniform(-720, 720, 300), [0.0, 90.0, 359.0]])
+        b = np.concatenate([rng.uniform(0, 360, 300), [180.0, 270.0, 1.0]])
+        vec = angle_diff_deg_many(a, b)
+        assert vec.tolist() == [angle_diff_deg(x, y) for x, y in zip(a, b)]
+        assert angle_diff_deg_many(a, 45.0).tolist() == \
+               [angle_diff_deg(x, 45.0) for x in a]
 
     def test_normalize_heading(self):
         assert normalize_heading(360.0) == 0.0
@@ -207,19 +216,6 @@ class TestBearing:
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
             initial_bearing_deg(25.0, 51.0, 25.0, 51.0)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        lat1 = rng.uniform(-60, 60, 100)
-        lon1 = rng.uniform(-170, 170, 100)
-        lat2 = lat1 + rng.uniform(-0.01, 0.01, 100)
-        lon2 = lon1 + rng.uniform(-0.01, 0.01, 100)
-        vec = initial_bearing_deg_many(lat1, lon1, lat2, lon2)
-        for i in range(100):
-            if lat1[i] == lat2[i] and lon1[i] == lon2[i]:
-                continue
-            assert vec[i] == pytest.approx(
-                initial_bearing_deg(lat1[i], lon1[i], lat2[i], lon2[i]), abs=1e-9)
 
 
 def test_valid_latlon():

@@ -1,13 +1,16 @@
-"""Graph construction tests: candidate edges, spanner, duplexify,
-and the offline pipeline end to end.
+"""Graph construction tests: shortest-path queries, candidate edges,
+spanner, duplexify, and the offline pipeline end to end.
 
 An independent numpy Floyd-Warshall provides all-pairs distances to
-check the spanner's stretch guarantee.
+check the spanner's stretch guarantee; networkx is the oracle for the
+shortest-path queries.
 """
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kharita.clustering import ClusterCentroid, ClusterConfig
 from kharita.geo import GpsPoint
@@ -17,7 +20,6 @@ from kharita.graphs import (
     candidate_edges_from_arrays,
     duplexify,
     greedy_spanner,
-    infer_candidate_edges,
     run_offline_pipeline,
     spurious_edge_threshold,
 )
@@ -25,7 +27,7 @@ from kharita.ingest import EmptyInputError, IngestConfig, Trajectory
 
 
 def node(lat=25.0, lon=51.0, heading=0.0, support=1, max_speed=40.0):
-    return ClusterCentroid(lat, lon, heading, support, 0.0, max_speed, 0.0)
+    return ClusterCentroid(lat, lon, heading, support, max_speed_kmh=max_speed)
 
 
 def floyd_warshall(n, weights):
@@ -82,6 +84,68 @@ class TestRoadGraph:
         assert g.shortest_dist(0, 2, active_only=False) == pytest.approx(20.0)
 
 
+@st.composite
+def edited_graphs(draw):
+    """A small digraph with integer weights (exact sums), some inactive
+    edges, and some edges removed then added back. Returns the graph and
+    each source's expected out-edge order."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(1, 30), st.booleans()),
+        max_size=3 * n, unique_by=lambda t: t[0]))
+    g = RoadGraph([node() for _ in range(n)])
+    order: dict[int, list[int]] = {}
+    for (u, v), w, active in specs:
+        g.add_edge(u, v, float(w), active=active)
+        order.setdefault(u, []).append(v)
+    if specs:
+        for i in draw(st.lists(st.integers(0, len(specs) - 1), max_size=4)):
+            (u, v), _, _ = specs[i]
+            e = g.edges[(u, v)]
+            g.remove_edge(u, v)
+            g.add_edge(u, v, e.weight_m, active=e.active)
+            order[u].remove(v)
+            order[u].append(v)
+    return g, order
+
+
+class TestShortestPathProperties:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(edited_graphs(), st.integers(0, 60), st.integers(1, 40))
+    def test_queries_match_networkx(self, graph_and_order, cutoff, half_start):
+        g, order = graph_and_order
+        n = len(g.nodes)
+        for u in range(n):
+            assert [e.dst for e in g.out_edges(u)] == order.get(u, [])
+        start = half_start / 2.0
+        for active_only in (True, False):
+            ref = nx.DiGraph()
+            ref.add_nodes_from(range(n))
+            ref.add_weighted_edges_from(
+                (e.src, e.dst, e.weight_m) for e in g.edges.values()
+                if e.active or not active_only)
+            oracle = dict(nx.all_pairs_dijkstra_path_length(ref))
+            for s in range(n):
+                within = {v: start + d for v, d in oracle[s].items()
+                          if start + d <= cutoff}
+                assert g.dists_within(s, cutoff, active_only=active_only,
+                                      start_cost=start) == within
+                for t in range(n):
+                    d = oracle[s].get(t, math.inf)
+                    assert g.shortest_dist(s, t, active_only=active_only) == d
+                    assert g.shortest_dist(s, t, cutoff=cutoff,
+                                           active_only=active_only) == \
+                        (d if d <= cutoff else math.inf)
+                    path = g.shortest_path(s, t, active_only=active_only)
+                    if d == math.inf:
+                        assert path is None
+                        continue
+                    assert path[0] == s and path[-1] == t
+                    assert sum(ref[a][b]["weight"]
+                               for a, b in zip(path, path[1:])) == d
+
+
 class TestCandidateEdges:
     def test_spurious_threshold_values(self):
         assert spurious_edge_threshold(1, 1) == 1.0
@@ -98,6 +162,7 @@ class TestCandidateEdges:
         assert g.edges[(0, 1)].traj_count == 1
         assert g.edges[(1, 0)].traj_count == 1
         assert g.edges[(0, 1)].last_seen == 4.0   # latest traversal
+        assert g.edges[(0, 1)].weight_m == pytest.approx(111.3, rel=0.01)
 
     def test_self_loops_never_appear(self):
         cents = [node(), node(lat=25.001)]
@@ -117,14 +182,6 @@ class TestCandidateEdges:
         assign6 = np.tile([0, 1], 6)
         g6 = candidate_edges_from_arrays(cents, assign6, np.tile(ts, 6), lengths)
         assert g6.edges[(0, 1)].traj_count == 6
-
-    def test_infer_from_trajectories(self):
-        cents = [node(), node(lat=25.001)]
-        trs = [Trajectory("a", [GpsPoint("a", 1.0, 25.0, 51.0, 30.0, 0.0),
-                                GpsPoint("a", 2.0, 25.001, 51.0, 30.0, 0.0)])]
-        g = infer_candidate_edges(trs, cents, np.array([0, 1]))
-        assert g.edges[(0, 1)].traj_count == 1
-        assert g.edges[(0, 1)].weight_m == pytest.approx(111.3, rel=0.01)
 
 
 class TestGreedySpanner:

@@ -25,7 +25,13 @@ from .geo import (
     vincenty_m,
     vincenty_m_many,
 )
-from .spatial import bucket_map, cell_arrays, gather_3x3, safe_lon_scale
+from .spatial import (
+    bound_scales,
+    bucket_map,
+    cell_arrays,
+    gather_3x3,
+    safe_lon_scale,
+)
 
 log = logging.getLogger(__name__)
 
@@ -129,25 +135,33 @@ def distinct_points(pts: PointArrays) -> tuple[PointArrays, np.ndarray]:
 
 def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """Greedy scan in input order; a point becomes a seed only if every
-    existing seed is at least seed_radius_cr away in combined distance."""
+    existing seed is at least seed_radius_cr away in combined distance.
+
+    The planar bounds L <= dg <= U of spatial.bound_scales settle most
+    pairs: hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one.
+    Vincenty runs only in between; both tests keep a relative margin of
+    1e-6, far above its rounding, so seeds are those of exact distances.
+    """
     cr = cfg.seed_radius_cr
     theta = cfg.theta
     cell = cr + theta
     scale = safe_lon_scale(pts.lat)
     inv_lat = M_PER_DEG_LAT_MIN / cell
     inv_lon = scale / cell
-    # cheap reject gates: a seed within cr must pass both of these
-    dlat_gate = cr / M_PER_DEG_LAT_MIN
-    dlon_gate = cr / (scale * 0.9999)
     ang_gate = 180.0 * cr / theta if theta > 0 else 181.0
+    miss2 = (cr * (1.0 + 1e-6)) ** 2
+    hit2 = (cr * (1.0 - 1e-6)) ** 2
 
     cells: dict[tuple[int, int], list[int]] = {}
     seeds: list[int] = []
-    lat, lon, hdg = pts.lat, pts.lon, pts.heading
+    # views index to plain floats, without copying the columns to lists
+    lat, lon, hdg = (memoryview(np.ascontiguousarray(a, dtype=np.float64))
+                     for a in (pts.lat, pts.lon, pts.heading))
     for i in range(pts.n):
         la = lat[i]; lo = lon[i]; h = hdg[i]
         r = int(la * inv_lat) if la >= 0 else int(math.floor(la * inv_lat))
         c = int(lo * inv_lon) if lo >= 0 else int(math.floor(lo * inv_lon))
+        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(la, cr)
         hit = False
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
@@ -155,17 +169,24 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
                 if not bucket:
                     continue
                 for j in bucket:
-                    if abs(lat[j] - la) > dlat_gate:
-                        continue
-                    if abs(lon[j] - lo) > dlon_gate:
-                        continue
                     da = abs(hdg[j] - h) % 360.0
                     if da > 180.0:
                         da = 360.0 - da
                     if da > ang_gate:
                         continue
+                    ha = theta * da / 180.0
+                    ha2 = ha * ha
+                    dlat = lat[j] - la
+                    dlon = lon[j] - lo
+                    x, y = dlat * lat_lo, dlon * lon_lo
+                    if x * x + y * y + ha2 >= miss2:
+                        continue
+                    x, y = dlat * lat_hi, dlon * lon_hi
+                    if x * x + y * y + ha2 < hit2:
+                        hit = True
+                        break
                     dg = vincenty_m(la, lo, lat[j], lon[j])
-                    if math.hypot(dg, theta * da / 180.0) < cr:
+                    if math.hypot(dg, ha) < cr:
                         hit = True
                         break
                 if hit:

@@ -52,6 +52,11 @@ def normalize_heading(deg: float) -> float:
     return h if h < 360.0 else 0.0
 
 
+def wrap_lon(lon: float) -> float:
+    """Wrap a longitude in degrees into [-180, 180)."""
+    return (lon + 180.0) % 360.0 - 180.0
+
+
 def angle_diff_deg(a: float, b: float) -> float:
     """Circular distance between two headings, in [0, 180]."""
     d = abs(a - b) % 360.0

@@ -121,26 +121,44 @@ def load_map(path: str) -> RoadGraph:
 
 
 def save_geojson(graph: RoadGraph, path: str) -> None:
-    """Write one LineString feature per edge, for visual inspection."""
-    features = []
-    for key in sorted(graph.edges):
-        e = graph.edges[key]
-        a, b = graph.nodes[e.src], graph.nodes[e.dst]
-        features.append({
-            "type": "Feature",
-            "geometry": {
-                "type": "LineString",
-                "coordinates": [[round(a.lon, 9), round(a.lat, 9)],
-                                [round(b.lon, 9), round(b.lat, 9)]],
-            },
-            "properties": {"weight": round(e.weight_m, 9),
-                           "traj_count": e.traj_count,
-                           "active": e.active},
-        })
-    doc = {"type": "FeatureCollection", "features": features}
+    """Write one LineString feature per edge, for visual inspection.
+
+    The bytes are those of json.dump(doc, fh, indent=2, sort_keys=True)
+    plus a newline, written one feature at a time instead of through
+    the pure-Python indenting encoder, with no document built in memory.
+    Map values are finite, so every float is its repr.
+    """
+    num = float.__repr__
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "features": [')
+        sep = "\n"
+        for key in sorted(graph.edges):
+            e = graph.edges[key]
+            a, b = graph.nodes[e.src], graph.nodes[e.dst]
+            fh.write(f"""{sep}    {{
+      "geometry": {{
+        "coordinates": [
+          [
+            {num(round(a.lon, 9))},
+            {num(round(a.lat, 9))}
+          ],
+          [
+            {num(round(b.lon, 9))},
+            {num(round(b.lat, 9))}
+          ]
+        ],
+        "type": "LineString"
+      }},
+      "properties": {{
+        "active": {"true" if e.active else "false"},
+        "traj_count": {e.traj_count},
+        "weight": {num(round(e.weight_m, 9))}
+      }},
+      "type": "Feature"
+    }}""")
+            sep = ",\n"
+        fh.write("\n  ]" if graph.edges else "]")
+        fh.write(',\n  "type": "FeatureCollection"\n}\n')
 
 
 def file_sha256(path: str) -> str:

@@ -20,6 +20,7 @@ from .geo import (
     initial_bearing_deg,
     normalize_heading,
     vincenty_m,
+    wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
 from .spatial import GridIndex
@@ -68,10 +69,6 @@ class StreamState:
         self._index = GridIndex(cfg.clustering_radius_cr)
         self._hsum: dict[int, tuple[float, float]] = {}  # node -> (sum sin, sum cos)
 
-    def _node_pos(self, item: int) -> tuple[float, float]:
-        n = self.graph.nodes[item]
-        return n.lat, n.lon
-
     def forget_vehicle(self, vehicle_id: str) -> None:
         """Drop the pairing anchor so no edge spans a gap in the feed."""
         self.prev_node.pop(vehicle_id, None)
@@ -100,7 +97,12 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     process_pair drops a first point already folded in; and the spacing
     is d/k with k = max(1, floor(d/sr)), at least sr once d reaches sr,
     where batch spacing d/(floor(d/sr)+1) stays at or below sr.
+    A pair across the antimeridian is interpolated the short way round.
     """
+    dlon = x_next.lon - x_i.lon
+    wrap = abs(dlon) > 180.0
+    if wrap:
+        dlon -= math.copysign(360.0, dlon)
     d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
     if d > 1e-9:
         bearing = initial_bearing_deg(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
@@ -114,10 +116,11 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     pts = [first]
     for j in range(1, k):
         f = j / k
+        lon = x_i.lon + f * dlon
         pts.append(GpsPoint(x_i.vehicle_id,
                             x_i.timestamp + f * (x_next.timestamp - x_i.timestamp),
                             x_i.lat + f * (x_next.lat - x_i.lat),
-                            x_i.lon + f * (x_next.lon - x_i.lon),
+                            wrap_lon(lon) if wrap else lon,
                             _lerp_speed(x_i, x_next, f),
                             bearing))
     pts.append(last)
@@ -125,11 +128,16 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
 
 
 def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
-    """Fold one assigned point into a node's running statistics."""
+    """Fold one assigned point into a node's running statistics; the
+    mean longitude moves the short way round the antimeridian."""
     n = state.graph.nodes[item]
     k = n.support + 1
     n.lat += (p.lat - n.lat) / k
-    n.lon += (p.lon - n.lon) / k
+    dlon = p.lon - n.lon
+    if abs(dlon) > 180.0:
+        n.lon = wrap_lon(n.lon + (dlon - math.copysign(360.0, dlon)) / k)
+    else:
+        n.lon += dlon / k
     s, c = state._hsum[item]
     r = math.radians(p.heading_deg)
     s, c = s + math.sin(r), c + math.cos(r)
@@ -147,8 +155,7 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
 def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int:
     """Node id the point lands on: the nearest node when it is within
     the clustering radius and heading tolerance, else a fresh node."""
-    d, item = state._index.nearest(p.lat, p.lon, cfg.clustering_radius_cr,
-                                   state._node_pos)
+    d, item = state._index.nearest(p.lat, p.lon, cfg.clustering_radius_cr)
     if item >= 0 and angle_diff_deg(state.graph.nodes[item].heading_deg,
                                     p.heading_deg) <= cfg.heading_tolerance_ha:
         _update_node(state, item, p)

@@ -1,8 +1,13 @@
-"""Uniform lat/lon bucket grids for radius-bounded neighbor queries.
+"""Lat/lon bucket grids for radius-bounded neighbor queries.
 
-Cells are sized in meters and converted to degrees with a fixed
-latitude-dependent scale, chosen conservatively (widest cell that still
-guarantees a 3x3 neighborhood covers the query radius).
+The batch searches (nearest_within, pairs_within) bucket both point
+sets on one grid. Its cells are sized in meters, with a longitude scale
+that is safe over the data's whole latitude range. GridIndex, the
+incremental index, gives each grid row its own longitude scale and a
+whole number of columns around the globe, so it is safe at any latitude
+and wraps at the antimeridian. Both screen candidates with planar
+bounds on the geodesic distance and run exact Vincenty only on the
+candidates that can still win.
 """
 from __future__ import annotations
 
@@ -10,17 +15,50 @@ import math
 
 import numpy as np
 
-from .geo import M_PER_DEG_LAT, M_PER_DEG_LAT_MIN, vincenty_m, vincenty_m_many
+from .geo import (
+    EARTH_A,
+    EARTH_B,
+    M_PER_DEG_LAT,
+    M_PER_DEG_LAT_MIN,
+    vincenty_m,
+    vincenty_m_many,
+)
 
 # below this the lon/deg scale would blow up; data this close to a pole
 # is out of scope anyway
 _MIN_COS = 0.01
+# the meridian and prime-vertical radii of curvature never exceed a^2/b,
+# so no degree of latitude, nor of longitude on the equator, is longer
+M_PER_DEG_MAX = EARTH_A * EARTH_A / EARTH_B * math.pi / 180.0
 
 
-def lon_scale(max_abs_lat: float) -> float:
-    """Meters per degree of longitude at the latitude where it is largest
-    in the data's band (closest to the equator gives the safe bound)."""
-    return M_PER_DEG_LAT * max(math.cos(math.radians(min(max_abs_lat, 89.9))), _MIN_COS)
+def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, float]:
+    """Meters per degree (lat_lo, lon_lo, lat_hi, lon_hi) that bound the
+    geodesic distance d from (lat, lon) to (lat + dlat, lon + dlon), for
+    dlon taken the short way round:
+
+        L = hypot(dlat * lat_lo, dlon * lon_lo) <= d  whenever d <= radius_m
+        U = hypot(dlat * lat_hi, dlon * lon_hi) >= d  whenever |dlat| <= w
+
+    with the band half width w = 1.001 * radius_m / M_PER_DEG_LAT_MIN
+    degrees. L <= radius_m implies |dlat| <= w, so U holds for every
+    point that L does not rule out.
+
+    L: a path of length d <= radius_m stays within w of lat. In that
+    band a degree of latitude is at least M_PER_DEG_LAT_MIN meters and a
+    degree of longitude at least M_PER_DEG_LAT * cos(outer band edge),
+    so the path is no shorter than the planar distance under those
+    scales. U: the straight segment in (lat, lon) is never shorter than
+    the geodesic. Along it |lat| stays above the inner band edge, a
+    degree of latitude is at most M_PER_DEG_MAX and a degree of
+    longitude at most M_PER_DEG_MAX * cos(inner band edge).
+    """
+    w = 1.001 * radius_m / M_PER_DEG_LAT_MIN
+    a = abs(lat)
+    return (M_PER_DEG_LAT_MIN,
+            M_PER_DEG_LAT * math.cos(math.radians(min(a + w, 90.0))),
+            M_PER_DEG_MAX,
+            M_PER_DEG_MAX * math.cos(math.radians(max(a - w, 0.0))))
 
 
 def safe_lon_scale(lats) -> float:
@@ -192,33 +230,50 @@ def pairs_within(qlat, qlon, rlat, rlon, radius_m: float,
 class GridIndex:
     """Incremental point index for within-radius nearest queries.
 
-    Cell size must be >= the largest query radius so that a 3x3
-    neighborhood always contains every candidate.
+    Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude high. Each
+    row splits the circle of longitude into a whole number of columns,
+    each at least 1.001 * cell_m wide at the most poleward latitude of
+    the row and its two neighbours. A 3x3 neighborhood then holds every
+    item within cell_m at any latitude, and columns wrap at the
+    antimeridian. The index keeps each item's position, set by insert
+    and move.
     """
 
     def __init__(self, cell_m: float):
         self.cell_m = float(cell_m)
-        self._scale: float | None = None   # lon meters/degree, set lazily
+        self._row_deg = self.cell_m / M_PER_DEG_LAT_MIN
+        self._rows: dict[int, tuple[int, float]] = {}  # row -> (columns, degrees each)
         self._cells: dict[tuple[int, int], list[int]] = {}
-        self._pos: dict[int, tuple[int, int]] = {}
+        self._keys: dict[int, tuple[int, int]] = {}
+        self._pos: dict[int, tuple[float, float]] = {}
 
     def __len__(self) -> int:
         return len(self._pos)
 
+    def _columns(self, row: int) -> tuple[int, float]:
+        got = self._rows.get(row)
+        if got is None:
+            edge = min(max(abs(row - 1), abs(row + 2)) * self._row_deg, 90.0)
+            n = max(1, int(360.0 * M_PER_DEG_LAT * math.cos(math.radians(edge))
+                           / (1.001 * self.cell_m)))
+            got = self._rows[row] = (n, 360.0 / n)
+        return got
+
     def _key(self, lat: float, lon: float) -> tuple[int, int]:
-        if self._scale is None:
-            self._scale = lon_scale(abs(lat))
-        return (int(math.floor(lat * M_PER_DEG_LAT_MIN / self.cell_m)),
-                int(math.floor(lon * self._scale / self.cell_m)))
+        row = math.floor(lat / self._row_deg)
+        n, width = self._columns(row)
+        return row, math.floor((lon + 180.0) / width) % n
 
     def insert(self, item: int, lat: float, lon: float) -> None:
         key = self._key(lat, lon)
         self._cells.setdefault(key, []).append(item)
-        self._pos[item] = key
+        self._keys[item] = key
+        self._pos[item] = (lat, lon)
 
     def move(self, item: int, lat: float, lon: float) -> None:
-        """Re-bucket an item after its position changed."""
-        old = self._pos.get(item)
+        """Record an item's new position, re-bucketing it if needed."""
+        self._pos[item] = (lat, lon)
+        old = self._keys.get(item)
         key = self._key(lat, lon)
         if old == key:
             return
@@ -228,36 +283,61 @@ class GridIndex:
             if not cell:
                 del self._cells[old]
         self._cells.setdefault(key, []).append(item)
-        self._pos[item] = key
+        self._keys[item] = key
 
     def candidates(self, lat: float, lon: float) -> list[int]:
         """Items in the 3x3 neighborhood of the position's cell."""
-        r, c = self._key(lat, lon)
+        row = math.floor(lat / self._row_deg)
+        x = lon + 180.0
         out = []
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                got = self._cells.get((r + dr, c + dc))
+        for r in (row - 1, row, row + 1):
+            n, width = self._columns(r)
+            c = math.floor(x / width)
+            for cc in ((c - 1, c, c + 1) if n >= 3 else range(n)):
+                got = self._cells.get((r, cc % n))
                 if got:
                     out.extend(got)
         return out
 
-    def nearest(self, lat: float, lon: float, radius_m: float,
-                positions) -> tuple[float, int]:
+    def nearest(self, lat: float, lon: float,
+                radius_m: float) -> tuple[float, int]:
         """(distance, item) of the nearest item within radius_m, or
-        (inf, -1). positions maps item -> (lat, lon). Requires
-        radius_m <= cell_m."""
-        best_d, best_i = math.inf, -1
-        dlat_gate = radius_m / M_PER_DEG_LAT_MIN
-        dlon_gate = radius_m * 1.001 / (
-            M_PER_DEG_LAT * max(math.cos(math.radians(abs(lat))), _MIN_COS))
+        (inf, -1); ties go to the lowest item. Requires radius_m <= cell_m.
+
+        Vincenty runs only on candidates that can still win: the lower
+        bound L of bound_scales must be within radius_m (with the 0.1%
+        slack of _gated_dist, so rounding never drops a point at the
+        radius) and no larger than the least upper bound U among them.
+        A candidate whose L exceeds another's U is strictly farther.
+        """
+        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
+        gate = (1.001 * radius_m) ** 2
+        pos = self._pos
+        near = []
+        u_min = math.inf
         for item in self.candidates(lat, lon):
-            plat, plon = positions(item)
-            if abs(plat - lat) > dlat_gate:
+            plat, plon = pos[item]
+            dlat = plat - lat
+            dlon = plon - lon
+            if dlon > 180.0:
+                dlon -= 360.0
+            elif dlon < -180.0:
+                dlon += 360.0
+            a, b = dlat * lat_lo, dlon * lon_lo
+            lo = a * a + b * b
+            if lo > gate:
                 continue
-            if abs(plon - lon) > dlon_gate:
+            a, b = dlat * lat_hi, dlon * lon_hi
+            hi = a * a + b * b
+            if hi < u_min:
+                u_min = hi
+            near.append((lo, item, plat, plon))
+        best_d, best_i = math.inf, -1
+        for lo, item, plat, plon in near:
+            if lo > u_min:
                 continue
             d = vincenty_m(lat, lon, plat, plon)
-            if d < best_d or (d == best_d and (best_i == -1 or item < best_i)):
+            if d < best_d or (d == best_d and item < best_i):
                 best_d, best_i = d, item
         if best_d > radius_m:
             return math.inf, -1

@@ -62,7 +62,69 @@ class TestConfig:
             ClusterConfig(max_iterations=0).validate()
 
 
+def at_distance(lat, lon, bearing_deg, d):
+    """A point d meters from (lat, lon) along bearing_deg: a planar
+    offset rescaled until Vincenty measures d, to about a nanometer."""
+    s = d
+    for _ in range(5):
+        dlat = s * math.cos(math.radians(bearing_deg)) / 111000.0
+        dlon = s * math.sin(math.radians(bearing_deg)) / (
+            111000.0 * math.cos(math.radians(lat)))
+        s *= d / vincenty_m(lat, lon, lat + dlat, lon + dlon)
+    return lat + dlat, lon + dlon
+
+
+def greedy_seeds(pts, cfg):
+    """select_seed_indices by brute force over every earlier seed."""
+    seeds = []
+    for i in range(pts.n):
+        if all(combined(pts.lat[i], pts.lon[i], pts.heading[i],
+                        pts.lat[j], pts.lon[j], pts.heading[j],
+                        cfg.theta) >= cfg.seed_radius_cr for j in seeds):
+            seeds.append(i)
+    return seeds
+
+
 class TestSeedSelection:
+    @pytest.mark.parametrize("lat0", [0.0, -33.0, 60.0, 80.0])
+    def test_pairs_at_the_radius_match_brute_force(self, lat0):
+        # anchors 300 m apart, each followed by a partner 1 mm inside the
+        # combined radius and one 1 mm outside it: by distance alone, or
+        # by distance and heading together
+        rng = np.random.default_rng(int(abs(lat0)) + 5)
+        cfg = ClusterConfig(seed_radius_cr=20.0)
+        cr, theta = cfg.seed_radius_cr, cfg.theta
+        lat, lon, hdg = [], [], []
+        anchors = []
+        for k in range(16):
+            a_lat, a_lon = at_distance(lat0, 51.0, 90.0, 300.0 * (k + 1))
+            h = float(rng.uniform(0.0, 360.0))
+            anchors.append(len(lat))
+            lat.append(a_lat); lon.append(a_lon); hdg.append(h)
+            for want in (cr - 1e-3, cr + 1e-3):
+                if k % 2:
+                    dg = float(rng.uniform(2.0, 15.0))
+                    h2 = (h + 180.0 / theta * math.sqrt(want ** 2 - dg ** 2)) % 360.0
+                else:
+                    dg, h2 = want, h
+                p_lat, p_lon = at_distance(a_lat, a_lon,
+                                           float(rng.uniform(0.0, 360.0)), dg)
+                lat.append(p_lat); lon.append(p_lon); hdg.append(h2)
+        n = len(lat)
+        # clutter after the pairs
+        c_lat, c_lon = at_distance(lat0, 51.0, 90.0, 5000.0)
+        lat += list(rng.uniform(lat0, c_lat + 1e-4, 60))
+        lon += list(rng.uniform(51.0, c_lon, 60))
+        hdg += list(rng.uniform(0.0, 360.0, 60))
+        m = len(lat)
+        pts = PointArrays(np.array(lat), np.array(lon), np.array(hdg),
+                          np.full(m, 30.0), np.arange(m, dtype=float))
+        got = list(select_seed_indices(pts, cfg))
+        assert got == greedy_seeds(pts, cfg)
+        # the partner 1 mm outside seeds, the one 1 mm inside does not
+        assert [i for i in got if i < n] == \
+            [i for a in anchors for i in (a, a + 2)]
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
         pts = random_points(rng, 500)

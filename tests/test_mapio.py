@@ -164,6 +164,38 @@ class TestGeoJson:
         assert 50.0 < lon < 52.0 and 24.0 < lat < 26.0
         assert set(f0["properties"]) == {"weight", "traj_count", "active"}
 
+    def test_bytes_match_json_dump(self, tmp_path):
+        # inactive edges, negative and numpy coordinates, tiny and large
+        # weights, and the empty graph
+        g = messy_graph()
+        g.add_node(ClusterCentroid(lat=np.float64(-33.123456789123),
+                                   lon=-70.000000001, heading_deg=0.0))
+        g.add_node(ClusterCentroid(lat=-0.5, lon=-179.999999999987,
+                                   heading_deg=90.0))
+        g.add_edge(6, 7, 1.5e7, traj_count=12345, active=False)
+        g.add_edge(7, 6, 1e-12, traj_count=0)
+        for name, graph in (("full", g), ("empty", RoadGraph())):
+            features = []
+            for key in sorted(graph.edges):
+                e = graph.edges[key]
+                a, b = graph.nodes[e.src], graph.nodes[e.dst]
+                features.append({
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "LineString",
+                        "coordinates": [[round(a.lon, 9), round(a.lat, 9)],
+                                        [round(b.lon, 9), round(b.lat, 9)]],
+                    },
+                    "properties": {"weight": round(e.weight_m, 9),
+                                   "traj_count": e.traj_count,
+                                   "active": e.active},
+                })
+            doc = {"type": "FeatureCollection", "features": features}
+            p = str(tmp_path / f"{name}.geojson")
+            save_geojson(graph, p)
+            with open(p) as fh:
+                assert fh.read() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_byte_stable(self, tmp_path):
         g = messy_graph()
         p1, p2 = str(tmp_path / "a.geojson"), str(tmp_path / "b.geojson")

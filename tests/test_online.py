@@ -330,3 +330,30 @@ class TestNodeSpacing:
         assert all(d == 1 for d in out_deg.values())
         assert all(d == 1 for d in in_deg.values())
         assert len(g.edges) == len(g.nodes) - 1
+
+
+class TestAntimeridian:
+    def test_drive_east_across_180(self):
+        # the pair across the seam is densified with a midpoint near
+        # 179.99998; the second vehicle, 4 m east, puts its midpoint near
+        # -179.99998, onto the same node
+        cfg = OnlineConfig()
+        lons = [179.99903, 179.99938, 179.99973, -179.99977, -179.99942,
+                -179.99907]
+        pts = []
+        for v, shift in (("a", 0.0), ("b", 0.00004)):
+            for i, lon in enumerate(lons):
+                lon = lon + shift
+                if lon >= 180.0:
+                    lon -= 360.0
+                pts.append(GpsPoint(v, 100.0 * (v == "b") + 3.0 * i, 10.0,
+                                    lon, 30.0, 90.0))
+        state = consume_stream(pts, cfg)
+        g = state.graph
+        assert len(g.nodes) >= len(lons)
+        assert any(n.support > 1 for n in g.nodes)
+        for n in g.nodes:
+            assert 180.0 - abs(n.lon) <= 1e-3 and -180.0 <= n.lon < 180.0
+        assert g.edges
+        for e in g.edges.values():
+            assert e.weight_m <= 2 * cfg.sampling_rate_sr

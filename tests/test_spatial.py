@@ -1,9 +1,13 @@
 """Bucketed neighbor search checked against brute-force Vincenty."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kharita.geo import vincenty_m_many
-from kharita.spatial import nearest_within, pairs_within
+from kharita.geo import vincenty_m, vincenty_m_many, wrap_lon
+from kharita.spatial import GridIndex, nearest_within, pairs_within
 
 RADIUS_M = 30.0
 
@@ -76,3 +80,100 @@ def test_empty_inputs():
     assert dist.size == 0 and idx.size == 0
     q, r, d = pairs_within(np.array([1.0]), np.array([1.0]), e, e, 10.0)
     assert q.size == r.size == d.size == 0
+
+
+def _brute_nearest(positions, lat, lon, radius_m):
+    """(distance, item) of the nearest position within radius_m, ties to
+    the lowest item, or (inf, -1): every item checked with Vincenty."""
+    best = (math.inf, -1)
+    for item in sorted(positions):
+        d = vincenty_m(lat, lon, *positions[item])
+        if d <= radius_m and (d, item) < best:
+            best = (d, item)
+    return best
+
+
+# offsets in meters on a 2.5 m lattice, so equal positions (exact ties)
+# and near-equal distances are common; the span covers the 3x3 cells
+_offset = st.tuples(st.integers(-24, 24), st.integers(-24, 24)).map(
+    lambda ne: (ne[0] * 2.5, ne[1] * 2.5))
+
+
+def _place(lat0, lon0, north_m, east_m):
+    """Position about (north_m, east_m) from (lat0, lon0), wrapped."""
+    lat = min(lat0 + north_m / 111000.0, 89.99)
+    return lat, wrap_lon(lon0 + east_m / (111000.0 * math.cos(math.radians(lat0))))
+
+
+class TestGridIndex:
+    CELL_M = 20.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(lat0=st.one_of(st.floats(0.0, 89.5),
+                          st.sampled_from([89.9, 89.95, 89.99])),
+           south=st.booleans(),
+           lon0=st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999]),
+           inserts=st.lists(_offset, min_size=1, max_size=25),
+           moves=st.lists(st.tuples(st.integers(0, 24), _offset), max_size=10),
+           queries=st.lists(st.tuples(_offset, st.booleans()),
+                            min_size=1, max_size=6))
+    def test_nearest_matches_brute_force(self, lat0, south, lon0, inserts,
+                                         moves, queries):
+        if south:
+            lat0 = -lat0
+        index = GridIndex(self.CELL_M)
+        positions = {}
+        for item, (n, e) in enumerate(inserts):
+            positions[item] = _place(lat0, lon0, n, e)
+            index.insert(item, *positions[item])
+        for item, (n, e) in moves:
+            if item in positions:
+                positions[item] = _place(lat0, lon0, n, e)
+                index.move(item, *positions[item])
+        assert len(index) == len(positions)
+        for (n, e), on_boundary in queries:
+            lat, lon = _place(lat0, lon0, n, e)
+            radius = self.CELL_M
+            if on_boundary:
+                # a radius exactly at some item's distance keeps that item
+                d = vincenty_m(lat, lon, *positions[len(inserts) // 2])
+                if 0.0 < d <= self.CELL_M:
+                    radius = d
+            assert index.nearest(lat, lon, radius) == \
+                _brute_nearest(positions, lat, lon, radius)
+
+    def test_found_far_from_the_first_inserted_latitude(self):
+        # the first insert at the equator must not fix the longitude
+        # scale: at 60 N a node 18 m east of the query is in the radius
+        index = GridIndex(self.CELL_M)
+        index.insert(0, 0.0, 0.0)
+        index.insert(1, 60.0, 10.0)
+        east = 18.0 / (111000.0 * math.cos(math.radians(60.0)))
+        missed = 0
+        for i in range(200):
+            lon = 10.0 + i * 1.7e-5
+            index.move(1, 60.0, lon + east)
+            d, item = index.nearest(60.0, lon, self.CELL_M)
+            missed += item != 1
+            assert item != 1 or d == vincenty_m(60.0, lon, 60.0, lon + east)
+        assert missed == 0
+
+    def test_columns_wrap_at_the_antimeridian(self):
+        index = GridIndex(self.CELL_M)
+        index.insert(0, 10.0, 179.99995)
+        index.insert(1, 10.0, 0.0)
+        d, item = index.nearest(10.0, -179.99995, self.CELL_M)
+        assert item == 0
+        assert d == vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
+
+    def test_rows_near_the_pole(self):
+        # whole-circle rows hold only a few columns; none is scanned twice
+        index = GridIndex(self.CELL_M)
+        index.insert(0, 89.99995, 0.0)
+        index.insert(1, 89.99995, 120.0)
+        assert sorted(index.candidates(89.99995, -120.0)) == [0, 1]
+        d, item = index.nearest(89.99995, -120.0, self.CELL_M)
+        assert (d, item) == _brute_nearest({0: (89.99995, 0.0),
+                                            1: (89.99995, 120.0)},
+                                           89.99995, -120.0, self.CELL_M)

@@ -16,8 +16,6 @@ import numpy as np
 
 from .geo import (
     GpsPoint,
-    M_PER_DEG_LAT,
-    M_PER_DEG_LAT_MIN,
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
@@ -25,17 +23,9 @@ from .geo import (
     vincenty_m,
     vincenty_m_many,
 )
-from .spatial import (
-    bound_scales,
-    bucket_map,
-    cell_arrays,
-    gather_3x3,
-    safe_lon_scale,
-)
+from .spatial import GridIndex, _QueryCells, bound_scales
 
 log = logging.getLogger(__name__)
-
-_INT_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -137,211 +127,87 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """Greedy scan in input order; a point becomes a seed only if every
     existing seed is at least seed_radius_cr away in combined distance.
 
-    The planar bounds L <= dg <= U of spatial.bound_scales settle most
-    pairs: hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one.
-    Vincenty runs only in between; both tests keep a relative margin of
-    1e-6, far above its rounding, so seeds are those of exact distances.
+    The seeds so far sit in a GridIndex of cell seed_radius_cr, whose
+    3x3 candidates hold every seed within that geodesic distance. The
+    planar bounds L <= dg <= U of spatial.bound_scales, with the
+    longitude delta taken the short way round, settle most pairs:
+    hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one. Vincenty
+    runs only in between; both tests keep a relative margin of 1e-6, far
+    above its rounding, so seeds are those of exact distances.
     """
     cr = cfg.seed_radius_cr
     theta = cfg.theta
-    cell = cr + theta
-    scale = safe_lon_scale(pts.lat)
-    inv_lat = M_PER_DEG_LAT_MIN / cell
-    inv_lon = scale / cell
     ang_gate = 180.0 * cr / theta if theta > 0 else 181.0
     miss2 = (cr * (1.0 + 1e-6)) ** 2
     hit2 = (cr * (1.0 - 1e-6)) ** 2
 
-    cells: dict[tuple[int, int], list[int]] = {}
+    index = GridIndex(cr)
     seeds: list[int] = []
     # views index to plain floats, without copying the columns to lists
     lat, lon, hdg = (memoryview(np.ascontiguousarray(a, dtype=np.float64))
                      for a in (pts.lat, pts.lon, pts.heading))
     for i in range(pts.n):
         la = lat[i]; lo = lon[i]; h = hdg[i]
-        r = int(la * inv_lat) if la >= 0 else int(math.floor(la * inv_lat))
-        c = int(lo * inv_lon) if lo >= 0 else int(math.floor(lo * inv_lon))
         lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(la, cr)
-        hit = False
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                bucket = cells.get((r + dr, c + dc))
-                if not bucket:
-                    continue
-                for j in bucket:
-                    da = abs(hdg[j] - h) % 360.0
-                    if da > 180.0:
-                        da = 360.0 - da
-                    if da > ang_gate:
-                        continue
-                    ha = theta * da / 180.0
-                    ha2 = ha * ha
-                    dlat = lat[j] - la
-                    dlon = lon[j] - lo
-                    x, y = dlat * lat_lo, dlon * lon_lo
-                    if x * x + y * y + ha2 >= miss2:
-                        continue
-                    x, y = dlat * lat_hi, dlon * lon_hi
-                    if x * x + y * y + ha2 < hit2:
-                        hit = True
-                        break
-                    dg = vincenty_m(la, lo, lat[j], lon[j])
-                    if math.hypot(dg, ha) < cr:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
+        for j in index.candidates(la, lo):
+            da = abs(hdg[j] - h) % 360.0
+            if da > 180.0:
+                da = 360.0 - da
+            if da > ang_gate:
+                continue
+            ha = theta * da / 180.0
+            ha2 = ha * ha
+            dlat = lat[j] - la
+            dlon = lon[j] - lo
+            if dlon > 180.0:
+                dlon -= 360.0
+            elif dlon < -180.0:
+                dlon += 360.0
+            x, y = dlat * lat_lo, dlon * lon_lo
+            if x * x + y * y + ha2 >= miss2:
+                continue
+            x, y = dlat * lat_hi, dlon * lon_hi
+            if (x * x + y * y + ha2 < hit2
+                    or math.hypot(vincenty_m(la, lo, lat[j], lon[j]), ha) < cr):
                 break
-        if not hit:
+        else:
             seeds.append(i)
-            cells.setdefault((r, c), []).append(i)
+            index.insert(i, la, lo)
     return np.asarray(seeds, dtype=np.int64)
 
 
-def _combined_pairs(pts: PointArrays, pair_p: np.ndarray,
-                    clat, clon, chdg, pair_c: np.ndarray,
-                    theta: float) -> np.ndarray:
-    d = vincenty_m_many(pts.lat[pair_p], pts.lon[pair_p],
-                        clat[pair_c], clon[pair_c])
-    da = angle_diff_deg_many(pts.heading[pair_p], chdg[pair_c])
-    return np.hypot(d, theta * da / 180.0)
-
-
 class _Assigner:
-    """Vectorized nearest-centroid search under the combined distance.
+    """Nearest live centroid of each point under the combined distance.
 
-    Points are bucketed once; per call the live centroids are bucketed
-    and each point is matched against its 3x3 cell neighborhood, with an
-    equirectangular prescreen (safe 2% + 2 m slack) so the exact
-    geodesic runs only on near-minimal candidates. Points whose 3x3
-    neighborhood cannot certify the true minimum fall back to an exact
-    expanding-ring scan.
+    The points are grouped by grid cell once, with cells of cr + theta.
+    Each call runs the batch kernel of spatial on the live centroids,
+    with the heading term theta * (heading difference) / 180 added in
+    quadrature to its bounds and exact distances. A 3x3 neighborhood
+    holds every centroid within the cell size, so it certifies any
+    minimum within it; the points without one get an exact scan over
+    every live centroid.
     """
 
-    def __init__(self, pts: PointArrays, cfg: ClusterConfig,
-                 pair_budget: int = 2_000_000):
+    def __init__(self, pts: PointArrays, cfg: ClusterConfig):
         self.pts = pts
-        self.cfg = cfg
         self.theta = cfg.theta
-        self.cell_m = cfg.seed_radius_cr + self.theta
-        self.scale = safe_lon_scale(pts.lat)
-        self.pair_budget = pair_budget
-        rows, cols = cell_arrays(pts.lat, pts.lon, self.cell_m, self.scale)
-        order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
-        if r.size:
-            change = np.nonzero((r[1:] != r[:-1]) | (c[1:] != c[:-1]))[0] + 1
-            starts = np.concatenate(([0], change, [r.size]))
-        else:
-            starts = np.array([0])
-        self.groups = [(int(r[starts[g]]), int(c[starts[g]]),
-                        order[starts[g]:starts[g + 1]])
-                       for g in range(starts.size - 1)]
-        # meters per degree of longitude at each point, for the prescreen
-        self.coslat_m = M_PER_DEG_LAT * np.cos(np.radians(pts.lat))
+        self.cells = _QueryCells(pts.lat, pts.lon, cfg.seed_radius_cr + self.theta)
 
     def __call__(self, clat, clon, chdg, alive: np.ndarray):
-        pts = self.pts
-        n = pts.n
-        assign = np.full(n, -1, dtype=np.int64)
-        adist = np.full(n, np.inf)
-        live_ids = np.nonzero(alive)[0]
-        if live_ids.size == 0:
+        live = np.nonzero(alive)[0]
+        if live.size == 0:
             raise ValueError("no live centroids to assign to")
-        crow, ccol = cell_arrays(clat[live_ids], clon[live_ids],
-                                 self.cell_m, self.scale)
-        buckets = bucket_map(crow, ccol)
-
-        buf_p, buf_c, buf_len = [], [], []
-        pending = 0
-        no_cand: list[np.ndarray] = []
-
-        def flush():
-            nonlocal pending
-            if not buf_p:
-                return
-            pp = np.concatenate(buf_p)
-            cc = np.concatenate(buf_c)
-            lens = np.asarray(buf_len)
-            seg = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            # prescreen: equirectangular + heading, certified within 2%+2m
-            dlat = (pts.lat[pp] - clat[cc]) * M_PER_DEG_LAT
-            dlon = (pts.lon[pp] - clon[cc]) * self.coslat_m[pp]
-            da = angle_diff_deg_many(pts.heading[pp], chdg[cc])
-            eq = np.hypot(np.hypot(dlat, dlon), self.theta * da / 180.0)
-            eq_min = np.minimum.reduceat(eq, seg)
-            keep = eq <= np.repeat(eq_min * 1.02 + 2.0, lens)
-            pp_k = pp[keep]; cc_k = cc[keep]
-            lens_k = np.add.reduceat(keep.astype(np.int64), seg)
-            seg_k = np.concatenate(([0], np.cumsum(lens_k)[:-1]))
-            d = _combined_pairs(pts, pp_k, clat, clon, chdg, cc_k, self.theta)
-            dmin = np.minimum.reduceat(d, seg_k)
-            heads = pp_k[seg_k]
-            is_min = d == np.repeat(dmin, lens_k)
-            cand = np.where(is_min, cc_k, _INT_MAX)
-            cmin = np.minimum.reduceat(cand, seg_k)
-            assign[heads] = cmin
-            adist[heads] = dmin
-            buf_p.clear(); buf_c.clear(); buf_len.clear()
-            pending = 0
-
-        for row, col, members in self.groups:
-            cand = gather_3x3(buckets, row, col)
-            if cand.size == 0:
-                no_cand.append(members)
-                continue
-            ids = live_ids[cand]
-            buf_p.append(np.repeat(members, ids.size))
-            buf_c.append(np.tile(ids, members.size))
-            buf_len.extend([ids.size] * members.size)
-            pending += members.size * ids.size
-            if pending >= self.pair_budget:
-                flush()
-        flush()
-
-        # exact fallback where the 3x3 window cannot certify the minimum
-        unresolved = adist > self.cell_m
-        if no_cand:
-            unresolved[np.concatenate(no_cand)] = True
-        for i in np.nonzero(unresolved)[0]:
-            assign[i], adist[i] = self._ring_scan(int(i), clat, clon, chdg, buckets, live_ids)
-        return assign, adist
-
-    def _ring_scan(self, i: int, clat, clon, chdg, buckets, live_ids):
+        clat, clon, chdg = clat[live], clon[live], chdg[live]
         pts = self.pts
-        row = int(math.floor(pts.lat[i] * M_PER_DEG_LAT_MIN / self.cell_m))
-        col = int(math.floor(pts.lon[i] * self.scale / self.cell_m))
-        best_d, best_c = np.inf, -1
-        ring = 0
-        max_ring = 2 + int(2.0e7 / self.cell_m)
-        while ring <= max_ring:
-            hits = []
-            if ring == 0:
-                if (row, col) in buckets:
-                    hits.append(buckets[(row, col)])
-            else:
-                for dr in range(-ring, ring + 1):
-                    for dc in range(-ring, ring + 1):
-                        if max(abs(dr), abs(dc)) != ring:
-                            continue
-                        b = buckets.get((row + dr, col + dc))
-                        if b is not None:
-                            hits.append(b)
-            if hits:
-                cand = live_ids[np.concatenate(hits)]
-                d = _combined_pairs(pts, np.full(cand.size, i), clat, clon,
-                                    chdg, cand, self.theta)
-                j = int(np.argmin(d))
-                ties = np.nonzero(d == d[j])[0]
-                cid = int(cand[ties].min())
-                if d[j] < best_d or (d[j] == best_d and cid < best_c):
-                    best_d, best_c = float(d[j]), cid
-            # cells beyond this ring are at least ring*cell away
-            if best_c >= 0 and best_d <= ring * self.cell_m:
-                break
-            ring += 1
-        return best_c, best_d
+        dist, near = self.cells.nearest(clat, clon,
+                                        (pts.heading, chdg, self.theta))
+        for i in np.nonzero(near < 0)[0]:
+            d = np.hypot(vincenty_m_many(pts.lat[i], pts.lon[i], clat, clon),
+                         self.theta * angle_diff_deg_many(pts.heading[i], chdg)
+                         / 180.0)
+            near[i] = np.argmin(d)
+            dist[i] = d[near[i]]
+        return live[near], dist
 
 
 def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
@@ -363,15 +229,14 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
 
 
 def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
-                  cfg: ClusterConfig, assigner: _Assigner | None = None):
+                  cfg: ClusterConfig):
     """Lloyd iterations under the combined distance.
 
     Returns (centroid arrays dict, assignments, costs). Assignments are
     consistent with the returned centroid state; empty clusters are
     dropped and ids compacted in seed order.
     """
-    if assigner is None:
-        assigner = _Assigner(pts, cfg)
+    assigner = _Assigner(pts, cfg)
     k = seed_lat.size
     clat = np.array(seed_lat, dtype=np.float64)
     clon = np.array(seed_lon, dtype=np.float64)

@@ -18,7 +18,6 @@ from .clustering import (
     ClusterCentroid,
     ClusterConfig,
     PointArrays,
-    _Assigner,
     distinct_points,
     finalize_centroids,
     kmeans_arrays,
@@ -296,10 +295,9 @@ def run_offline_pipeline(trajectories: list[Trajectory],
     seed_idx = stage("seeds", lambda: select_seed_indices(dpts, cluster_cfg))
     st.counts["seeds"] = int(seed_idx.size)
 
-    assigner = _Assigner(dpts, cluster_cfg)
     cents, assign, costs = stage("kmeans", lambda: kmeans_arrays(
         dpts, dpts.lat[seed_idx], dpts.lon[seed_idx], dpts.heading[seed_idx],
-        cluster_cfg, assigner))
+        cluster_cfg))
     st.counts["kmeans_iterations"] = len(costs)
 
     (clat, clon, chdg), assign = stage("split", lambda: split_by_heading(

@@ -1,13 +1,24 @@
-"""Lat/lon bucket grids for radius-bounded neighbor queries.
+"""Lat/lon grids for radius-bounded neighbor queries: one grid rule and
+one screen, shared by every search.
 
-The batch searches (nearest_within, pairs_within) bucket both point
-sets on one grid. Its cells are sized in meters, with a longitude scale
-that is safe over the data's whole latitude range. GridIndex, the
-incremental index, gives each grid row its own longitude scale and a
-whole number of columns around the globe, so it is safe at any latitude
-and wraps at the antimeridian. Both screen candidates with planar
-bounds on the geodesic distance and run exact Vincenty only on the
-candidates that can still win.
+Grid rule. Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude
+high. A row splits the circle of longitude into a whole number of
+columns, each at least 1.001 * cell_m wide at the most poleward latitude
+of the row and its two neighbours (_column_count). A 3x3 neighborhood
+then holds every point within cell_m at any latitude. Columns wrap at
+the antimeridian, and a row of fewer than three columns is scanned
+whole. GridIndex, the incremental index, gives each row its own count.
+The batch searches (nearest_within, pairs_within and k-means assignment,
+all through _QueryCells) give every row the count of the most poleward
+row their queries reach, so the columns of neighbouring rows line up
+and a 3x3 neighborhood is 9 cells.
+
+Screen. bound_scales gives planar bounds L <= d <= U on the geodesic
+distance d. A candidate is kept only if its L is within the radius and,
+for a nearest search, no larger than the least U among its query's
+candidates: a candidate whose L exceeds another's U is strictly
+farther. Exact Vincenty runs on the survivors alone, and ties go to the
+lowest index.
 """
 from __future__ import annotations
 
@@ -20,16 +31,18 @@ from .geo import (
     EARTH_B,
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
+    angle_diff_deg_many,
     vincenty_m,
     vincenty_m_many,
 )
 
-# below this the lon/deg scale would blow up; data this close to a pole
-# is out of scope anyway
-_MIN_COS = 0.01
 # the meridian and prime-vertical radii of curvature never exceed a^2/b,
 # so no degree of latitude, nor of longitude on the equator, is longer
 M_PER_DEG_MAX = EARTH_A * EARTH_A / EARTH_B * math.pi / 180.0
+# query/reference pairs screened at a time by the batch searches; it
+# bounds the size of their temporaries
+_PAIR_BUDGET = 2_000_000
+_INT_MAX = np.iinfo(np.int64).max
 
 
 def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, float]:
@@ -61,24 +74,18 @@ def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, floa
             M_PER_DEG_MAX * math.cos(math.radians(max(a - w, 0.0))))
 
 
-def safe_lon_scale(lats) -> float:
-    """Scale that never undersizes a cell anywhere in the data's range."""
-    a = np.asarray(lats, dtype=np.float64)
-    if a.size == 0:
-        return M_PER_DEG_LAT * max(_MIN_COS, math.cos(math.radians(45.0)))
-    hi = float(np.max(np.abs(a)))
-    return M_PER_DEG_LAT * max(math.cos(math.radians(min(hi, 89.9))), _MIN_COS)
+def _column_count(row: int, row_deg: float, cell_m: float) -> int:
+    """Columns around the circle in a grid row: each is at least
+    1.001 * cell_m wide at the most poleward latitude of the row and its
+    two neighbours, where a path of cell_m from the row can reach."""
+    edge = min(max(abs(row - 1), abs(row + 2)) * row_deg, 90.0)
+    return max(1, int(360.0 * M_PER_DEG_LAT * math.cos(math.radians(edge))
+                      / (1.001 * cell_m)))
 
 
-def cell_arrays(lat, lon, cell_m: float, lon_m_per_deg: float):
-    """Integer (row, col) cell coordinates for arrays of positions.
-
-    Rows use the minimum meters-per-degree so a cell is never narrower
-    than cell_m anywhere; a 3x3 neighborhood then always covers cell_m.
-    """
-    rows = np.floor(np.asarray(lat, dtype=np.float64) * (M_PER_DEG_LAT_MIN / cell_m)).astype(np.int64)
-    cols = np.floor(np.asarray(lon, dtype=np.float64) * (lon_m_per_deg / cell_m)).astype(np.int64)
-    return rows, cols
+def _columns_around(col: int, n: int):
+    """The columns of a 3x3 neighborhood in a row of n, each once."""
+    return ((col - 1) % n, col % n, (col + 1) % n) if n >= 3 else range(n)
 
 
 def bucket_map(rows: np.ndarray, cols: np.ndarray) -> dict:
@@ -96,111 +103,152 @@ def bucket_map(rows: np.ndarray, cols: np.ndarray) -> dict:
     return out
 
 
-def gather_3x3(buckets: dict, row: int, col: int) -> np.ndarray:
-    """Concatenated indices of the 3x3 cell neighborhood (may be empty)."""
-    parts = []
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            b = buckets.get((row + dr, col + dc))
-            if b is not None:
-                parts.append(b)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+class _QueryCells:
+    """Query points grouped by cell once, for batch searches within
+    cell_m against any set of reference points.
 
-
-def _candidate_chunks(qlat, qlon, rlat, rlon, radius_m: float,
-                      pair_budget: int):
-    """Yield (pq, pr, lens): query/reference index pairs from each
-    query's 3x3 cell neighborhood, in chunks of about pair_budget pairs.
-    Pairs of one query are contiguous; lens holds each query's count."""
-    scale = min(safe_lon_scale(qlat), safe_lon_scale(rlat))
-    rr, rc = cell_arrays(rlat, rlon, radius_m, scale)
-    buckets = bucket_map(rr, rc)
-    qr, qc = cell_arrays(qlat, qlon, radius_m, scale)
-
-    # group queries by cell so candidate sets are shared
-    order = np.lexsort((qc, qr))
-    gr, gc = qr[order], qc[order]
-    change = np.nonzero((gr[1:] != gr[:-1]) | (gc[1:] != gc[:-1]))[0] + 1
-    starts = np.concatenate(([0], change, [qlat.size]))
-
-    buf_q, buf_r, buf_len = [], [], []
-    pending = 0
-    for i in range(starts.size - 1):
-        grp = order[starts[i]:starts[i + 1]]
-        cand = gather_3x3(buckets, int(gr[starts[i]]), int(gc[starts[i]]))
-        if cand.size == 0:
-            continue
-        buf_q.append(np.repeat(grp, cand.size))
-        buf_r.append(np.tile(cand, grp.size))
-        buf_len.extend([cand.size] * grp.size)
-        pending += grp.size * cand.size
-        if pending >= pair_budget:
-            yield np.concatenate(buf_q), np.concatenate(buf_r), np.asarray(buf_len)
-            buf_q, buf_r, buf_len = [], [], []
-            pending = 0
-    if buf_q:
-        yield np.concatenate(buf_q), np.concatenate(buf_r), np.asarray(buf_len)
-
-
-def _gated_dist(qlat, qlon, rlat, rlon, radius_m: float) -> np.ndarray:
-    """Vincenty distance of each pair, or inf where a lower bound
-    already exceeds radius_m.
-
-    A path of length <= radius_m stays in the latitude band of half
-    width radius_m / M_PER_DEG_LAT_MIN around the query. In that band a
-    degree of latitude is at least M_PER_DEG_LAT_MIN meters and a
-    degree of longitude at least M_PER_DEG_LAT * cos(band edge), so the
-    planar distance under those scales never exceeds the geodesic one.
+    The grid has one column count, that of the most poleward row the
+    queries reach (see the module docstring).
     """
-    band = np.minimum(np.abs(qlat) + radius_m / M_PER_DEG_LAT_MIN, 90.0)
-    ns = (qlat - rlat) * M_PER_DEG_LAT_MIN
-    ew = (qlon - rlon) * (M_PER_DEG_LAT * np.cos(np.radians(band)))
-    near = ns * ns + ew * ew <= (radius_m * 1.001) ** 2
-    d = np.full(qlat.size, np.inf)
-    d[near] = vincenty_m_many(qlat[near], qlon[near], rlat[near], rlon[near])
-    return d
+
+    def __init__(self, lat, lon, cell_m: float):
+        self.lat = np.asarray(lat, dtype=np.float64)
+        self.lon = np.asarray(lon, dtype=np.float64)
+        self.cell_m = float(cell_m)
+        self.row_deg = self.cell_m / M_PER_DEG_LAT_MIN
+        ends = (self.lat.min(), self.lat.max()) if self.lat.size else ()
+        self.ncols = min((_column_count(math.floor(a / self.row_deg),
+                                        self.row_deg, self.cell_m)
+                          for a in ends), default=1)
+        self.groups = list(bucket_map(*self._cells(self.lat, self.lon)).items())
+
+    def _cells(self, lat, lon):
+        rows = np.floor(lat / self.row_deg).astype(np.int64)
+        cols = np.floor((lon + 180.0) / (360.0 / self.ncols)).astype(np.int64)
+        return rows, cols % self.ncols
+
+    def _chunks(self, rlat, rlon):
+        """Yield (pq, pr, lens, lon_hi, inv_rho2): the query/reference
+        pairs of each query's 3x3 neighborhood, about _PAIR_BUDGET at a
+        time with the pairs of a query contiguous, and per query its
+        number of pairs and the bound scales of its row.
+
+        Each row takes bound_scales at its middle latitude with a band of
+        1.5 * cell_m: that covers the rows row-1..row+1, which hold every
+        candidate and every path of cell_m from a query of the row, so
+        L and U hold for all of its pairs. rho is the smaller ratio of
+        lower to upper scale, so that L >= rho * U.
+        """
+        buckets = bucket_map(*self._cells(rlat, rlon))
+        bufs = [], [], [], [], []
+        bq, br, blen, bhi, binv = bufs
+
+        def chunk():
+            out = (np.concatenate(bq), np.concatenate(br),
+                   *(np.asarray(b) for b in bufs[2:]))
+            for b in bufs:
+                b.clear()
+            return out
+
+        pending = 0
+        for (row, col), members in self.groups:
+            parts = [b for r in (row - 1, row, row + 1)
+                     for c in _columns_around(col, self.ncols)
+                     if (b := buckets.get((r, c))) is not None]
+            if not parts:
+                continue
+            cand = np.concatenate(parts)
+            lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(
+                (row + 0.5) * self.row_deg, 1.5 * self.cell_m)
+            rho = min(lat_lo / lat_hi, lon_lo / lon_hi)
+            m = members.size
+            bq.append(np.repeat(members, cand.size))
+            br.append(np.tile(cand, m))
+            blen += [cand.size] * m
+            bhi += [lon_hi] * m
+            binv += [1.0 / (rho * rho)] * m
+            pending += m * cand.size
+            if pending >= _PAIR_BUDGET:
+                yield chunk()
+                pending = 0
+        if pending:
+            yield chunk()
+
+    def _screened(self, rlat, rlon, least: bool, heading=None):
+        """Yield (pq, pr, d) per chunk: the pairs that pass the screen,
+        with their exact distances.
+
+        Each pair gets one planar distance, its U, and rho * U stands in
+        for L. heading=(qh, rh, theta) adds theta * (heading difference)
+        / 180 in quadrature to U and to d; L >= rho * U still holds.
+        """
+        rlat = np.asarray(rlat, dtype=np.float64)
+        rlon = np.asarray(rlon, dtype=np.float64)
+        qlat, qlon = self.lat, self.lon
+        gate = (1.001 * self.cell_m) ** 2
+        for pq, pr, lens, lon_hi, inv_rho2 in self._chunks(rlat, rlon):
+            # squared U, in place; lat_hi is M_PER_DEG_MAX in every band
+            u = qlat[pq]
+            u -= rlat[pr]
+            u *= M_PER_DEG_MAX
+            u *= u
+            dlon = qlon[pq]
+            dlon -= rlon[pr]
+            np.subtract(dlon, 360.0, out=dlon, where=dlon > 180.0)
+            np.add(dlon, 360.0, out=dlon, where=dlon < -180.0)
+            dlon *= np.repeat(lon_hi, lens)
+            dlon *= dlon
+            u += dlon
+            del dlon
+            if heading is not None:
+                qh, rh, theta = heading
+                ha = angle_diff_deg_many(qh[pq], rh[pr])
+                ha *= theta / 180.0
+                ha *= ha
+                u += ha
+                del ha
+            bound = np.full(lens.size, gate)
+            if least:
+                np.minimum(bound, np.minimum.reduceat(u, np.cumsum(lens) - lens),
+                           out=bound)
+            keep = u <= np.repeat(bound * inv_rho2, lens)
+            del u
+            pq, pr = pq[keep], pr[keep]
+            d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
+            if heading is not None:
+                d = np.hypot(d, theta * angle_diff_deg_many(qh[pq], rh[pr]) / 180.0)
+            yield pq, pr, d
+
+    def nearest(self, rlat, rlon, heading=None):
+        """(dist, idx) of each query's nearest reference within cell_m,
+        or (inf, -1); ties go to the lowest reference index. heading is
+        as in _screened."""
+        dist = np.full(self.lat.size, np.inf)
+        idx = np.full(self.lat.size, -1, dtype=np.int64)
+        for pq, pr, d in self._screened(rlat, rlon, True, heading):
+            first = np.flatnonzero(np.diff(pq, prepend=-1))
+            dmin = np.minimum.reduceat(d, first)
+            is_min = d == np.repeat(dmin, np.diff(first, append=pq.size))
+            imin = np.minimum.reduceat(np.where(is_min, pr, _INT_MAX), first)
+            ok = dmin <= self.cell_m
+            heads = pq[first[ok]]
+            dist[heads] = dmin[ok]
+            idx[heads] = imin[ok]
+        return dist, idx
 
 
-def nearest_within(qlat, qlon, rlat, rlon, radius_m: float,
-                   pair_budget: int = 2_000_000):
+def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
     """Nearest reference point within radius_m of each query point.
 
     Returns (dist, idx) arrays; unmatched queries get (inf, -1); ties
-    go to the lowest reference index. Work is bucketed on a grid of cell
-    size radius_m so only a 3x3 neighborhood is examined per query, in
-    chunks bounded by pair_budget.
+    go to the lowest reference index. Both sets are bucketed on a grid
+    of cell size radius_m, so only a 3x3 neighborhood is examined per
+    query.
     """
-    qlat = np.asarray(qlat, dtype=np.float64)
-    qlon = np.asarray(qlon, dtype=np.float64)
-    rlat = np.asarray(rlat, dtype=np.float64)
-    rlon = np.asarray(rlon, dtype=np.float64)
-    nq = qlat.size
-    dist = np.full(nq, np.inf)
-    idx = np.full(nq, -1, dtype=np.int64)
-    if nq == 0 or rlat.size == 0:
-        return dist, idx
-
-    for pq, pr, lens in _candidate_chunks(qlat, qlon, rlat, rlon,
-                                          radius_m, pair_budget):
-        d = _gated_dist(qlat[pq], qlon[pq], rlat[pr], rlon[pr], radius_m)
-        seg = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        dmin = np.minimum.reduceat(d, seg)
-        heads = pq[seg]
-        take = d == np.repeat(dmin, lens)
-        cand = np.where(take, pr, np.iinfo(np.int64).max)
-        imin = np.minimum.reduceat(cand, seg)
-        ok = dmin <= radius_m
-        dist[heads[ok]] = dmin[ok]
-        idx[heads[ok]] = imin[ok]
-    return dist, idx
+    return _QueryCells(qlat, qlon, radius_m).nearest(rlat, rlon)
 
 
-def pairs_within(qlat, qlon, rlat, rlon, radius_m: float,
-                 pair_budget: int = 2_000_000):
+def pairs_within(qlat, qlon, rlat, rlon, radius_m: float):
     """Every (query, reference) pair at most radius_m apart.
 
     Returns (q, r, dist) arrays sorted by query, then distance, then
@@ -208,35 +256,22 @@ def pairs_within(qlat, qlon, rlat, rlon, radius_m: float,
     match. Searching a subset of the references is then a scan of the
     pairs whose reference is in it, with no distance recomputed.
     """
-    qlat = np.asarray(qlat, dtype=np.float64)
-    qlon = np.asarray(qlon, dtype=np.float64)
-    rlat = np.asarray(rlat, dtype=np.float64)
-    rlon = np.asarray(rlon, dtype=np.float64)
-    out_q, out_r, out_d = [], [], []
-    if qlat.size and rlat.size:
-        for pq, pr, _ in _candidate_chunks(qlat, qlon, rlat, rlon,
-                                           radius_m, pair_budget):
-            d = _gated_dist(qlat[pq], qlon[pq], rlat[pr], rlon[pr], radius_m)
-            ok = d <= radius_m
-            out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
-    if not out_q:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0))
+    out_q = [np.empty(0, dtype=np.int64)]
+    out_r = [np.empty(0, dtype=np.int64)]
+    out_d = [np.empty(0)]
+    for pq, pr, d in _QueryCells(qlat, qlon, radius_m)._screened(
+            rlat, rlon, False):
+        ok = d <= radius_m
+        out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
     q, r, d = np.concatenate(out_q), np.concatenate(out_r), np.concatenate(out_d)
     order = np.lexsort((r, d, q))
     return q[order], r[order], d[order]
 
 
 class GridIndex:
-    """Incremental point index for within-radius nearest queries.
-
-    Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude high. Each
-    row splits the circle of longitude into a whole number of columns,
-    each at least 1.001 * cell_m wide at the most poleward latitude of
-    the row and its two neighbours. A 3x3 neighborhood then holds every
-    item within cell_m at any latitude, and columns wrap at the
-    antimeridian. The index keeps each item's position, set by insert
-    and move.
+    """Incremental point index for within-radius nearest queries, on the
+    grid rule of the module docstring with each row's own column count.
+    The index keeps each item's position, set by insert and move.
     """
 
     def __init__(self, cell_m: float):
@@ -253,9 +288,7 @@ class GridIndex:
     def _columns(self, row: int) -> tuple[int, float]:
         got = self._rows.get(row)
         if got is None:
-            edge = min(max(abs(row - 1), abs(row + 2)) * self._row_deg, 90.0)
-            n = max(1, int(360.0 * M_PER_DEG_LAT * math.cos(math.radians(edge))
-                           / (1.001 * self.cell_m)))
+            n = _column_count(row, self._row_deg, self.cell_m)
             got = self._rows[row] = (n, 360.0 / n)
         return got
 
@@ -292,9 +325,8 @@ class GridIndex:
         out = []
         for r in (row - 1, row, row + 1):
             n, width = self._columns(r)
-            c = math.floor(x / width)
-            for cc in ((c - 1, c, c + 1) if n >= 3 else range(n)):
-                got = self._cells.get((r, cc % n))
+            for c in _columns_around(math.floor(x / width), n):
+                got = self._cells.get((r, c))
                 if got:
                     out.extend(got)
         return out
@@ -305,10 +337,9 @@ class GridIndex:
         (inf, -1); ties go to the lowest item. Requires radius_m <= cell_m.
 
         Vincenty runs only on candidates that can still win: the lower
-        bound L of bound_scales must be within radius_m (with the 0.1%
-        slack of _gated_dist, so rounding never drops a point at the
-        radius) and no larger than the least upper bound U among them.
-        A candidate whose L exceeds another's U is strictly farther.
+        bound L of bound_scales must be within 1.001 * radius_m (the
+        slack keeps rounding from dropping a point at the radius) and no
+        larger than the least upper bound U among them.
         """
         lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
         gate = (1.001 * radius_m) ** 2

@@ -18,7 +18,13 @@ from kharita.clustering import (
     select_seed_indices,
     split_by_heading,
 )
-from kharita.geo import GpsPoint, heading_variability_deg, vincenty_m
+from kharita.geo import (
+    GpsPoint,
+    angle_diff_deg_many,
+    heading_variability_deg,
+    vincenty_m,
+    vincenty_m_many,
+)
 
 
 def combined(lat1, lon1, h1, lat2, lon2, h2, theta):
@@ -36,6 +42,33 @@ def random_points(rng, n, span=0.01):
         rng.uniform(10, 60, n),
         rng.uniform(0, 1000, n),
     )
+
+
+# near the pole and on the antimeridian
+POLAR_SEAM = [(89.5, 180.0), (89.9, -180.0), (89.99, 180.0)]
+
+
+def seam_points(rng, n, lat0, lon0, spread_m=200.0):
+    """n random points within about spread_m of (lat0, lon0), with
+    longitudes wrapped into [-180, 180). Headings spread over 30 degrees
+    only, so most points are not seeds."""
+    dlat = spread_m / 111000.0
+    dlon = spread_m / (111000.0 * math.cos(math.radians(lat0)))
+    return PointArrays(
+        lat0 + rng.uniform(-dlat, dlat, n),
+        (lon0 + rng.uniform(-dlon, dlon, n) + 180.0) % 360.0 - 180.0,
+        rng.uniform(0, 30, n),
+        rng.uniform(10, 60, n),
+        rng.uniform(0, 1000, n),
+    )
+
+
+def combined_matrix(pts, clat, clon, chdg, theta):
+    """Combined distance of every point (rows) to every centroid."""
+    dg = vincenty_m_many(pts.lat[:, None], pts.lon[:, None],
+                         clat[None, :], clon[None, :])
+    return np.hypot(dg, theta * angle_diff_deg_many(
+        pts.heading[:, None], chdg[None, :]) / 180.0)
 
 
 def seeded_kmeans(pts: PointArrays, cfg: ClusterConfig):
@@ -138,6 +171,19 @@ class TestSeedSelection:
                    for j in expect):
                 expect.append(i)
         assert got == expect
+        for lat0, lon0 in POLAR_SEAM:
+            pts = seam_points(rng, 300, lat0, lon0)
+            assert list(select_seed_indices(pts, cfg)) == greedy_seeds(pts, cfg)
+
+    @pytest.mark.parametrize("lat0", [0.0, 89.5, 89.9, 89.99])
+    def test_seam_pair_gives_one_seed(self, lat0):
+        # two fixes with one heading, 2.2 m apart across the antimeridian
+        dlon = 1.1 / (111000.0 * math.cos(math.radians(lat0)))
+        pts = PointArrays(np.array([lat0, lat0]),
+                          np.array([180.0 - dlon, -180.0 + dlon]),
+                          np.array([90.0, 90.0]), np.full(2, 30.0), np.zeros(2))
+        assert vincenty_m(lat0, 180.0 - dlon, lat0, -180.0 + dlon) < 2.3
+        assert list(select_seed_indices(pts, ClusterConfig())) == [0]
 
     def test_pairwise_separation_and_coverage(self):
         rng = np.random.default_rng(23)
@@ -170,35 +216,39 @@ class TestSeedSelection:
 class TestAssignment:
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(31)
-        pts = random_points(rng, 600)
         cfg = ClusterConfig(seed_radius_cr=20.0)
-        sid = select_seed_indices(pts, cfg)
-        clat, clon, chdg = pts.lat[sid], pts.lon[sid], pts.heading[sid]
-        assign, dist = _Assigner(pts, cfg)(clat, clon, chdg,
-                                           np.ones(sid.size, dtype=bool))
-        for i in range(pts.n):
-            ds = np.array([combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                                    clat[j], clon[j], chdg[j], cfg.theta)
-                           for j in range(sid.size)])
-            dm = float(ds.min())
-            assert dist[i] == pytest.approx(dm, abs=1e-9)
-            assert assign[i] == int(np.flatnonzero(ds == dm).min())
+        sites = [random_points(rng, 600)] + [
+            seam_points(rng, 600, lat0, lon0) for lat0, lon0 in POLAR_SEAM]
+        for pts in sites:
+            sid = select_seed_indices(pts, cfg)
+            # the first seeds twice: equal distances, the lower id wins
+            sid = np.concatenate([sid, sid[:10]])
+            clat, clon, chdg = pts.lat[sid], pts.lon[sid], pts.heading[sid]
+            assign, dist = _Assigner(pts, cfg)(clat, clon, chdg,
+                                               np.ones(sid.size, dtype=bool))
+            ds = combined_matrix(pts, clat, clon, chdg, cfg.theta)
+            np.testing.assert_array_equal(dist, ds.min(axis=1))
+            np.testing.assert_array_equal(assign, ds.argmin(axis=1))
 
-    def test_far_point_falls_back_to_ring_scan(self):
-        # one point far outside every centroid's 3x3 neighborhood
+    def test_far_point_falls_back_to_exact_scan(self):
+        # points far outside every centroid's 3x3 neighborhood; the
+        # nearest centroid of the last one lies across the antimeridian
         pts = PointArrays(
-            np.array([25.0, 25.0, 25.05]),
-            np.array([51.0, 51.001, 51.0]),
-            np.array([0.0, 0.0, 0.0]),
-            np.full(3, 30.0), np.zeros(3))
+            np.array([25.0, 25.0, 25.05, 25.0]),
+            np.array([51.0, 51.001, 51.0, 179.997]),
+            np.zeros(4), np.full(4, 30.0), np.zeros(4))
         cfg = ClusterConfig(seed_radius_cr=20.0)
-        clat = np.array([25.0, 25.0])
-        clon = np.array([51.0, 51.001])
-        chdg = np.array([0.0, 0.0])
-        assign, dist = _Assigner(pts, cfg)(clat, clon, chdg, np.ones(2, bool))
+        clat = np.full(4, 25.0)
+        clon = np.array([51.0, 51.001, 179.99, -179.9995])
+        chdg = np.zeros(4)
+        assign, dist = _Assigner(pts, cfg)(clat, clon, chdg, np.ones(4, bool))
         assert assign[2] == 0
         assert dist[2] == pytest.approx(
             combined(25.05, 51.0, 0.0, 25.0, 51.0, 0.0, cfg.theta), rel=1e-9)
+        assert assign[3] == 3
+        assert dist[3] == pytest.approx(
+            combined(25.0, 179.997, 0.0, 25.0, -179.9995, 0.0, cfg.theta),
+            rel=1e-9)
 
 
 class TestKmeans:

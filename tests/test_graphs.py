@@ -10,7 +10,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from kharita.clustering import ClusterCentroid, ClusterConfig
 from kharita.geo import GpsPoint
@@ -111,7 +111,6 @@ def edited_graphs(draw):
 
 
 class TestShortestPathProperties:
-    @settings(derandomize=True, deadline=None, database=None)
     @given(edited_graphs(), st.integers(0, 60), st.integers(1, 40))
     def test_queries_match_networkx(self, graph_and_order, cutoff, half_start):
         g, order = graph_and_order

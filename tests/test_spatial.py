@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kharita.geo import vincenty_m, vincenty_m_many, wrap_lon
-from kharita.spatial import GridIndex, nearest_within, pairs_within
+from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_lon
+from kharita.spatial import GridIndex, _QueryCells, nearest_within, pairs_within
 
 RADIUS_M = 30.0
 
 
 def _cloud(rng, lat0, lon0, n, spread_m):
-    """n points scattered about spread_m around (lat0, lon0)."""
+    """n points scattered about spread_m around (lat0, lon0), with
+    longitudes wrapped into [-180, 180)."""
     dlat = spread_m / 111000.0
-    dlon = spread_m / (111000.0 * max(np.cos(np.radians(lat0)), 1e-3))
+    dlon = spread_m / (111000.0 * np.cos(np.radians(lat0)))
     return (lat0 + rng.uniform(-dlat, dlat, n),
-            lon0 + rng.uniform(-dlon, dlon, n))
+            (lon0 + rng.uniform(-dlon, dlon, n) + 180.0) % 360.0 - 180.0)
 
 
 def _brute(qlat, qlon, rlat, rlon):
@@ -25,42 +26,54 @@ def _brute(qlat, qlon, rlat, rlon):
                            rlat[None, :], rlon[None, :])
 
 
-@pytest.mark.parametrize("lat0", [0.0, 25.3, -47.0, 80.0, 89.5])
+def _check_nearest(dist, idx, full, radius):
+    """dist/idx against a full distance matrix: the nearest within the
+    radius, ties to the lowest index, or (inf, -1)."""
+    best = full.min(axis=1, initial=np.inf)
+    hit = best <= radius
+    if hit.any():
+        np.testing.assert_array_equal(dist[hit], best[hit])
+        np.testing.assert_array_equal(idx[hit], full[hit].argmin(axis=1))
+    assert np.all(np.isinf(dist[~hit])) and np.all(idx[~hit] == -1)
+    return hit
+
+
+# latitudes up to 0.01 degree from the pole, and clouds that straddle
+# the antimeridian (centred on 180)
+@pytest.mark.parametrize("lat0", [0.0, 25.3, -47.0, 80.0, 89.5, 89.9, 89.99])
 def test_nearest_within_matches_brute_force(lat0):
     rng = np.random.default_rng(int(abs(lat0) * 10))
-    qlat, qlon = _cloud(rng, lat0, 51.0, 150, 400.0)
-    rlat, rlon = _cloud(rng, lat0, 51.0, 120, 400.0)
-    dist, idx = nearest_within(qlat, qlon, rlat, rlon, RADIUS_M)
-    full = _brute(qlat, qlon, rlat, rlon)
-    best = full.min(axis=1)
-    hit = best <= RADIUS_M
-    assert hit.any() and not hit.all()
-    np.testing.assert_array_equal(dist[hit], best[hit])
-    np.testing.assert_array_equal(idx[hit], full[hit].argmin(axis=1))
-    assert np.all(np.isinf(dist[~hit])) and np.all(idx[~hit] == -1)
+    for lon0 in (51.0, 180.0):
+        qlat, qlon = _cloud(rng, lat0, lon0, 150, 400.0)
+        rlat, rlon = _cloud(rng, lat0, lon0, 120, 400.0)
+        dist, idx = nearest_within(qlat, qlon, rlat, rlon, RADIUS_M)
+        hit = _check_nearest(dist, idx, _brute(qlat, qlon, rlat, rlon),
+                             RADIUS_M)
+        assert hit.any() and not hit.all()
 
 
-@pytest.mark.parametrize("lat0", [0.0, 25.3, 80.0])
+@pytest.mark.parametrize("lat0", [0.0, 25.3, 80.0, 89.5, 89.9, 89.99])
 def test_pairs_within_matches_brute_force(lat0):
     rng = np.random.default_rng(7)
-    qlat, qlon = _cloud(rng, lat0, -12.0, 80, 100.0)
-    rlat, rlon = _cloud(rng, lat0, -12.0, 90, 100.0)
-    q, r, d = pairs_within(qlat, qlon, rlat, rlon, RADIUS_M)
-    full = _brute(qlat, qlon, rlat, rlon)
-    want_q, want_r = np.nonzero(full <= RADIUS_M)
-    assert sorted(zip(q.tolist(), r.tolist())) == \
-        sorted(zip(want_q.tolist(), want_r.tolist()))
-    np.testing.assert_array_equal(d, full[q, r])
-    # grouped by query, nearest first, ties to the lowest index
-    assert np.all(np.diff(q) >= 0)
-    same = q[1:] == q[:-1]
-    assert np.all(d[1:][same] >= d[:-1][same])
-    # the first pair of each query is its nearest_within match
-    dist, idx = nearest_within(qlat, qlon, rlat, rlon, RADIUS_M)
-    first = np.ones(q.size, dtype=bool)
-    first[1:] = ~same
-    np.testing.assert_array_equal(idx[q[first]], r[first])
-    np.testing.assert_array_equal(dist[q[first]], d[first])
+    for lon0 in (-12.0, 180.0):
+        qlat, qlon = _cloud(rng, lat0, lon0, 80, 100.0)
+        rlat, rlon = _cloud(rng, lat0, lon0, 90, 100.0)
+        q, r, d = pairs_within(qlat, qlon, rlat, rlon, RADIUS_M)
+        full = _brute(qlat, qlon, rlat, rlon)
+        want_q, want_r = np.nonzero(full <= RADIUS_M)
+        assert sorted(zip(q.tolist(), r.tolist())) == \
+            sorted(zip(want_q.tolist(), want_r.tolist()))
+        np.testing.assert_array_equal(d, full[q, r])
+        # grouped by query, nearest first, ties to the lowest index
+        assert np.all(np.diff(q) >= 0)
+        same = q[1:] == q[:-1]
+        assert np.all(d[1:][same] >= d[:-1][same])
+        # the first pair of each query is its nearest_within match
+        dist, idx = nearest_within(qlat, qlon, rlat, rlon, RADIUS_M)
+        first = np.ones(q.size, dtype=bool)
+        first[1:] = ~same
+        np.testing.assert_array_equal(idx[q[first]], r[first])
+        np.testing.assert_array_equal(dist[q[first]], d[first])
 
 
 def test_points_exactly_at_the_radius_are_kept():
@@ -105,15 +118,55 @@ def _place(lat0, lon0, north_m, east_m):
     return lat, wrap_lon(lon0 + east_m / (111000.0 * math.cos(math.radians(lat0))))
 
 
+_lat0 = st.one_of(st.floats(0.0, 89.5), st.sampled_from([89.9, 89.95, 89.99]))
+_lon0 = st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999])
+# few headings, so equal combined distances occur too
+_sited = st.tuples(_offset, st.sampled_from([0.0, 45.0, 180.0]))
+
+
+@settings(max_examples=300)
+@given(lat0=_lat0, south=st.booleans(), lon0=_lon0,
+       queries=st.lists(_sited, min_size=1, max_size=15),
+       refs=st.lists(_sited, max_size=25), on_boundary=st.booleans())
+def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
+                                          on_boundary):
+    if south:
+        lat0 = -lat0
+
+    def columns(sited):
+        pos = [_place(lat0, lon0, n, e) for (n, e), _ in sited]
+        return (np.array([p[0] for p in pos]), np.array([p[1] for p in pos]),
+                np.array([h for _, h in sited]))
+
+    qlat, qlon, qh = columns(queries)
+    rlat, rlon, rh = columns(refs)
+    full = _brute(qlat, qlon, rlat, rlon)
+    radius = 20.0
+    if on_boundary and rlat.size and 0.0 < full[0, -1] <= radius:
+        # a radius exactly at some pair's distance keeps that pair
+        radius = float(full[0, -1])
+    _check_nearest(*nearest_within(qlat, qlon, rlat, rlon, radius), full,
+                   radius)
+    q, r, d = pairs_within(qlat, qlon, rlat, rlon, radius)
+    want_q, want_r = np.nonzero(full <= radius)
+    assert sorted(zip(q.tolist(), r.tolist(), d.tolist())) == \
+        sorted(zip(want_q.tolist(), want_r.tolist(),
+                   full[want_q, want_r].tolist()))
+    # the k-means form: a heading term in quadrature
+    theta = 40.0
+    combined = np.hypot(full, theta * angle_diff_deg_many(
+        qh[:, None], rh[None, :]) / 180.0)
+    _check_nearest(*_QueryCells(qlat, qlon, radius).nearest(
+        rlat, rlon, (qh, rh, theta)), combined, radius)
+
+
 class TestGridIndex:
     CELL_M = 20.0
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              database=None)
-    @given(lat0=st.one_of(st.floats(0.0, 89.5),
-                          st.sampled_from([89.9, 89.95, 89.99])),
+    @settings(max_examples=300)
+    @given(lat0=_lat0,
            south=st.booleans(),
-           lon0=st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999]),
+           lon0=_lon0,
            inserts=st.lists(_offset, min_size=1, max_size=25),
            moves=st.lists(st.tuples(st.integers(0, 24), _offset), max_size=10),
            queries=st.lists(st.tuples(_offset, st.booleans()),

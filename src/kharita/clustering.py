@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,13 @@ from .geo import (
     angle_diff_deg_many,
     circular_mean_deg,
     heading_variability_deg,
+    lon_delta_many,
     vincenty_m,
     vincenty_m_many,
+    wrap_lon,
+    wrap_lon_many,
 )
-from .spatial import GridIndex, _QueryCells, bound_scales
+from .spatial import GridIndex, _QueryCells
 
 log = logging.getLogger(__name__)
 
@@ -128,9 +132,8 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     existing seed is at least seed_radius_cr away in combined distance.
 
     The seeds so far sit in a GridIndex of cell seed_radius_cr, whose
-    3x3 candidates hold every seed within that geodesic distance. The
-    planar bounds L <= dg <= U of spatial.bound_scales, with the
-    longitude delta taken the short way round, settle most pairs:
+    screen yields the seeds that can lie within that geodesic distance
+    with planar bounds L <= dg <= U. Those settle most pairs:
     hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one. Vincenty
     runs only in between; both tests keep a relative margin of 1e-6, far
     above its rounding, so seeds are those of exact distances.
@@ -148,8 +151,8 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
                      for a in (pts.lat, pts.lon, pts.heading))
     for i in range(pts.n):
         la = lat[i]; lo = lon[i]; h = hdg[i]
-        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(la, cr)
-        for j in index.candidates(la, lo):
+        for lo2, hi2, j, plat, plon in index.screened(la, lo, cr):
+            # angle_diff_deg inline: this loop is hot
             da = abs(hdg[j] - h) % 360.0
             if da > 180.0:
                 da = 360.0 - da
@@ -157,18 +160,10 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
                 continue
             ha = theta * da / 180.0
             ha2 = ha * ha
-            dlat = lat[j] - la
-            dlon = lon[j] - lo
-            if dlon > 180.0:
-                dlon -= 360.0
-            elif dlon < -180.0:
-                dlon += 360.0
-            x, y = dlat * lat_lo, dlon * lon_lo
-            if x * x + y * y + ha2 >= miss2:
+            if lo2 + ha2 >= miss2:
                 continue
-            x, y = dlat * lat_hi, dlon * lon_hi
-            if (x * x + y * y + ha2 < hit2
-                    or math.hypot(vincenty_m(la, lo, lat[j], lon[j]), ha) < cr):
+            if (hi2 + ha2 < hit2
+                    or math.hypot(vincenty_m(la, lo, plat, plon), ha) < cr):
                 break
         else:
             seeds.append(i)
@@ -211,11 +206,23 @@ class _Assigner:
 
 
 def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
-    """Per-cluster aggregates; clusters are rows 0..k-1 of the outputs."""
+    """Per-cluster aggregates; clusters are rows 0..k-1 of the outputs.
+    A cluster whose longitudes span more than 180 degrees straddles the
+    antimeridian: it averages their deltas from 180, then wraps."""
     counts = np.bincount(assign, minlength=k)
     safe = np.maximum(counts, 1)
     lat = np.bincount(assign, weights=pts.lat, minlength=k) / safe
     lon = np.bincount(assign, weights=pts.lon, minlength=k) / safe
+    if np.ptp(pts.lon) > 180.0:
+        lo = np.full(k, np.inf)
+        hi = np.full(k, -np.inf)
+        np.minimum.at(lo, assign, pts.lon)
+        np.maximum.at(hi, assign, pts.lon)
+        seam = hi - lo > 180.0
+        if seam.any():
+            off = np.bincount(assign, weights=lon_delta_many(180.0, pts.lon),
+                              minlength=k) / safe
+            lon[seam] = wrap_lon_many(180.0 + off[seam])
     rad = np.radians(pts.heading)
     s = np.bincount(assign, weights=np.sin(rad), minlength=k) / safe
     c = np.bincount(assign, weights=np.cos(rad), minlength=k) / safe
@@ -346,37 +353,37 @@ def split_by_heading(pts: PointArrays, clat, clon, chdg,
     clon = list(np.asarray(clon, dtype=float))
     chdg = list(np.asarray(chdg, dtype=float))
     assign = np.array(assign, dtype=np.int64)
-
-    def members_of(cid):
-        return np.nonzero(assign == cid)[0]
+    # members of each cluster in ascending point order, grouped once
+    ends = np.cumsum(np.bincount(assign, minlength=len(clat)))
+    members = np.split(np.argsort(assign, kind="stable"), ends[:-1])
 
     def recenter(cid, idx):
         clat[cid] = float(pts.lat[idx].mean())
-        clon[cid] = float(pts.lon[idx].mean())
+        lon = pts.lon[idx]
+        clon[cid] = float(lon.mean()) if np.ptp(lon) <= 180.0 \
+            else wrap_lon(180.0 + float(lon_delta_many(180.0, lon).mean()))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             chdg[cid] = circular_mean_deg(pts.heading[idx])
 
-    queue = [cid for cid in range(len(clat))
-             if (idx := members_of(cid)).size >= 2
-             and heading_variability_deg(pts.heading[idx], chdg[cid])
-             > cfg.split_threshold_deg]
+    def too_spread(cid):
+        idx = members[cid]
+        return idx.size >= 2 and heading_variability_deg(
+            pts.heading[idx], chdg[cid]) > cfg.split_threshold_deg
+
+    queue = deque(cid for cid in range(len(clat)) if too_spread(cid))
     while queue:
-        cid = queue.pop(0)
-        idx = members_of(cid)
-        if idx.size < 2:
-            continue
+        cid = queue.popleft()
+        idx = members[cid]
         side = _two_means_headings(pts.heading[idx])
         if side is None:
             continue
         new_id = len(clat)
         clat.append(0.0); clon.append(0.0); chdg.append(0.0)
         assign[idx[side]] = new_id
-        recenter(cid, idx[~side])
-        recenter(new_id, idx[side])
+        members[cid] = idx[~side]
+        members.append(idx[side])
         for c in (cid, new_id):
-            m = members_of(c)
-            if m.size >= 2 and heading_variability_deg(
-                    pts.heading[m], chdg[c]) > cfg.split_threshold_deg:
-                queue.append(c)
+            recenter(c, members[c])
+        queue.extend(c for c in (cid, new_id) if too_spread(c))
     return (np.asarray(clat), np.asarray(clon), np.asarray(chdg)), assign

@@ -23,7 +23,10 @@ from .geo import (
     M_PER_DEG_LAT,
     angle_diff_deg_many,
     initial_bearing_deg,
+    lon_delta,
     vincenty_m,
+    wrap_lon,
+    wrap_lon_many,
 )
 from .graphs import RoadGraph
 from .ingest import Trajectory
@@ -138,14 +141,14 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
             o = np.array([L / 2.0])
         f = o / L
         lats.append(nu.lat + f * (nv.lat - nu.lat))
-        lons.append(nu.lon + f * (nv.lon - nu.lon))
+        lons.append(nu.lon + f * lon_delta(nu.lon, nv.lon))
         eids.append(np.full(o.size, j))
         offs.append(o)
     if not keys:
         empty = np.empty(0)
         return _Samples(empty, empty, np.empty(0, dtype=np.int64), empty,
                         [], empty, empty)
-    return _Samples(np.concatenate(lats), np.concatenate(lons),
+    return _Samples(np.concatenate(lats), wrap_lon_many(np.concatenate(lons)),
                     np.concatenate(eids).astype(np.int64),
                     np.concatenate(offs), keys,
                     np.asarray(lengths), np.asarray(bearings))
@@ -359,9 +362,9 @@ def generate_synthetic(spec: GridSpec, noise_sigma_m: float = 3.0,
     nodes = []
     for r in range(spec.rows):
         for c in range(spec.cols):
-            nodes.append(ClusterCentroid(spec.origin_lat + r * lat_step,
-                                         spec.origin_lon + c * lon_step,
-                                         0.0, support=1))
+            nodes.append(ClusterCentroid(
+                spec.origin_lat + r * lat_step,
+                wrap_lon(spec.origin_lon + c * lon_step), 0.0, support=1))
     nid = lambda r, c: r * spec.cols + c
 
     # one speed class and direction regime per whole street
@@ -427,9 +430,9 @@ def _insert_roundabout(spec: GridSpec, nodes: list, edges: dict,
     dlon = radius_m / (M_PER_DEG_LAT * math.cos(math.radians(cn.lat)))
     ring = {}
     for name, (la, lo) in {"n": (cn.lat + dlat, cn.lon),
-                           "w": (cn.lat, cn.lon - dlon),
+                           "w": (cn.lat, wrap_lon(cn.lon - dlon)),
                            "s": (cn.lat - dlat, cn.lon),
-                           "e": (cn.lat, cn.lon + dlon)}.items():
+                           "e": (cn.lat, wrap_lon(cn.lon + dlon))}.items():
         ring[name] = len(nodes)
         nodes.append(ClusterCentroid(la, lo, 0.0, support=1))
     ring_limit = SPEED_CLASSES_KMH[0]
@@ -476,11 +479,12 @@ def _drive(graph: RoadGraph, limits: dict, path: list, vehicle: str,
         na, nb, L, bearing, limit = legs[li]
         f = min((mark - acc) / L, 1.0)
         lat = na.lat + f * (nb.lat - na.lat)
-        lon = na.lon + f * (nb.lon - na.lon)
+        lon = na.lon + f * lon_delta(na.lon, nb.lon)
         if sigma_m > 0:
             lat += rng.normal(0.0, sigma_m) / M_PER_DEG_LAT
             lon += rng.normal(0.0, sigma_m) / (
                 M_PER_DEG_LAT * math.cos(math.radians(lat)))
+        lon = wrap_lon(lon)
         heading = (bearing + rng.normal(0.0, heading_sigma_deg)) % 360.0
         speed = limit * float(rng.uniform(0.7, 1.0))
         if pts:

@@ -53,8 +53,45 @@ def normalize_heading(deg: float) -> float:
 
 
 def wrap_lon(lon: float) -> float:
-    """Wrap a longitude in degrees into [-180, 180)."""
-    return (lon + 180.0) % 360.0 - 180.0
+    """Wrap a longitude in degrees into [-180, 180).
+
+    A value already in range comes back unchanged, bit for bit, so
+    callers wrap unconditionally at no cost to ordinary inputs.
+    """
+    if -180.0 <= lon < 180.0:
+        return lon
+    w = (lon + 180.0) % 360.0 - 180.0
+    # the remainder can round up to the divisor itself
+    return w if w < 180.0 else -180.0
+
+
+def wrap_lon_many(lon) -> np.ndarray:
+    """Vectorized wrap_lon."""
+    lon = np.asarray(lon, dtype=np.float64)
+    w = np.remainder(lon + 180.0, 360.0) - 180.0
+    w[w >= 180.0] = -180.0
+    return np.where((lon >= -180.0) & (lon < 180.0), lon, w)
+
+
+def lon_delta(a: float, b: float) -> float:
+    """b - a for longitudes in [-180, 180], taken the short way round
+    the antimeridian; in [-180, 180]."""
+    d = b - a
+    if d > 180.0:
+        return d - 360.0
+    if d < -180.0:
+        return d + 360.0
+    return d
+
+
+def lon_delta_many(a, b, out=None) -> np.ndarray:
+    """Vectorized lon_delta. out may be a or b itself, which spares the
+    batch searches one temporary as long as their inputs."""
+    d = np.subtract(b, a, out=out)
+    # a may be a temporary as long as b: free it before the masks
+    del a
+    np.subtract(d, 360.0, out=d, where=d > 180.0)
+    return np.add(d, 360.0, out=d, where=d < -180.0)
 
 
 def angle_diff_deg(a: float, b: float) -> float:

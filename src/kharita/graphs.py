@@ -178,35 +178,26 @@ def candidate_edges_from_arrays(centroids: list[ClusterCentroid],
     kept only when enough trajectories agree relative to the endpoint
     supports (log-threshold rule).
     """
-    counts: dict[tuple[int, int], int] = {}
-    last: dict[tuple[int, int], float] = {}
-    off = 0
-    for n in lengths:
-        a = assign[off:off + n]
-        t = ts[off:off + n]
-        off += n
-        seen: set[tuple[int, int]] = set()
-        prev = int(a[0]) if n else -1
-        for i in range(1, n):
-            cur = int(a[i])
-            if cur == prev:
-                continue
-            key = (prev, cur)
-            if key not in seen:
-                seen.add(key)
-                counts[key] = counts.get(key, 0) + 1
-            ti = float(t[i])
-            if last.get(key, -math.inf) < ti:
-                last[key] = ti
-            prev = cur
+    assign = np.asarray(assign, dtype=np.int64)
+    n_traj = len(lengths)
+    traj = np.repeat(np.arange(n_traj), lengths)
+    # point i moves from point i - 1 of its own trajectory to a new cluster
+    i = np.flatnonzero((assign[1:] != assign[:-1]) & (traj[1:] == traj[:-1])) + 1
+    k = len(centroids)
+    keys, inv = np.unique(assign[i - 1] * k + assign[i], return_inverse=True)
+    # each (edge, trajectory) pair counts once
+    counts = np.bincount(np.unique(inv * n_traj + traj[i]) // n_traj,
+                         minlength=keys.size)
+    last = np.full(keys.size, -np.inf)
+    np.maximum.at(last, inv, ts[i])
 
     g = RoadGraph(list(centroids))
-    for (u, v) in sorted(counts):
-        f_e = counts[(u, v)]
+    for key, f_e, seen in zip(keys.tolist(), counts.tolist(), last.tolist()):
+        u, v = divmod(key, k)
         if f_e >= spurious_edge_threshold(centroids[u].support, centroids[v].support):
             w = vincenty_m(centroids[u].lat, centroids[u].lon,
                            centroids[v].lat, centroids[v].lon)
-            g.add_edge(u, v, w, traj_count=f_e, last_seen=last[(u, v)])
+            g.add_edge(u, v, w, traj_count=f_e, last_seen=seen)
     return g
 
 

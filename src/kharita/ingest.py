@@ -20,9 +20,11 @@ from .geo import (
     GpsPoint,
     angle_diff_deg,
     initial_bearing_deg,
+    lon_delta,
     normalize_heading,
     valid_latlon,
     vincenty_m,
+    wrap_lon,
 )
 
 log = logging.getLogger(__name__)
@@ -231,7 +233,8 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     points, but only when their headings differ by less than the angle
     gate (straight-line motion); curved gaps are left alone. Inserted
     points carry the pair's forward bearing and linearly interpolated
-    timestamps and speeds.
+    timestamps and speeds; positions are interpolated the short way
+    round the antimeridian.
     """
     if len(tr.points) < 2:
         return tr
@@ -244,6 +247,7 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
                 and angle_diff_deg(a.heading_deg, b.heading_deg) < gate):
             s = int(d // sr)
             bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
+            dlon = lon_delta(a.lon, b.lon)
             for i in range(1, s + 1):
                 f = i / (s + 1)
                 speed = None
@@ -253,7 +257,7 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
                     tr.vehicle_id,
                     a.timestamp + f * (b.timestamp - a.timestamp),
                     a.lat + f * (b.lat - a.lat),
-                    a.lon + f * (b.lon - a.lon),
+                    wrap_lon(a.lon + f * dlon),
                     speed,
                     bearing,
                 ))

@@ -18,6 +18,7 @@ from .geo import (
     GpsPoint,
     angle_diff_deg,
     initial_bearing_deg,
+    lon_delta,
     normalize_heading,
     vincenty_m,
     wrap_lon,
@@ -99,10 +100,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     where batch spacing d/(floor(d/sr)+1) stays at or below sr.
     A pair across the antimeridian is interpolated the short way round.
     """
-    dlon = x_next.lon - x_i.lon
-    wrap = abs(dlon) > 180.0
-    if wrap:
-        dlon -= math.copysign(360.0, dlon)
+    dlon = lon_delta(x_i.lon, x_next.lon)
     d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
     if d > 1e-9:
         bearing = initial_bearing_deg(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
@@ -116,11 +114,10 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     pts = [first]
     for j in range(1, k):
         f = j / k
-        lon = x_i.lon + f * dlon
         pts.append(GpsPoint(x_i.vehicle_id,
                             x_i.timestamp + f * (x_next.timestamp - x_i.timestamp),
                             x_i.lat + f * (x_next.lat - x_i.lat),
-                            wrap_lon(lon) if wrap else lon,
+                            wrap_lon(x_i.lon + f * dlon),
                             _lerp_speed(x_i, x_next, f),
                             bearing))
     pts.append(last)
@@ -133,11 +130,7 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
     n = state.graph.nodes[item]
     k = n.support + 1
     n.lat += (p.lat - n.lat) / k
-    dlon = p.lon - n.lon
-    if abs(dlon) > 180.0:
-        n.lon = wrap_lon(n.lon + (dlon - math.copysign(360.0, dlon)) / k)
-    else:
-        n.lon += dlon / k
+    n.lon = wrap_lon(n.lon + lon_delta(n.lon, p.lon) / k)
     s, c = state._hsum[item]
     r = math.radians(p.heading_deg)
     s, c = s + math.sin(r), c + math.cos(r)

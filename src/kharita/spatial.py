@@ -18,7 +18,8 @@ distance d. A candidate is kept only if its L is within the radius and,
 for a nearest search, no larger than the least U among its query's
 candidates: a candidate whose L exceeds another's U is strictly
 farther. Exact Vincenty runs on the survivors alone, and ties go to the
-lowest index.
+lowest index. _QueryCells._screened is the batch form of the screen and
+GridIndex.screened the scalar one.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from .geo import (
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
     angle_diff_deg_many,
+    lon_delta,
+    lon_delta_many,
     vincenty_m,
     vincenty_m_many,
 )
@@ -48,7 +51,7 @@ _INT_MAX = np.iinfo(np.int64).max
 def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, float]:
     """Meters per degree (lat_lo, lon_lo, lat_hi, lon_hi) that bound the
     geodesic distance d from (lat, lon) to (lat + dlat, lon + dlon), for
-    dlon taken the short way round:
+    dlon taken the short way round (geo.lon_delta):
 
         L = hypot(dlat * lat_lo, dlon * lon_lo) <= d  whenever d <= radius_m
         U = hypot(dlat * lat_hi, dlon * lon_hi) >= d  whenever |dlat| <= w
@@ -193,9 +196,7 @@ class _QueryCells:
             u *= M_PER_DEG_MAX
             u *= u
             dlon = qlon[pq]
-            dlon -= rlon[pr]
-            np.subtract(dlon, 360.0, out=dlon, where=dlon > 180.0)
-            np.add(dlon, 360.0, out=dlon, where=dlon < -180.0)
+            lon_delta_many(rlon[pr], dlon, out=dlon)
             dlon *= np.repeat(lon_hi, lens)
             dlon *= dlon
             u += dlon
@@ -331,35 +332,37 @@ class GridIndex:
                     out.extend(got)
         return out
 
+    def screened(self, lat: float, lon: float, radius_m: float):
+        """Yield (L^2, U^2, item, item lat, item lon) for each candidate
+        whose lower bound L of bound_scales is within 1.001 * radius_m:
+        the slack keeps rounding from dropping a point at the radius.
+        U bounds the distance from above, and a candidate whose L
+        exceeds another's U is strictly farther. Requires radius_m <=
+        cell_m."""
+        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
+        gate = (1.001 * radius_m) ** 2
+        pos = self._pos
+        for item in self.candidates(lat, lon):
+            plat, plon = pos[item]
+            dlat = plat - lat
+            dlon = lon_delta(lon, plon)
+            a, b = dlat * lat_lo, dlon * lon_lo
+            lo = a * a + b * b
+            if lo <= gate:
+                a, b = dlat * lat_hi, dlon * lon_hi
+                yield lo, a * a + b * b, item, plat, plon
+
     def nearest(self, lat: float, lon: float,
                 radius_m: float) -> tuple[float, int]:
         """(distance, item) of the nearest item within radius_m, or
         (inf, -1); ties go to the lowest item. Requires radius_m <= cell_m.
 
-        Vincenty runs only on candidates that can still win: the lower
-        bound L of bound_scales must be within 1.001 * radius_m (the
-        slack keeps rounding from dropping a point at the radius) and no
-        larger than the least upper bound U among them.
+        Vincenty runs only on screened candidates whose L is no larger
+        than the least U among them: the others cannot win.
         """
-        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
-        gate = (1.001 * radius_m) ** 2
-        pos = self._pos
         near = []
         u_min = math.inf
-        for item in self.candidates(lat, lon):
-            plat, plon = pos[item]
-            dlat = plat - lat
-            dlon = plon - lon
-            if dlon > 180.0:
-                dlon -= 360.0
-            elif dlon < -180.0:
-                dlon += 360.0
-            a, b = dlat * lat_lo, dlon * lon_lo
-            lo = a * a + b * b
-            if lo > gate:
-                continue
-            a, b = dlat * lat_hi, dlon * lon_hi
-            hi = a * a + b * b
+        for lo, hi, item, plat, plon in self.screened(lat, lon, radius_m):
             if hi < u_min:
                 u_min = hi
             near.append((lo, item, plat, plon))

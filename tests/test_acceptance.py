@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from kharita.cli import EXIT_OK, main
 from kharita.clustering import ClusterCentroid, ClusterConfig
@@ -32,7 +33,13 @@ from kharita.graphs import (
     greedy_spanner,
     run_offline_pipeline,
 )
-from kharita.ingest import IngestConfig, Trajectory
+from kharita.ingest import (
+    IngestConfig,
+    Trajectory,
+    parse_trajectories,
+    stream_points,
+)
+from kharita.mapio import save_trajectories_csv
 from kharita.online import OnlineConfig, consume_stream
 
 LAT0, LON0 = 25.0, 51.0
@@ -366,3 +373,50 @@ def test_10_every_command_is_byte_deterministic(tmp_path, monkeypatch):
         assert b1 == b2, f"{name} differs between identical runs"
     report("AC-10", f"synth, offline, online, eval reran byte-identically "
                     f"({len(products['r1'])} files compared)")
+
+
+def _seam_city(tmp_path, origin_lon):
+    """The AC-05 city at origin_lon, written to CSV: its truth, the
+    path, and the trajectories read back."""
+    truth, trajectories = generate_synthetic(
+        GridSpec(rows=5, cols=5, block_m=100.0, origin_lon=origin_lon),
+        noise_sigma_m=5.0, n_trajectories=200,
+        sampling_spacing_m=(20.0, 170.0), rng_seed=7)
+    path = str(tmp_path / f"city{origin_lon}.csv")
+    save_trajectories_csv(trajectories, path)
+    return truth, path, parse_trajectories(path, IngestConfig())
+
+
+def test_11_city_across_the_antimeridian_matches_lon_51(tmp_path):
+    # the AC-05 city placed 2 m west of 180 degrees, so its streets
+    # cross it; every check on counts comes before any scoring
+    home = _seam_city(tmp_path, 51.0)
+    seam = _seam_city(tmp_path, 179.998)
+    assert any(n.lon < 0.0 for n in seam[0].nodes)
+    fixes = [np.array([(p.lat, p.lon) for tr in c[2] for p in tr.points])
+             for c in (home, seam)]
+    assert fixes[1].shape == fixes[0].shape
+    # the same fixes, up to rounding, shifted east
+    shift = fixes[1] - fixes[0] - (0.0, 179.998 - 51.0)
+    assert np.abs((shift + 180.0) % 360.0 - 180.0).max() < 1e-9
+
+    maps = []
+    for truth, path, parsed in (home, seam):
+        maps.append((run_offline_pipeline(parsed, IngestConfig(),
+                                          ClusterConfig(), SpannerConfig()),
+                     consume_stream(stream_points(path), OnlineConfig()).graph))
+    for a, b in zip(*maps):     # offline, then online
+        assert (len(b.nodes), len(b.edges)) == (len(a.nodes), len(a.edges))
+        assert all(-180.0 <= n.lon < 180.0 for n in b.nodes)
+
+    cfg = EvalConfig(topo_samples=40, rng_seed=0)
+    scores = [(geo_score(offline, truth, cfg).f_at(30.0),
+               topo_score(offline, truth, parsed, cfg).f_at(30.0),
+               geo_score(online, truth, cfg).f_at(30.0))
+              for (truth, _, parsed), (offline, online) in zip((home, seam), maps)]
+    assert scores[1] == pytest.approx(scores[0], abs=1e-3)
+    offline, online = maps[1]
+    report("AC-11", f"nodes/edges offline {len(offline.nodes)}/"
+                    f"{len(offline.edges)}, online {len(online.nodes)}/"
+                    f"{len(online.edges)} at lon 51 and across 180; offline "
+                    f"geo/topo, online geo f@30m {scores[1]}")

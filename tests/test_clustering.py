@@ -301,6 +301,17 @@ class TestKmeans:
             pytest.approx(5.0, abs=1e-6)
         assert list(assign) == [0, 0]
 
+    def test_cluster_across_the_antimeridian_stays_there(self):
+        # two fixes 2.2 m apart on either side of 180 degrees make one
+        # seed; the update must move it onto the seam, not to lon 0
+        pts = PointArrays.from_points([GpsPoint("v", 0.0, 10.0, 179.99999, 30.0, 90.0),
+                                       GpsPoint("v", 1.0, 10.0, -179.99999, 30.0, 90.0)])
+        cents, assign, costs = seeded_kmeans(pts, ClusterConfig())
+        assert costs == pytest.approx([4.808, 2.404, 2.404], abs=1e-3)
+        assert list(assign) == [0, 0]
+        assert -180.0 <= cents["lon"][0] < 180.0
+        assert 180.0 - abs(cents["lon"][0]) < 1e-9
+
     def test_empty_clusters_dropped(self):
         # second seed attracts nothing and must vanish
         pts = PointArrays.from_points([GpsPoint("v", 0.0, 25.0, 51.0, 30.0, 0.0),
@@ -390,6 +401,19 @@ class TestSplit:
         assert assign[0] != assign[2]
         for c in got:
             assert c.lat == pytest.approx(25.0001)
+
+    def test_split_across_the_antimeridian_keeps_the_seam(self):
+        pts = PointArrays.from_points([GpsPoint("v", 0.0, 25.0, 179.99999, 30.0, 0.0),
+                                       GpsPoint("v", 1.0, 25.0, -179.99998, 30.0, 0.0),
+                                       GpsPoint("v", 2.0, 25.0, 179.99998, 30.0, 180.0),
+                                       GpsPoint("v", 3.0, 25.0, -179.99999, 30.0, 180.0)])
+        (_, clon, _), assign = split_by_heading(
+            pts, np.array([25.0]), np.array([-180.0]), np.array([0.0]),
+            np.zeros(4, dtype=np.int64), ClusterConfig())
+        assert assign.tolist() == [0, 0, 1, 1]
+        for lon, mean in zip(clon, (-179.999995, 179.999995)):
+            assert -180.0 <= lon < 180.0
+            assert lon == pytest.approx(mean, abs=1e-9)
 
 
 class TestDistinctPoints:

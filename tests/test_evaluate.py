@@ -234,6 +234,20 @@ class TestSynthetic:
         for a, b in ((0, 24), (24, 0), (4, 20), (25, 28), (0, 27)):
             assert g.shortest_dist(a, b) < math.inf
 
+    def test_roundabout_across_the_antimeridian(self):
+        # the centre column sits 5 m west of 180 degrees, so the ring's
+        # east node and the columns east of it lie across the seam
+        step = 100.0 / (M_PER_DEG_LAT * math.cos(math.radians(LAT0)))
+        graphs = [generate_synthetic(
+            GridSpec(roundabout=True, origin_lon=lon), noise_sigma_m=0.0,
+            n_trajectories=0, rng_seed=0)[0]
+            for lon in (LON0, 180.0 - 2.05 * step)]
+        assert all(-180.0 <= n.lon < 180.0 for n in graphs[1].nodes)
+        assert sum(n.lon < 0.0 for n in graphs[1].nodes) == 11
+        assert list(graphs[1].edges) == list(graphs[0].edges)
+        assert [e.weight_m for e in graphs[1].edges.values()] == pytest.approx(
+            [e.weight_m for e in graphs[0].edges.values()], abs=1e-6)
+
     def test_noiseless_points_lie_on_streets(self):
         g, trs = generate_synthetic(GridSpec(), noise_sigma_m=0.0,
                                     n_trajectories=25, rng_seed=3)

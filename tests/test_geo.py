@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kharita.geo import (
     angle_diff_deg,
@@ -17,11 +19,20 @@ from kharita.geo import (
     combined_distance_m,
     heading_variability_deg,
     initial_bearing_deg,
+    lon_delta,
+    lon_delta_many,
     normalize_heading,
     valid_latlon,
     vincenty_m,
     vincenty_m_many,
+    wrap_lon,
+    wrap_lon_many,
 )
+
+LONS = st.floats(-180.0, 180.0)
+WIDE_LONS = st.floats(-1000.0, 1000.0)
+# just below -180, where the remainder rounds up to 360
+BELOW_SEAM = float(np.nextafter(-180.0, -np.inf))
 
 # (lat1, lon1, lat2, lon2, meters)
 REFERENCE_DISTANCES = [
@@ -111,6 +122,41 @@ class TestAngles:
         assert normalize_heading(-90.0) == 270.0
         assert normalize_heading(725.0) == pytest.approx(5.0)
         assert 0.0 <= normalize_heading(-1e-9) < 360.0
+
+
+def same_mod_360(a, b):
+    return abs((a - b + 180.0) % 360.0 - 180.0) <= 1e-9
+
+
+class TestLongitude:
+    @given(WIDE_LONS)
+    @example(BELOW_SEAM)
+    @example(180.0)
+    @example(-0.0)
+    def test_wrap_lon_lands_in_range_and_keeps_in_range_values(self, lon):
+        w = wrap_lon(lon)
+        assert -180.0 <= w < 180.0
+        assert same_mod_360(w, lon)
+        if -180.0 <= lon < 180.0:
+            assert w.hex() == lon.hex()
+
+    @given(LONS, LONS)
+    @example(-180.0, 180.0)
+    @example(179.99999, -179.99999)
+    def test_lon_delta_is_the_short_way_round(self, a, b):
+        d = lon_delta(a, b)
+        assert -180.0 <= d <= 180.0
+        assert same_mod_360(a + d, b)
+
+    @given(st.lists(st.tuples(LONS, LONS, WIDE_LONS), min_size=1, max_size=30))
+    def test_array_forms_match_scalar(self, rows):
+        a, b, wide = (np.array(col) for col in zip(*rows))
+        want = [lon_delta(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert lon_delta_many(a, b).tolist() == want
+        lon_delta_many(a, b, out=b)
+        assert b.tolist() == want
+        wide = np.append(wide, BELOW_SEAM)
+        assert wrap_lon_many(wide).tolist() == [wrap_lon(x) for x in wide.tolist()]
 
 
 class TestCombinedDistance:

@@ -183,6 +183,41 @@ class TestCandidateEdges:
         assert g6.edges[(0, 1)].traj_count == 6
 
 
+def candidate_edges_loop(assign, ts, lengths):
+    """Per-point reference: {(u, v): (trajectories, last seen)}."""
+    counts, last, off = {}, {}, 0
+    for n in lengths:
+        seen = set()
+        for i in range(off + 1, off + n):
+            key = (int(assign[i - 1]), int(assign[i]))
+            if key[0] == key[1]:
+                continue
+            if key not in seen:
+                seen.add(key)
+                counts[key] = counts.get(key, 0) + 1
+            last[key] = max(last.get(key, -math.inf), float(ts[i]))
+        off += n
+    return {key: (counts[key], last[key]) for key in sorted(counts)}
+
+
+class TestCandidateEdgesProperties:
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 3),
+                                       st.integers(0, 20)), max_size=8),
+                    max_size=6))
+    def test_matches_per_point_loop(self, trajs):
+        cents = [node(lat=25.0 + 0.001 * i) for i in range(4)]
+        assign = np.array([a for t in trajs for a, _ in t], dtype=np.int64)
+        ts = np.array([float(s) for t in trajs for _, s in t])
+        lengths = [len(t) for t in trajs]
+        g = candidate_edges_from_arrays(cents, assign, ts, lengths)
+        # supports of 1 keep every candidate
+        assert {k: (e.traj_count, e.last_seen) for k, e in g.edges.items()} \
+            == candidate_edges_loop(assign, ts, lengths)
+        assert list(g.edges) == sorted(g.edges)
+        assert all(type(e.traj_count) is int and type(e.last_seen) is float
+                   for e in g.edges.values())
+
+
 class TestGreedySpanner:
     def test_stretch_bound_random_graphs(self):
         rng = np.random.default_rng(77)

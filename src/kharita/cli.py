@@ -12,15 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .clustering import ClusterConfig
 from .evaluate import (
-    DEFAULT_THRESHOLDS_M,
     EvalConfig,
     GridSpec,
     generate_synthetic,
@@ -28,14 +26,8 @@ from .evaluate import (
     topo_score,
 )
 from .graphs import PipelineStats, SpannerConfig, run_offline_pipeline
-from .ingest import (
-    EmptyInputError,
-    IngestConfig,
-    parse_trajectories,
-    stream_points,
-)
+from .ingest import IngestConfig, parse_trajectories, stream_points
 from .mapio import (
-    MapFormatError,
     load_map,
     save_geojson,
     save_map,
@@ -50,11 +42,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# config-file keys that are on/off switches rather than valued flags
-BOOL_FLAGS = {
-    "synth": {"roundabout"},
-    "eval": {"topo", "json"},
-}
 TRUE_WORDS = {"1", "true", "yes", "on"}
 FALSE_WORDS = {"0", "false", "no", "off"}
 
@@ -68,22 +55,27 @@ def _require_file(path: str) -> None:
         raise UsageError(f"input file not found: {path}")
 
 
-def _validate(*configs) -> None:
-    for cfg in configs:
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+def _config(cls, args):
+    """A cls built from the flags named after its fields, the rest at
+    their defaults, then validated."""
+    given = vars(args)
+    cfg = cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return cfg
 
 
-def _config_file_args(path: str, command: str) -> list[str]:
-    """Translate key=value lines into flag tokens.
+def _config_file_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """Translate key=value lines into flag tokens of one command's
+    parser. Keys are flag names, with '_' or '-'; a flag that takes no
+    value takes a true/false word.
 
     The tokens are inserted before the explicit command line, so flags
     given on the command line override the file.
     """
     out: list[str] = []
-    booleans = BOOL_FLAGS.get(command, set())
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -92,14 +84,16 @@ def _config_file_args(path: str, command: str) -> list[str]:
             key, sep, value = (s.strip() for s in line.partition("="))
             if not sep or not key or not value:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
-            if key in booleans:
+            flag = "--" + key.replace("_", "-")
+            action = parser._option_string_actions.get(flag)
+            if action is not None and action.nargs == 0:
                 if value.lower() in TRUE_WORDS:
-                    out.append(f"--{key}")
+                    out.append(flag)
                 elif value.lower() not in FALSE_WORDS:
                     raise UsageError(
                         f"{path}:{lineno}: {key} takes a true/false value")
             else:
-                out.extend([f"--{key}", value])
+                out.extend([flag, value])
     return out
 
 
@@ -115,18 +109,9 @@ def _write_map_outputs(graph, out_prefix: str) -> None:
 
 
 def cmd_offline(args) -> int:
-    ingest_cfg = IngestConfig(
-        min_speed_kmh=args.min_speed, sampling_rate_m=args.sr,
-        densify_angle_gate_deg=args.densify_angle,
-        new_trajectory_gap_s=args.gap)
-    cluster_cfg = ClusterConfig(
-        seed_radius_cr=args.cr, heading_weight_theta=args.theta,
-        split_threshold_deg=args.split_threshold,
-        convergence_ratio=args.convergence_ratio,
-        max_iterations=args.max_iterations)
-    spanner_cfg = SpannerConfig(alpha=args.alpha,
-                                duplex_speed_kmh=args.duplex_speed)
-    _validate(ingest_cfg, cluster_cfg, spanner_cfg)
+    ingest_cfg = _config(IngestConfig, args)
+    cluster_cfg = _config(ClusterConfig, args)
+    spanner_cfg = _config(SpannerConfig, args)
     _require_file(args.input)
 
     t0 = time.perf_counter()
@@ -146,12 +131,8 @@ def cmd_offline(args) -> int:
 
 
 def cmd_online(args) -> int:
-    cfg = OnlineConfig(
-        clustering_radius_cr=args.cr, sampling_rate_sr=args.sr,
-        heading_tolerance_ha=args.ha, alpha=args.alpha,
-        staleness_horizon_s=args.staleness_horizon,
-        resparsify_interval=args.resparsify_interval)
-    _validate(cfg)
+    cfg = _config(OnlineConfig, args)
+    ingest = _config(IngestConfig, args)
     if args.snapshot_every < 0:
         raise UsageError("--snapshot-every must be >= 0")
     _require_file(args.input)
@@ -168,7 +149,7 @@ def cmd_online(args) -> int:
     t0 = time.perf_counter()
     state = consume_stream(
         stream_points(args.input), cfg,
-        gap_s=args.gap, min_speed_kmh=args.min_speed,
+        gap_s=ingest.new_trajectory_gap_s, min_speed_kmh=ingest.min_speed_kmh,
         on_pair=on_pair if args.snapshot_every else None)
     log.info("total %.3f s for %d pairs",
              time.perf_counter() - t0, state.pairs_processed)
@@ -180,7 +161,8 @@ def cmd_online(args) -> int:
     _write_map_outputs(state.graph, args.out)
     write_manifest(args.out + ".manifest.json", "online",
                    {"online": asdict(cfg),
-                    "gap_s": args.gap, "min_speed_kmh": args.min_speed,
+                    "gap_s": ingest.new_trajectory_gap_s,
+                    "min_speed_kmh": ingest.min_speed_kmh,
                     "snapshot_every": args.snapshot_every},
                    [args.input])
     return EXIT_OK
@@ -197,14 +179,7 @@ def _report_rows(geo, topo):
 
 
 def cmd_eval(args) -> int:
-    cfg = EvalConfig(
-        sample_spacing_m=args.sample_spacing,
-        matching_thresholds_m=args.thresholds,
-        topo_radius_m=args.topo_radius, topo_samples=args.topo_samples,
-        start_match_distance_m=args.start_match_distance,
-        start_angle_tolerance_deg=args.start_angle_tolerance,
-        visit_distance_m=args.visit_distance, rng_seed=args.seed)
-    _validate(cfg)
+    cfg = _config(EvalConfig, args)
     want_topo = args.topo or args.trajectories is not None
     if want_topo and args.trajectories is None:
         raise UsageError("TOPO scoring needs --trajectories")
@@ -250,10 +225,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = GridSpec(rows=args.rows, cols=args.cols, block_m=args.block,
-                    two_way_fraction=args.two_way,
-                    roundabout=args.roundabout)
-    _validate(spec)
+    spec = _config(GridSpec, args)
     if args.noise < 0:
         raise UsageError("--noise must be >= 0")
     if args.spacing <= 0:
@@ -283,111 +255,128 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
+class _FlagMetavar(argparse.HelpFormatter):
+    """Names an option's value after its flag, not its config field."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[0].lstrip("-").replace("-", "_").upper()
+
+
+def _config_flag() -> argparse.ArgumentParser:
+    """The --config flag every command takes; alone, the pre-parser
+    that finds it."""
+    p = argparse.ArgumentParser(prog="kharita", usage=argparse.SUPPRESS,
+                                add_help=False)
+    p.add_argument("--config",
                    help="key=value file; command-line flags override it")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The kharita parser. A flag that sets a config field stores into
+    that field and has no default, so the config dataclasses own every
+    default; the other flags keep theirs."""
     parser = argparse.ArgumentParser(
         prog="kharita",
         description="Road-network inference from GPS trajectories")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = dict(parents=[_config_flag()], formatter_class=_FlagMetavar,
+                  argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("offline", help="batch inference from a trajectory CSV")
-    _add_common(p)
+    p = sub.add_parser("offline", help="batch inference from a trajectory CSV",
+                       **common)
     p.add_argument("--input", required=True, help="trajectory CSV")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--cr", type=float, default=20.0,
+    p.add_argument("--cr", dest="seed_radius_cr", type=float,
                    help="cluster seed radius, meters")
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--theta", dest="heading_weight_theta", type=float,
                    help="heading weight, meters per half-turn (default 2*cr)")
-    p.add_argument("--alpha", type=float, default=math.sqrt(2.0),
-                   help="spanner stretch factor")
-    p.add_argument("--sr", type=float, default=20.0,
+    p.add_argument("--alpha", type=float, help="spanner stretch factor")
+    p.add_argument("--sr", dest="sampling_rate_m", type=float,
                    help="densification spacing, meters")
-    p.add_argument("--min-speed", type=float, default=5.0,
+    p.add_argument("--min-speed", dest="min_speed_kmh", type=float,
                    help="drop fixes at or below this speed, km/h")
-    p.add_argument("--gap", type=float, default=300.0,
+    p.add_argument("--gap", dest="new_trajectory_gap_s", type=float,
                    help="time gap starting a new trajectory, seconds")
-    p.add_argument("--densify-angle", type=float, default=5.0,
+    p.add_argument("--densify-angle", dest="densify_angle_gate_deg",
+                   type=float,
                    help="max heading change for densification, degrees")
-    p.add_argument("--split-threshold", type=float, default=10.0,
+    p.add_argument("--split-threshold", dest="split_threshold_deg",
+                   type=float,
                    help="heading variability split threshold, degrees")
-    p.add_argument("--convergence-ratio", type=float, default=1e-4)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--duplex-speed", type=float, default=60.0,
+    p.add_argument("--convergence-ratio", type=float)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--duplex-speed", dest="duplex_speed_kmh", type=float,
                    help="add reverse edges at or below this speed, km/h")
     p.set_defaults(func=cmd_offline)
 
     p = sub.add_parser("online", help="streaming inference from a CSV in "
-                                      "arrival order")
-    _add_common(p)
+                                      "arrival order", **common)
     p.add_argument("--input", required=True, help="trajectory CSV")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--cr", type=float, default=20.0,
+    p.add_argument("--cr", dest="clustering_radius_cr", type=float,
                    help="clustering radius, meters")
-    p.add_argument("--sr", type=float, default=20.0,
+    p.add_argument("--sr", dest="sampling_rate_sr", type=float,
                    help="densification spacing, meters")
-    p.add_argument("--ha", type=float, default=45.0,
+    p.add_argument("--ha", dest="heading_tolerance_ha", type=float,
                    help="heading tolerance, degrees")
-    p.add_argument("--alpha", type=float, default=math.sqrt(2.0),
-                   help="spanner stretch factor")
-    p.add_argument("--staleness-horizon", type=float, default=7 * 86400.0,
-                   help="seconds without traffic before parts go stale")
-    p.add_argument("--resparsify-interval", type=int, default=100000,
+    p.add_argument("--alpha", type=float, help="spanner stretch factor")
+    p.add_argument("--resparsify-interval", type=int,
                    help="pairs between spanner re-runs")
-    p.add_argument("--min-speed", type=float, default=5.0,
+    p.add_argument("--min-speed", dest="min_speed_kmh", type=float,
                    help="drop fixes at or below this speed, km/h")
-    p.add_argument("--gap", type=float, default=300.0,
+    p.add_argument("--gap", dest="new_trajectory_gap_s", type=float,
                    help="silence splitting a vehicle's stream, seconds")
     p.add_argument("--snapshot-every", type=int, default=0,
                    help="write a numbered snapshot every N pairs (0 = off)")
     p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("eval", help="score an inferred map against a truth map")
-    _add_common(p)
+    p = sub.add_parser("eval", help="score an inferred map against a truth map",
+                       **common)
     p.add_argument("--inferred", required=True, help="edge-list map file")
     p.add_argument("--truth", required=True, help="edge-list map file")
     p.add_argument("--trajectories", default=None,
                    help="trajectory CSV; enables TOPO scoring")
     p.add_argument("--out", default="kharita-eval",
                    help="output path prefix for report and manifest")
-    p.add_argument("--topo", action="store_true",
+    p.add_argument("--topo", action="store_true", default=False,
                    help="require TOPO scoring (needs --trajectories)")
-    p.add_argument("--json", action="store_true",
+    p.add_argument("--json", action="store_true", default=False,
                    help="also write the report as JSON")
-    p.add_argument("--thresholds", type=_thresholds,
-                   default=DEFAULT_THRESHOLDS_M,
+    p.add_argument("--thresholds", dest="matching_thresholds_m",
+                   type=_thresholds,
                    help="comma-separated matching thresholds, meters")
-    p.add_argument("--sample-spacing", type=float, default=5.0,
+    p.add_argument("--sample-spacing", dest="sample_spacing_m", type=float,
                    help="edge sampling spacing, meters")
-    p.add_argument("--topo-radius", type=float, default=2000.0,
+    p.add_argument("--topo-radius", dest="topo_radius_m", type=float,
                    help="reachability radius, meters")
-    p.add_argument("--topo-samples", type=int, default=200,
+    p.add_argument("--topo-samples", type=int,
                    help="number of random starting points")
-    p.add_argument("--start-match-distance", type=float, default=1.0,
+    p.add_argument("--start-match-distance", dest="start_match_distance_m",
+                   type=float,
                    help="max distance between paired starts, meters")
-    p.add_argument("--start-angle-tolerance", type=float, default=10.0,
+    p.add_argument("--start-angle-tolerance",
+                   dest="start_angle_tolerance_deg", type=float,
                    help="max heading difference between paired starts, degrees")
-    p.add_argument("--visit-distance", type=float, default=30.0,
+    p.add_argument("--visit-distance", dest="visit_distance_m", type=float,
                    help="point-to-edge distance that marks a truth edge "
                         "as visited, meters")
-    p.add_argument("--seed", type=int, default=0, help="evaluation RNG seed")
+    p.add_argument("--seed", dest="rng_seed", type=int,
+                   help="evaluation RNG seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a ground-truth grid and "
-                                     "simulated trajectories")
-    _add_common(p)
+                                     "simulated trajectories", **common)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--rows", type=int, default=5)
-    p.add_argument("--cols", type=int, default=5)
-    p.add_argument("--block", type=float, default=100.0,
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--block", dest="block_m", type=float,
                    help="block edge length, meters")
-    p.add_argument("--two-way", type=float, default=1.0,
+    p.add_argument("--two-way", dest="two_way_fraction", type=float,
                    help="fraction of streets that run both ways")
     p.add_argument("--roundabout", action="store_true",
                    help="replace the central intersection with a circle")
+    # generator keywords, not GridSpec fields
     p.add_argument("--traj", type=int, default=100,
                    help="number of trajectories")
     p.add_argument("--noise", type=float, default=3.0,
@@ -402,33 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def main(argv=None) -> int:
     args_in = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
     parser = build_parser()
+    # name -> command parser; argparse keeps no public handle on them
+    commands = parser._subparsers._group_actions[0].choices
 
     try:
-        cfg_path = _extract_config_path(args_in)
-        if cfg_path is not None:
+        cfg_path = _config_flag().parse_known_args(args_in)[0].config
+        if cfg_path is not None and args_in[0] in commands:
             _require_file(cfg_path)
-            injected = _config_file_args(cfg_path, args_in[0])
-            args_in = [args_in[0]] + injected + args_in[1:]
+            args_in[1:1] = _config_file_args(cfg_path, commands[args_in[0]])
+        args = parser.parse_args(args_in)
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-
-    try:
-        args = parser.parse_args(args_in)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
@@ -437,9 +416,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except (EmptyInputError, MapFormatError) as exc:
-        log.error("%s", exc)
-        return EXIT_RUNTIME
     except (OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_RUNTIME

@@ -35,6 +35,7 @@ from .spatial import nearest_within, pairs_within
 log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLDS_M = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+START_RETRIES = 1000    # draws per TOPO sample before it counts as invalid
 
 
 @dataclass
@@ -46,7 +47,6 @@ class EvalConfig:
     start_match_distance_m: float = 1.0
     start_angle_tolerance_deg: float = 10.0
     visit_distance_m: float = 30.0    # trajectory-passed-here test for pruning
-    start_retries: int = 1000
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -65,8 +65,6 @@ class EvalConfig:
             raise ValueError("start_angle_tolerance_deg must be in (0, 180]")
         if self.visit_distance_m <= 0:
             raise ValueError("visit_distance_m must be positive")
-        if self.start_retries < 1:
-            raise ValueError("start_retries must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -274,7 +272,7 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     for i in range(cfg.topo_samples):
         rng = np.random.default_rng([cfg.rng_seed, i])
         start = -1
-        for _ in range(cfg.start_retries):
+        for _ in range(START_RETRIES):
             j = int(order[int(rng.integers(0, marbles.lat.size))])
             if usable[j]:
                 start = j

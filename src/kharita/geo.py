@@ -180,21 +180,14 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     u1 = np.arctan((1.0 - EARTH_F) * np.tan(np.radians(lat1)))
     u2 = np.arctan((1.0 - EARTH_F) * np.tan(np.radians(lat2)))
     ell = np.radians(lon2 - lon1)
-    sin_u1, cos_u1 = np.sin(u1), np.cos(u1)
-    sin_u2, cos_u2 = np.sin(u2), np.cos(u2)
+    su1, cu1 = np.sin(u1), np.cos(u1)
+    su2, cu2 = np.sin(u2), np.cos(u2)
 
-    out = np.zeros(lat1.shape, dtype=np.float64)
-    # indices still being iterated; shrinks as pairs converge
-    idx = np.arange(lat1.size)
-    lam = ell.copy()
-    sin_sigma = np.zeros_like(lam)
-    cos_sigma = np.ones_like(lam)
-    sigma = np.zeros_like(lam)
-    cos_sq_alpha = np.ones_like(lam)
-    cos_2sm = np.zeros_like(lam)
-    done = np.zeros(lam.shape, dtype=bool)
-
-    su1, cu1, su2, cu2, el = sin_u1, cos_u1, sin_u2, cos_u2, ell
+    # every pair iterates until all have converged; a pair keeps the
+    # state of the iteration it converged on
+    lam = ell
+    state = [np.empty_like(lam) for _ in range(5)]
+    live = np.ones(lam.shape, dtype=bool)
     for _ in range(_VINCENTY_MAX_ITER):
         sin_lam = np.sin(lam); cos_lam = np.cos(lam)
         ss = np.hypot(cu2 * sin_lam, cu1 * su2 - su1 * cu2 * cos_lam)
@@ -207,23 +200,15 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             c2 = np.where(csa == 0.0, 0.0, cs - 2.0 * su1 * su2 / np.where(csa == 0.0, 1.0, csa))
         c = EARTH_F / 16.0 * csa * (4.0 + EARTH_F * (4.0 - 3.0 * csa))
-        lam_new = el + (1.0 - c) * EARTH_F * sin_alpha * (
+        lam_new = ell + (1.0 - c) * EARTH_F * sin_alpha * (
             sg + c * ss * (c2 + c * cs * (-1.0 + 2.0 * c2 ** 2)))
-        conv = (np.abs(lam_new - lam) < _VINCENTY_TOL) | coincident
-
-        sin_sigma[idx] = ss; cos_sigma[idx] = cs; sigma[idx] = sg
-        cos_sq_alpha[idx] = csa; cos_2sm[idx] = c2
-        done[idx[conv]] = True
+        for dst, src in zip(state, (ss, cs, sg, csa, c2)):
+            np.copyto(dst, src, where=live)
+        live &= ~((np.abs(lam_new - lam) < _VINCENTY_TOL) | coincident)
         lam = lam_new
-        if conv.all():
+        if not live.any():
             break
-        # keep iterating only the stragglers
-        keep = ~conv
-        idx = idx[keep]
-        lam = lam[keep]
-        su1 = su1[keep]; cu1 = cu1[keep]
-        su2 = su2[keep]; cu2 = cu2[keep]
-        el = el[keep]
+    sin_sigma, cos_sigma, sigma, cos_sq_alpha, cos_2sm = state
 
     u_sq = cos_sq_alpha * (EARTH_A ** 2 - EARTH_B ** 2) / EARTH_B ** 2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
@@ -235,12 +220,11 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     out = EARTH_B * big_a * (sigma - delta_sigma)
     out[sin_sigma == 0.0] = 0.0
 
-    if not done.all():
-        bad = ~done
-        p1 = np.radians(lat1[bad]); p2 = np.radians(lat2[bad])
-        dl = np.radians(lon2[bad] - lon1[bad])
+    if live.any():
+        p1 = np.radians(lat1[live]); p2 = np.radians(lat2[live])
+        dl = np.radians(lon2[live] - lon1[live])
         s = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-        out[bad] = 2.0 * EARTH_R * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+        out[live] = 2.0 * EARTH_R * np.arcsin(np.minimum(1.0, np.sqrt(s)))
     return out.reshape(shape)
 
 

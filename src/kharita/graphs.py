@@ -103,12 +103,13 @@ class RoadGraph:
         return (e for e in self.edges.values() if e.active)
 
     def _search(self, src: int, target: int | None = None,
-                cutoff: float = math.inf, active_only: bool = True,
-                start_cost: float = 0.0, prev: dict | None = None) -> dict:
-        """Dijkstra from src counting from start_cost, never past cutoff;
-        stops once target is settled. Returns node -> distance, all final
-        without a target; with one, only the target's is final, present
-        exactly when reached. prev, when given, collects predecessors."""
+                cutoff: float = math.inf, start_cost: float = 0.0,
+                prev: dict | None = None) -> dict:
+        """Dijkstra over active edges from src counting from start_cost,
+        never past cutoff; stops once target is settled. Returns node ->
+        distance, all final without a target; with one, only the target's
+        is final, present exactly when reached. prev, when given, collects
+        predecessors."""
         dist = {src: start_cost}
         heap = [(start_cost, src)]
         while heap:
@@ -118,7 +119,7 @@ class RoadGraph:
             if d > dist[u]:
                 continue
             for v, e in self._out.get(u, _NO_EDGES).items():
-                if active_only and not e.active:
+                if not e.active:
                     continue
                 nd = d + e.weight_m
                 if nd <= cutoff and nd < dist.get(v, math.inf):
@@ -128,26 +129,24 @@ class RoadGraph:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def shortest_dist(self, src: int, dst: int, cutoff: float = math.inf,
-                      active_only: bool = True) -> float:
+    def shortest_dist(self, src: int, dst: int,
+                      cutoff: float = math.inf) -> float:
         """Weighted directed distance src -> dst, or inf when dst is
         unreachable within cutoff."""
-        return self._search(src, dst, cutoff, active_only).get(dst, math.inf)
+        return self._search(src, dst, cutoff).get(dst, math.inf)
 
-    def dists_within(self, src: int, cutoff: float, active_only: bool = True,
+    def dists_within(self, src: int, cutoff: float,
                      start_cost: float = 0.0) -> dict:
         """Distances to every node reachable from src within cutoff,
         starting the count at start_cost (for mid-edge starting points)."""
         if start_cost > cutoff:
             return {}
-        return self._search(src, cutoff=cutoff, active_only=active_only,
-                            start_cost=start_cost)
+        return self._search(src, cutoff=cutoff, start_cost=start_cost)
 
-    def shortest_path(self, src: int, dst: int,
-                      active_only: bool = True) -> list | None:
+    def shortest_path(self, src: int, dst: int) -> list | None:
         """Node sequence of one shortest route src -> dst, or None."""
         prev: dict[int, int] = {}
-        if dst not in self._search(src, dst, active_only=active_only, prev=prev):
+        if dst not in self._search(src, dst, prev=prev):
             return None
         path = [dst]
         while path[-1] != src:

@@ -17,6 +17,7 @@ import logging
 from typing import Iterable
 
 from .clustering import ClusterCentroid
+from .geo import lon_delta
 from .graphs import RoadGraph
 from .ingest import EXPECTED_COLUMNS, Trajectory
 
@@ -121,7 +122,9 @@ def load_map(path: str) -> RoadGraph:
 
 
 def save_geojson(graph: RoadGraph, path: str) -> None:
-    """Write one LineString feature per edge, for visual inspection.
+    """Write one feature per edge, for visual inspection: a LineString,
+    or a MultiLineString cut at the antimeridian when the end
+    longitudes differ by more than 180 degrees.
 
     The bytes are those of json.dump(doc, fh, indent=2, sort_keys=True)
     plus a newline, written one feature at a time instead of through
@@ -135,8 +138,19 @@ def save_geojson(graph: RoadGraph, path: str) -> None:
         for key in sorted(graph.edges):
             e = graph.edges[key]
             a, b = graph.nodes[e.src], graph.nodes[e.dst]
-            fh.write(f"""{sep}    {{
-      "geometry": {{
+            if abs(b.lon - a.lon) > 180.0:
+                # two parts meeting at +-180, at the latitude interpolated
+                # along lon_delta (RFC 7946, section 3.1.9)
+                side = 180.0 if a.lon > 0.0 else -180.0
+                lat = a.lat + (side - a.lon) / lon_delta(a.lon, b.lon) * (b.lat - a.lat)
+                parts = [[(a.lon, a.lat), (side, lat)], [(-side, lat), (b.lon, b.lat)]]
+                geometry = json.dumps(
+                    {"coordinates": [[[round(x, 9) for x in p] for p in part]
+                                     for part in parts],
+                     "type": "MultiLineString"},
+                    indent=2, sort_keys=True).replace("\n", "\n      ")
+            else:
+                geometry = f"""{{
         "coordinates": [
           [
             {num(round(a.lon, 9))},
@@ -148,7 +162,9 @@ def save_geojson(graph: RoadGraph, path: str) -> None:
           ]
         ],
         "type": "LineString"
-      }},
+      }}"""
+            fh.write(f"""{sep}    {{
+      "geometry": {geometry},
       "properties": {{
         "active": {"true" if e.active else "false"},
         "traj_count": {e.traj_count},

@@ -1,11 +1,24 @@
 """Command-line contract tests: exit codes, output files, config file
 layering, and cross-run determinism."""
 import json
+from dataclasses import fields
 
 import pytest
 
-from kharita.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from kharita.cli import (
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    _config,
+    build_parser,
+    main,
+)
+from kharita.clustering import ClusterConfig
+from kharita.evaluate import EvalConfig, GridSpec
+from kharita.graphs import SpannerConfig
+from kharita.ingest import IngestConfig
 from kharita.mapio import load_map
+from kharita.online import OnlineConfig
 
 CSV_HEADER = "vehicle_id,timestamp,lat,lon,speed_kmh,heading_deg\n"
 
@@ -116,6 +129,19 @@ class TestOnline:
         assert "no usable pairs" in caplog.text
         assert load_map(out + ".edges").nodes == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gap", "0"), ("--min-speed", "-1"),
+        ("--staleness-horizon", "3600")])
+    def test_bad_option_fails_before_reading(self, tmp_path, flag, value):
+        # ingest options are checked as offline checks them; staleness
+        # is not a command option
+        src = tmp_path / "empty.csv"
+        src.write_text(CSV_HEADER)
+        rc = main(["online", "--input", str(src),
+                   "--out", str(tmp_path / "x"), flag, value])
+        assert rc == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv"]
+
     def test_deterministic_outputs(self, dataset, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -216,6 +242,20 @@ class TestConfigFile:
                    "--config", str(tmp_path / "ghost.conf")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["offline", "online"])
+    @pytest.mark.parametrize("key", ["min_speed", "min-speed"])
+    def test_key_spellings(self, dataset, tmp_path, command, key):
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"{key} = 3\n")
+        out = str(tmp_path / "ks")
+        rc = main([command, "--input", dataset["csv"], "--out", out,
+                   "--config", str(conf)])
+        assert rc == EXIT_OK
+        config = json.load(open(out + ".manifest.json"))["config"]
+        if command == "offline":
+            config = config["ingest"]
+        assert config["min_speed_kmh"] == 3.0
+
     def test_boolean_key_in_config(self, tmp_path):
         conf = tmp_path / "s.conf"
         conf.write_text("roundabout = true\nrows = 5\ncols = 5\n")
@@ -224,6 +264,22 @@ class TestConfigFile:
                    "--config", str(conf)])
         assert rc == EXIT_OK
         assert len(load_map(out + ".truth.edges").nodes) == 29
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, classes", [
+        (["offline", "--input", "t.csv", "--out", "o"],
+         [IngestConfig, ClusterConfig, SpannerConfig]),
+        (["online", "--input", "t.csv", "--out", "o"],
+         [IngestConfig, OnlineConfig]),
+        (["eval", "--inferred", "a.edges", "--truth", "b.edges"],
+         [EvalConfig]),
+        (["synth", "--out", "o"], [GridSpec])])
+    def test_parser_holds_no_config_default(self, argv, classes):
+        args = build_parser().parse_args(argv)
+        for cls in classes:
+            assert not {f.name for f in fields(cls)} & set(vars(args))
+            assert _config(cls, args) == cls()
 
 
 class TestUsage:

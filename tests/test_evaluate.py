@@ -69,7 +69,7 @@ class TestConfig:
                    {"topo_radius_m": 0.0}, {"topo_samples": 0},
                    {"start_match_distance_m": 0.0},
                    {"start_angle_tolerance_deg": 0.0},
-                   {"visit_distance_m": -5.0}, {"start_retries": 0},
+                   {"visit_distance_m": -5.0},
                    {"rng_seed": -1}):
             with pytest.raises(ValueError):
                 EvalConfig(**kw).validate()

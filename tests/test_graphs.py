@@ -81,7 +81,6 @@ class TestRoadGraph:
         g.add_edge(1, 2, 10.0).active = False
         g.add_edge(0, 2, 50.0)
         assert g.shortest_dist(0, 2) == pytest.approx(50.0)
-        assert g.shortest_dist(0, 2, active_only=False) == pytest.approx(20.0)
 
 
 @st.composite
@@ -118,31 +117,27 @@ class TestShortestPathProperties:
         for u in range(n):
             assert [e.dst for e in g.out_edges(u)] == order.get(u, [])
         start = half_start / 2.0
-        for active_only in (True, False):
-            ref = nx.DiGraph()
-            ref.add_nodes_from(range(n))
-            ref.add_weighted_edges_from(
-                (e.src, e.dst, e.weight_m) for e in g.edges.values()
-                if e.active or not active_only)
-            oracle = dict(nx.all_pairs_dijkstra_path_length(ref))
-            for s in range(n):
-                within = {v: start + d for v, d in oracle[s].items()
-                          if start + d <= cutoff}
-                assert g.dists_within(s, cutoff, active_only=active_only,
-                                      start_cost=start) == within
-                for t in range(n):
-                    d = oracle[s].get(t, math.inf)
-                    assert g.shortest_dist(s, t, active_only=active_only) == d
-                    assert g.shortest_dist(s, t, cutoff=cutoff,
-                                           active_only=active_only) == \
-                        (d if d <= cutoff else math.inf)
-                    path = g.shortest_path(s, t, active_only=active_only)
-                    if d == math.inf:
-                        assert path is None
-                        continue
-                    assert path[0] == s and path[-1] == t
-                    assert sum(ref[a][b]["weight"]
-                               for a, b in zip(path, path[1:])) == d
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_weighted_edges_from(
+            (e.src, e.dst, e.weight_m) for e in g.edges.values() if e.active)
+        oracle = dict(nx.all_pairs_dijkstra_path_length(ref))
+        for s in range(n):
+            within = {v: start + d for v, d in oracle[s].items()
+                      if start + d <= cutoff}
+            assert g.dists_within(s, cutoff, start_cost=start) == within
+            for t in range(n):
+                d = oracle[s].get(t, math.inf)
+                assert g.shortest_dist(s, t) == d
+                assert g.shortest_dist(s, t, cutoff=cutoff) == \
+                    (d if d <= cutoff else math.inf)
+                path = g.shortest_path(s, t)
+                if d == math.inf:
+                    assert path is None
+                    continue
+                assert path[0] == s and path[-1] == t
+                assert sum(ref[a][b]["weight"]
+                           for a, b in zip(path, path[1:])) == d
 
 
 class TestCandidateEdges:

@@ -1,13 +1,14 @@
 """Map file format tests: byte stability, lossless round trips, and
 line-numbered rejection of malformed input."""
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kharita.clustering import ClusterCentroid
+from kharita.clustering import ClusterCentroid, ClusterConfig
 from kharita.evaluate import GridSpec, generate_synthetic
-from kharita.graphs import RoadGraph
+from kharita.graphs import RoadGraph, SpannerConfig, run_offline_pipeline
 from kharita.ingest import IngestConfig, parse_trajectories
 from kharita.mapio import (
     MapFormatError,
@@ -150,6 +151,23 @@ class TestLoadDiagnostics:
         assert len(g.nodes) == 1
 
 
+def geojson_geometry(a, b):
+    """Reference GeoJSON geometry of the edge a -> b: a LineString, or
+    two parts meeting at +-180 where the short way crosses it."""
+    if abs(b.lon - a.lon) <= 180.0:
+        parts = [[(a.lon, a.lat), (b.lon, b.lat)]]
+    else:
+        d = b.lon - a.lon - math.copysign(360.0, b.lon - a.lon)
+        side = math.copysign(180.0, d)    # east of a reaches +180
+        lat = a.lat + (side - a.lon) / d * (b.lat - a.lat)
+        parts = [[(a.lon, a.lat), (side, lat)], [(-side, lat), (b.lon, b.lat)]]
+    coords = [[[round(lon, 9), round(lat, 9)] for lon, lat in part]
+              for part in parts]
+    if len(coords) == 1:
+        return {"type": "LineString", "coordinates": coords[0]}
+    return {"type": "MultiLineString", "coordinates": coords}
+
+
 class TestGeoJson:
     def test_feature_per_edge(self, tmp_path):
         g = messy_graph()
@@ -166,14 +184,18 @@ class TestGeoJson:
 
     def test_bytes_match_json_dump(self, tmp_path):
         # inactive edges, negative and numpy coordinates, tiny and large
-        # weights, and the empty graph
+        # weights, edges across the antimeridian both ways, and the
+        # empty graph
         g = messy_graph()
         g.add_node(ClusterCentroid(lat=np.float64(-33.123456789123),
                                    lon=-70.000000001, heading_deg=0.0))
         g.add_node(ClusterCentroid(lat=-0.5, lon=-179.999999999987,
                                    heading_deg=90.0))
+        g.add_node(ClusterCentroid(lat=-0.4, lon=179.99, heading_deg=270.0))
         g.add_edge(6, 7, 1.5e7, traj_count=12345, active=False)
         g.add_edge(7, 6, 1e-12, traj_count=0)
+        g.add_edge(7, 8, 1113.2, traj_count=3)
+        g.add_edge(8, 7, 1113.2, traj_count=2, active=False)
         for name, graph in (("full", g), ("empty", RoadGraph())):
             features = []
             for key in sorted(graph.edges):
@@ -181,11 +203,7 @@ class TestGeoJson:
                 a, b = graph.nodes[e.src], graph.nodes[e.dst]
                 features.append({
                     "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [[round(a.lon, 9), round(a.lat, 9)],
-                                        [round(b.lon, 9), round(b.lat, 9)]],
-                    },
+                    "geometry": geojson_geometry(a, b),
                     "properties": {"weight": round(e.weight_m, 9),
                                    "traj_count": e.traj_count,
                                    "active": e.active},
@@ -195,6 +213,38 @@ class TestGeoJson:
             save_geojson(graph, p)
             with open(p) as fh:
                 assert fh.read() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_city_across_the_antimeridian_is_cut(self, tmp_path):
+        # the AC-05 city 2 m west of 180 degrees: every edge whose short
+        # way crosses it is cut there, the others stay LineStrings
+        _, trajectories = generate_synthetic(
+            GridSpec(rows=5, cols=5, block_m=100.0, origin_lon=179.998),
+            noise_sigma_m=5.0, n_trajectories=200,
+            sampling_spacing_m=(20.0, 170.0), rng_seed=7)
+        csv_path = str(tmp_path / "seam.csv")
+        save_trajectories_csv(trajectories, csv_path)
+        g = run_offline_pipeline(parse_trajectories(csv_path, IngestConfig()),
+                                 IngestConfig(), ClusterConfig(),
+                                 SpannerConfig())
+        p = str(tmp_path / "seam.geojson")
+        save_geojson(g, p)
+        features = json.load(open(p))["features"]
+        assert len(features) == len(g.edges) == 636
+        kinds = [f["geometry"]["type"] for f in features]
+        assert kinds.count("MultiLineString") == 46
+        assert kinds.count("LineString") == 590
+        for f, key in zip(features, sorted(g.edges)):
+            geometry = f["geometry"]
+            assert geometry == geojson_geometry(*(g.nodes[i] for i in key))
+            parts = geometry["coordinates"]
+            if geometry["type"] == "LineString":
+                parts = [parts]
+            else:
+                (lon0, lat0), (lon1, lat1) = parts[0][-1], parts[1][0]
+                assert abs(lon0) == 180.0 and lon1 == -lon0 and lat0 == lat1
+            for part in parts:
+                for (lon0, _), (lon1, _) in zip(part, part[1:]):
+                    assert abs(lon1 - lon0) <= 180.0
 
     def test_byte_stable(self, tmp_path):
         g = messy_graph()

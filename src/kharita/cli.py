@@ -226,18 +226,14 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = _config(GridSpec, args)
-    if args.noise < 0:
-        raise UsageError("--noise must be >= 0")
-    if args.spacing <= 0:
-        raise UsageError("--spacing must be positive")
-    if args.traj < 0:
-        raise UsageError("--traj must be >= 0")
-
     t0 = time.perf_counter()
-    graph, trajectories = generate_synthetic(
-        spec, noise_sigma_m=args.noise, n_trajectories=args.traj,
-        sampling_spacing_m=args.spacing, rng_seed=args.seed,
-        heading_noise_deg=args.heading_noise)
+    try:
+        graph, trajectories = generate_synthetic(
+            spec, noise_sigma_m=args.noise, n_trajectories=args.traj,
+            sampling_spacing_m=args.spacing, rng_seed=args.seed,
+            heading_noise_deg=args.heading_noise)
+    except ValueError as exc:   # the generator checks its own arguments
+        raise UsageError(str(exc)) from exc
     log.info("generated %d nodes, %d edges, %d trajectories in %.3f s",
              len(graph.nodes), len(graph.edges), len(trajectories),
              time.perf_counter() - t0)

@@ -4,6 +4,13 @@ Seeds are picked greedily in input order so that no two seeds sit within
 the clustering radius of each other under the combined distance; k-means
 then refines them with arithmetic-mean position updates and circular-mean
 heading updates; clusters mixing distinct travel directions are split.
+
+k-means searches again, each iteration, only the points whose centroid
+can change. Every point keeps a lower bound on its distance to all other
+centroids (Hamerly, SDM 2010), lowered by the drift of the centroids
+near it (the local bound of Yinyang k-means, Ding et al., ICML 2015).
+The assignments, centroids and costs are exactly those of searching
+every point.
 """
 from __future__ import annotations
 
@@ -171,16 +178,26 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     return np.asarray(seeds, dtype=np.int64)
 
 
-class _Assigner:
-    """Nearest live centroid of each point under the combined distance.
+def _combined_many(lat, lon, hdg, clat, clon, chdg, theta: float):
+    """Combined distance from points to centroids (broadcast), with the
+    arithmetic of the batch kernel, so both give the same bits."""
+    return np.hypot(vincenty_m_many(lat, lon, clat, clon),
+                    theta * angle_diff_deg_many(hdg, chdg) / 180.0)
 
-    The points are grouped by grid cell once, with cells of cr + theta.
-    Each call runs the batch kernel of spatial on the live centroids,
-    with the heading term theta * (heading difference) / 180 added in
+
+class _Assigner:
+    """Nearest live centroid of points under the combined distance, and
+    a lower bound on their distance to every other live centroid.
+
+    All the points are grouped by grid cell once, with cells of
+    cr + theta; a call on a subset groups its points afresh. Each call
+    runs the runner-up search of spatial on the live centroids, with
+    the heading term theta * (heading difference) / 180 added in
     quadrature to its bounds and exact distances. A 3x3 neighborhood
     holds every centroid within the cell size, so it certifies any
-    minimum within it; the points without one get an exact scan over
-    every live centroid.
+    minimum within it, and the runner-up bound is capped at the cell
+    size; the points without a minimum there get an exact scan over
+    every live centroid, whose second least is their bound.
     """
 
     def __init__(self, pts: PointArrays, cfg: ClusterConfig):
@@ -188,21 +205,30 @@ class _Assigner:
         self.theta = cfg.theta
         self.cells = _QueryCells(pts.lat, pts.lon, cfg.seed_radius_cr + self.theta)
 
-    def __call__(self, clat, clon, chdg, alive: np.ndarray):
+    def __call__(self, clat, clon, chdg, alive: np.ndarray, which=None):
+        """(assign, dist, lower) of the points `which` (every point when
+        None): nearest live centroid, distance to it, and a lower bound
+        on the distance to any other live centroid."""
         live = np.nonzero(alive)[0]
         if live.size == 0:
             raise ValueError("no live centroids to assign to")
         clat, clon, chdg = clat[live], clon[live], chdg[live]
         pts = self.pts
-        dist, near = self.cells.nearest(clat, clon,
-                                        (pts.heading, chdg, self.theta))
+        if which is None:
+            lat, lon, hdg, cells = pts.lat, pts.lon, pts.heading, self.cells
+        else:
+            lat, lon, hdg = pts.lat[which], pts.lon[which], pts.heading[which]
+            cells = _QueryCells(lat, lon, self.cells.cell_m)
+        dist, near, lower = cells.nearest_and_runner_up(
+            clat, clon, (hdg, chdg, self.theta))
         for i in np.nonzero(near < 0)[0]:
-            d = np.hypot(vincenty_m_many(pts.lat[i], pts.lon[i], clat, clon),
-                         self.theta * angle_diff_deg_many(pts.heading[i], chdg)
-                         / 180.0)
+            d = _combined_many(lat[i], lon[i], hdg[i], clat, clon, chdg,
+                               self.theta)
             near[i] = np.argmin(d)
             dist[i] = d[near[i]]
-        return live[near], dist
+            d[near[i]] = np.inf
+            lower[i] = d.min()
+        return live[near], dist, lower
 
 
 def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
@@ -235,6 +261,12 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
     return counts, lat, lon, hdg
 
 
+# relative margin of the bound test, as in select_seed_indices. It is
+# taken of the cell size at least: the bound sums distances and drifts
+# whose rounding is absolute, about a nanometer each
+_BOUND_MARGIN = 1e-6
+
+
 def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
                   cfg: ClusterConfig):
     """Lloyd iterations under the combined distance.
@@ -242,8 +274,18 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
     Returns (centroid arrays dict, assignments, costs). Assignments are
     consistent with the returned centroid state; empty clusters are
     dropped and ids compacted in seed order.
+
+    Every point keeps a lower bound on its distance to every centroid
+    other than its own. The combined distance is a metric, so when the
+    centroids drift the bound falls by at most the largest drift among
+    the centroids that were in the point's 3x3 neighborhood, and stays
+    at least the cell size less the largest drift of all, as the other
+    centroids were farther than the cell size. A point nearer its own
+    centroid than its bound, by a margin above rounding, keeps it and
+    cannot tie; only the others are searched again.
     """
     assigner = _Assigner(pts, cfg)
+    cells = assigner.cells
     k = seed_lat.size
     clat = np.array(seed_lat, dtype=np.float64)
     clon = np.array(seed_lon, dtype=np.float64)
@@ -252,8 +294,28 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
     costs: list[float] = []
     best = None   # (clat, clon, chdg, alive, assign, dist, cost)
 
-    for _ in range(cfg.max_iterations):
-        assign, dist = assigner(clat, clon, chdg, alive)
+    assign, dist, lower = assigner(clat, clon, chdg, alive)
+    for it in range(cfg.max_iterations):
+        if it:
+            # the update moved the centroids from (olat, olon, ohdg)
+            moved = (clat != olat) | (clon != olon) | (chdg != ohdg)
+            drift = np.zeros(k)
+            drift[moved] = _combined_many(olat[moved], olon[moved], ohdg[moved],
+                                          clat[moved], clon[moved],
+                                          chdg[moved], cfg.theta)
+            lower = np.minimum(lower - cells.max_around(olat, olon, drift),
+                               cells.cell_m - drift.max())
+            dist = dist.copy()
+            stale = np.nonzero(moved[assign])[0]
+            own = assign[stale]
+            dist[stale] = _combined_many(pts.lat[stale], pts.lon[stale],
+                                         pts.heading[stale], clat[own],
+                                         clon[own], chdg[own], cfg.theta)
+            slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
+            redo = np.nonzero(dist >= lower - slack)[0]
+            assign = assign.copy()
+            assign[redo], dist[redo], lower[redo] = assigner(
+                clat, clon, chdg, alive, redo)
         cost = float(dist @ dist)
         costs.append(cost)
         if best is not None and cost > best[6]:
@@ -263,6 +325,7 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
         if stop or cost == 0.0:
             break
         counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k)
+        olat, olon, ohdg = clat, clon, chdg
         alive = counts > 0
         clat = np.where(alive, nlat, clat)
         clon = np.where(alive, nlon, clon)

@@ -183,8 +183,11 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     su1, cu1 = np.sin(u1), np.cos(u1)
     su2, cu2 = np.sin(u2), np.cos(u2)
 
-    # every pair iterates until all have converged; a pair keeps the
-    # state of the iteration it converged on
+    # each pair iterates until it converges and keeps the state of that
+    # iteration. Once most of the pairs iterated have converged, only
+    # the rest go on, so a few slow pairs do not hold up the batch; a
+    # pair's arithmetic is its own, so its result is the same bits
+    at = None    # indices of the pairs iterated; None while it is all
     lam = ell
     state = [np.empty_like(lam) for _ in range(5)]
     live = np.ones(lam.shape, dtype=bool)
@@ -203,12 +206,26 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
         lam_new = ell + (1.0 - c) * EARTH_F * sin_alpha * (
             sg + c * ss * (c2 + c * cs * (-1.0 + 2.0 * c2 ** 2)))
         for dst, src in zip(state, (ss, cs, sg, csa, c2)):
-            np.copyto(dst, src, where=live)
+            if at is None:
+                np.copyto(dst, src, where=live)
+            else:
+                dst[at[live]] = src[live]
         live &= ~((np.abs(lam_new - lam) < _VINCENTY_TOL) | coincident)
         lam = lam_new
-        if not live.any():
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
             break
+        if 2 * n_live < live.size:
+            keep = np.flatnonzero(live)
+            at = keep if at is None else at[keep]
+            ell, su1, cu1, su2, cu2, lam = (
+                x[keep] for x in (ell, su1, cu1, su2, cu2, lam))
+            live = np.ones(keep.size, dtype=bool)
     sin_sigma, cos_sigma, sigma, cos_sq_alpha, cos_2sm = state
+    failed = live    # the pairs that never converged
+    if at is not None:
+        failed = np.zeros(lat1.shape, dtype=bool)
+        failed[at[live]] = True
 
     u_sq = cos_sq_alpha * (EARTH_A ** 2 - EARTH_B ** 2) / EARTH_B ** 2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
@@ -220,11 +237,11 @@ def vincenty_m_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     out = EARTH_B * big_a * (sigma - delta_sigma)
     out[sin_sigma == 0.0] = 0.0
 
-    if live.any():
-        p1 = np.radians(lat1[live]); p2 = np.radians(lat2[live])
-        dl = np.radians(lon2[live] - lon1[live])
+    if failed.any():
+        p1 = np.radians(lat1[failed]); p2 = np.radians(lat2[failed])
+        dl = np.radians(lon2[failed] - lon1[failed])
         s = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-        out[live] = 2.0 * EARTH_R * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+        out[failed] = 2.0 * EARTH_R * np.arcsin(np.minimum(1.0, np.sqrt(s)))
     return out.reshape(shape)
 
 

@@ -24,6 +24,7 @@ from .geo import (
     wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
+from .ingest import IngestConfig
 from .spatial import GridIndex
 
 log = logging.getLogger(__name__)
@@ -250,7 +251,8 @@ def resparsify(state: StreamState, cfg: OnlineConfig) -> StreamState:
 
 
 def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
-                   gap_s: float = 300.0, min_speed_kmh: float = 5.0,
+                   gap_s: float = IngestConfig.new_trajectory_gap_s,
+                   min_speed_kmh: float = IngestConfig.min_speed_kmh,
                    on_pair=None) -> StreamState:
     """Feed an arrival-ordered stream of fixes through process_pair.
 
@@ -263,6 +265,7 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
     batch functions take whole trajectories, sorted and split up front
     with each fix's speed inferred from the next one; a one-pass stream
     holds only each vehicle's previous fix, so it cannot call them.
+    gap_s and min_speed_kmh default to those of IngestConfig.
     Resparsifies every cfg.resparsify_interval pairs; on_pair, when
     given, is called with the state after every processed pair.
     """

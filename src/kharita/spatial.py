@@ -18,7 +18,9 @@ distance d. A candidate is kept only if its L is within the radius and,
 for a nearest search, no larger than the least U among its query's
 candidates: a candidate whose L exceeds another's U is strictly
 farther. Exact Vincenty runs on the survivors alone, and ties go to the
-lowest index. _QueryCells._screened is the batch form of the screen and
+lowest index. The runner-up search of k-means compares L with the
+second-least U instead, which keeps the two smallest exact distances.
+_QueryCells._screened is the batch form of the screen and
 GridIndex.screened the scalar one.
 """
 from __future__ import annotations
@@ -177,13 +179,18 @@ class _QueryCells:
         if pending:
             yield chunk()
 
-    def _screened(self, rlat, rlon, least: bool, heading=None):
+    def _screened(self, rlat, rlon, least: int, heading=None):
         """Yield (pq, pr, d) per chunk: the pairs that pass the screen,
         with their exact distances.
 
         Each pair gets one planar distance, its U, and rho * U stands in
         for L. heading=(qh, rh, theta) adds theta * (heading difference)
         / 180 in quadrature to U and to d; L >= rho * U still holds.
+        least=0 keeps every pair within the gate. least=1 also drops the
+        pairs whose L exceeds their query's least U, and least=2 those
+        whose L exceeds the second-least U: both smallest-U candidates
+        survive, and a dropped pair is farther than each of them, so the
+        survivors hold the two smallest distances.
         """
         rlat = np.asarray(rlat, dtype=np.float64)
         rlon = np.asarray(rlon, dtype=np.float64)
@@ -210,8 +217,17 @@ class _QueryCells:
                 del ha
             bound = np.full(lens.size, gate)
             if least:
-                np.minimum(bound, np.minimum.reduceat(u, np.cumsum(lens) - lens),
-                           out=bound)
+                starts = np.cumsum(lens) - lens
+                least_u = np.minimum.reduceat(u, starts)
+                if least == 2:
+                    # set the first least U of each query aside
+                    at = np.flatnonzero(u == np.repeat(least_u, lens))
+                    at = at[np.searchsorted(at, starts)]
+                    u[at] = np.inf
+                    second_u = np.minimum.reduceat(u, starts)
+                    u[at] = least_u
+                    least_u = second_u
+                np.minimum(bound, least_u, out=bound)
             keep = u <= np.repeat(bound * inv_rho2, lens)
             del u
             pq, pr = pq[keep], pr[keep]
@@ -224,18 +240,61 @@ class _QueryCells:
         """(dist, idx) of each query's nearest reference within cell_m,
         or (inf, -1); ties go to the lowest reference index. heading is
         as in _screened."""
+        dist, idx, _ = self._nearest(rlat, rlon, heading, False)
+        return dist, idx
+
+    def nearest_and_runner_up(self, rlat, rlon, heading=None):
+        """(dist, idx, runner): nearest's (dist, idx) and, for each query
+        with a nearest, a lower bound on its distance to every other
+        reference. That is the second-least distance in its 3x3
+        neighborhood, capped at cell_m: every reference outside the
+        neighborhood is farther than cell_m. runner is inf for the
+        queries without a nearest."""
+        return self._nearest(rlat, rlon, heading, True)
+
+    def _nearest(self, rlat, rlon, heading, runner_up: bool):
         dist = np.full(self.lat.size, np.inf)
         idx = np.full(self.lat.size, -1, dtype=np.int64)
-        for pq, pr, d in self._screened(rlat, rlon, True, heading):
+        runner = np.full(self.lat.size, np.inf) if runner_up else None
+        for pq, pr, d in self._screened(rlat, rlon, 2 if runner_up else 1,
+                                        heading):
             first = np.flatnonzero(np.diff(pq, prepend=-1))
+            lens = np.diff(first, append=pq.size)
             dmin = np.minimum.reduceat(d, first)
-            is_min = d == np.repeat(dmin, np.diff(first, append=pq.size))
+            is_min = d == np.repeat(dmin, lens)
             imin = np.minimum.reduceat(np.where(is_min, pr, _INT_MAX), first)
             ok = dmin <= self.cell_m
             heads = pq[first[ok]]
             dist[heads] = dmin[ok]
             idx[heads] = imin[ok]
-        return dist, idx
+            if runner_up:
+                # a reference is paired with a query once, so this drops
+                # only the nearest pair
+                d[pr == np.repeat(imin, lens)] = np.inf
+                second = np.minimum.reduceat(d, first)[ok]
+                runner[heads] = np.minimum(second, self.cell_m)
+        return dist, idx, runner
+
+    def max_around(self, rlat, rlon, value):
+        """Per query, the largest of the non-negative values of the
+        references in its 3x3 neighborhood, or 0 where it holds none."""
+        n = self.ncols
+        rows, cols = self._cells(np.asarray(rlat, dtype=np.float64),
+                                 np.asarray(rlon, dtype=np.float64))
+        # a reference lends its value to the 9 cells around its own: they
+        # are the cells whose neighborhood holds it (columns wrap alike)
+        keys, inverse = np.unique(
+            [(rows + dr) * n + (cols + dc) % n
+             for dr in (-1, 0, 1) for dc in (-1, 0, 1)], return_inverse=True)
+        top = np.zeros(keys.size + 1)
+        np.maximum.at(top, inverse.ravel(), np.tile(value, 9))
+        own = np.array([r * n + c for (r, c), _ in self.groups], dtype=np.int64)
+        at = np.searchsorted(keys, own)
+        at[np.append(keys, 0)[at] != own] = keys.size
+        out = np.empty(self.lat.size)
+        for (_, members), v in zip(self.groups, top[at]):
+            out[members] = v
+        return out
 
 
 def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
@@ -261,7 +320,7 @@ def pairs_within(qlat, qlon, rlat, rlon, radius_m: float):
     out_r = [np.empty(0, dtype=np.int64)]
     out_d = [np.empty(0)]
     for pq, pr, d in _QueryCells(qlat, qlon, radius_m)._screened(
-            rlat, rlon, False):
+            rlat, rlon, 0):
         ok = d <= radius_m
         out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
     q, r, d = np.concatenate(out_q), np.concatenate(out_r), np.concatenate(out_d)

@@ -53,6 +53,14 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "x"),
                      "--rows", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag,value", [("--noise", "-1"),
+                                            ("--spacing", "0"),
+                                            ("--traj", "-1")])
+    def test_bad_generator_option_is_usage_error(self, tmp_path, flag, value):
+        assert main(["synth", "--out", str(tmp_path / "x"),
+                     flag, value]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_identical_files(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):

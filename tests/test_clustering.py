@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kharita.clustering import (
     ClusterConfig,
     PointArrays,
     _Assigner,
+    _centroid_stats,
     distinct_points,
     finalize_centroids,
     kmeans_arrays,
@@ -24,6 +27,7 @@ from kharita.geo import (
     heading_variability_deg,
     vincenty_m,
     vincenty_m_many,
+    wrap_lon,
 )
 
 
@@ -224,11 +228,23 @@ class TestAssignment:
             # the first seeds twice: equal distances, the lower id wins
             sid = np.concatenate([sid, sid[:10]])
             clat, clon, chdg = pts.lat[sid], pts.lon[sid], pts.heading[sid]
-            assign, dist = _Assigner(pts, cfg)(clat, clon, chdg,
-                                               np.ones(sid.size, dtype=bool))
+            assign, dist, lower = _Assigner(pts, cfg)(
+                clat, clon, chdg, np.ones(sid.size, dtype=bool))
             ds = combined_matrix(pts, clat, clon, chdg, cfg.theta)
             np.testing.assert_array_equal(dist, ds.min(axis=1))
             np.testing.assert_array_equal(assign, ds.argmin(axis=1))
+            # the runner-up: the second least, ties counted, capped at the
+            # cell size for the points that have a centroid within it
+            cell = cfg.seed_radius_cr + cfg.theta
+            second = np.sort(ds, axis=1)[:, 1]
+            np.testing.assert_array_equal(
+                lower, np.where(dist <= cell, np.minimum(second, cell), second))
+            # and for a subset, the same rows
+            which = np.arange(0, pts.n, 7)
+            got = _Assigner(pts, cfg)(clat, clon, chdg,
+                                      np.ones(sid.size, dtype=bool), which)
+            for a, b in zip(got, (assign, dist, lower)):
+                np.testing.assert_array_equal(a, b[which])
 
     def test_far_point_falls_back_to_exact_scan(self):
         # points far outside every centroid's 3x3 neighborhood; the
@@ -241,17 +257,128 @@ class TestAssignment:
         clat = np.full(4, 25.0)
         clon = np.array([51.0, 51.001, 179.99, -179.9995])
         chdg = np.zeros(4)
-        assign, dist = _Assigner(pts, cfg)(clat, clon, chdg, np.ones(4, bool))
+        assign, dist, lower = _Assigner(pts, cfg)(clat, clon, chdg,
+                                                  np.ones(4, bool))
         assert assign[2] == 0
         assert dist[2] == pytest.approx(
             combined(25.05, 51.0, 0.0, 25.0, 51.0, 0.0, cfg.theta), rel=1e-9)
+        assert lower[2] == pytest.approx(
+            combined(25.05, 51.0, 0.0, 25.0, 51.001, 0.0, cfg.theta), rel=1e-9)
         assert assign[3] == 3
         assert dist[3] == pytest.approx(
             combined(25.0, 179.997, 0.0, 25.0, -179.9995, 0.0, cfg.theta),
             rel=1e-9)
+        assert lower[3] == pytest.approx(
+            combined(25.0, 179.997, 0.0, 25.0, 179.99, 0.0, cfg.theta),
+            rel=1e-9)
+
+
+def lloyd(pts, seed_lat, seed_lon, seed_hdg, cfg):
+    """kmeans_arrays with every point assigned by brute force in every
+    iteration, no bounds: (centroids, assignments, costs) alike."""
+    k = seed_lat.size
+    clat, clon, chdg = (np.array(x, dtype=np.float64)
+                        for x in (seed_lat, seed_lon, seed_hdg))
+    alive = np.ones(k, dtype=bool)
+    costs, best = [], None
+    for _ in range(cfg.max_iterations):
+        live = np.nonzero(alive)[0]
+        ds = combined_matrix(pts, clat[live], clon[live], chdg[live], cfg.theta)
+        assign, dist = live[ds.argmin(axis=1)], ds.min(axis=1)
+        cost = float(dist @ dist)
+        costs.append(cost)
+        if best is not None and cost > best[4]:
+            break
+        stop = best is not None and best[4] - cost < cfg.convergence_ratio * cost
+        best = (clat, clon, chdg, assign, cost)
+        if stop or cost == 0.0:
+            break
+        counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k)
+        alive = counts > 0
+        clat = np.where(alive, nlat, clat)
+        clon = np.where(alive, nlon, clon)
+        chdg = np.where(alive, nhdg, chdg)
+    clat, clon, chdg, assign, _ = best
+    keep = np.nonzero(np.bincount(assign, minlength=k))[0]
+    return ({"lat": clat[keep], "lon": clon[keep], "heading": chdg[keep]},
+            np.searchsorted(keep, assign), costs)
+
+
+def assert_matches_lloyd(*args):
+    """kmeans_arrays(*args) gives the bits of lloyd(*args), returned."""
+    got, want = kmeans_arrays(*args), lloyd(*args)
+    for key in ("lat", "lon", "heading"):
+        np.testing.assert_array_equal(got[0][key], want[0][key])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    return want
+
+
+def lattice_site(lat0, lon0, sited):
+    """PointArrays at (north, east) meter offsets from (lat0, lon0),
+    longitudes wrapped, with the given headings."""
+    lat = np.array([min(lat0 + n / 111000.0, 89.99) for (n, _), _ in sited])
+    lon = np.array([wrap_lon(lon0 + e / (111000.0 * math.cos(math.radians(lat0))))
+                    for (_, e), _ in sited])
+    hdg = np.array([h for _, h in sited])
+    m = lat.size
+    return PointArrays(lat, lon, hdg, np.full(m, 30.0), np.arange(m, dtype=float))
 
 
 class TestKmeans:
+    # a 2.5 m lattice, for equal positions and equal distances; few
+    # headings, so equal combined distances too. The spread is several
+    # cells of the small radius, so centroids move between cells
+    @settings(max_examples=150)
+    @given(lat0=st.one_of(st.floats(-89.5, 89.5),
+                          st.sampled_from([89.9, -89.95, 89.99])),
+           lon0=st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999]),
+           sited=st.lists(st.tuples(
+               st.tuples(st.integers(-40, 40).map(lambda n: n * 2.5),
+                         st.integers(-40, 40).map(lambda e: e * 2.5)),
+               st.sampled_from([0.0, 10.0, 90.0, 180.0, 350.0])),
+               min_size=1, max_size=60),
+           seeds=st.lists(st.integers(0, 59), min_size=1, max_size=12),
+           cr=st.sampled_from([5.0, 20.0]))
+    def test_matches_plain_lloyd(self, lat0, lon0, sited, seeds, cr):
+        # bounds that skip a point wrongly change an assignment, and a
+        # distance they reuse wrongly changes a cost
+        pts = lattice_site(lat0, lon0, sited)
+        sid = np.array(seeds) % pts.n       # repeats make centroid ties
+        cfg = ClusterConfig(seed_radius_cr=cr)
+        assert_matches_lloyd(pts, pts.lat[sid], pts.lon[sid],
+                             pts.heading[sid], cfg)
+
+    @pytest.mark.parametrize("cr", [5.0, 20.0])
+    def test_matches_plain_lloyd_on_clouds(self, cr):
+        # random clouds of several cells, in the open, near the pole and
+        # across the antimeridian; greedy seeds as in the pipeline, and
+        # random ones that leave centroids to travel far
+        rng = np.random.default_rng(int(cr))
+        cfg = ClusterConfig(seed_radius_cr=cr)
+        sites = [random_points(rng, 300, span=0.002)] + [
+            seam_points(rng, 300, lat0, lon0) for lat0, lon0 in POLAR_SEAM]
+        for pts in sites:
+            for sid in (select_seed_indices(pts, cfg), rng.integers(0, pts.n, 40)):
+                assert_matches_lloyd(pts, pts.lat[sid], pts.lon[sid],
+                                     pts.heading[sid], cfg)
+
+    def test_tie_at_the_bound_is_searched_again(self):
+        # Geodesics on the equator run along it, so the triangle
+        # inequality under the bound is tight. Centroid 0 drifts from
+        # 3e-5 to 1e-5 degrees east of the fix at lon 0, centroid 1 from
+        # 2e-5 to 1e-5 degrees west: the fix is then equally far from
+        # both and goes to centroid 0. Its bound, the distance to
+        # centroid 0 less its drift, is that distance in exact
+        # arithmetic and 7e-16 m more once rounded, so only the margin
+        # sends the fix to be searched again
+        pts = PointArrays(np.zeros(3), np.array([0.0, -2e-5, 1e-5]),
+                          np.zeros(3), np.full(3, 30.0), np.zeros(3))
+        _, assign, _ = assert_matches_lloyd(
+            pts, np.zeros(2), np.array([3e-5, -2e-5]), np.zeros(2),
+            ClusterConfig())
+        assert assign.tolist() == [0, 1, 0]
+
     def test_cost_never_increases(self):
         rng = np.random.default_rng(41)
         pts = random_points(rng, 700, span=0.005)

@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kharita.geo import (
+    _haversine_m,
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
@@ -91,6 +92,31 @@ class TestVincenty:
         assert d[0] == 0.0
         assert d[1] == pytest.approx(vincenty_m(25.0, 51.0, 25.001, 51.0), abs=1e-9)
         assert 1.95e7 < d[2] < 2.05e7
+
+    def test_batch_gives_each_pair_its_own_bits(self):
+        # near-antipodal pairs iterate long or never converge, while the
+        # rest converge in a few iterations and stop being iterated; every
+        # pair must get the bits it gets alone
+        rng = np.random.default_rng(19)
+        lat1 = rng.uniform(-89.0, 89.0, 2000)
+        lon1 = rng.uniform(-180.0, 180.0, 2000)
+        lat2 = lat1 + rng.uniform(-0.01, 0.01, 2000)
+        lon2 = lon1 + rng.uniform(-0.01, 0.01, 2000)
+        lat2[:300] = rng.uniform(-90.0, 90.0, 300)
+        lon2[:300] = rng.uniform(-180.0, 180.0, 300)
+        lat2[300:450] = -lat1[300:450] + rng.uniform(-0.5, 0.5, 150)
+        lon2[300:450] = lon1[300:450] + 180.0 + rng.uniform(-0.5, 0.5, 150)
+        lat2[450:500], lon2[450:500] = lat1[450:500], lon1[450:500]
+        order = rng.permutation(2000)
+        args = [x[order] for x in (lat1, lon1, lat2, lon2)]
+        batch = vincenty_m_many(*args)
+        alone = np.array([vincenty_m_many(*(x[i] for x in args))
+                          for i in range(2000)])
+        np.testing.assert_array_equal(batch, alone)
+        assert np.count_nonzero(batch == 0.0) == 50
+        # some pairs never converge and take the great-circle distance
+        pairs = [tuple(float(x[i]) for x in args) for i in range(2000)]
+        assert any(vincenty_m(*p) == _haversine_m(*p) for p in pairs)
 
 
 class TestAngles:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_lon
-from kharita.spatial import GridIndex, _QueryCells, nearest_within, pairs_within
+from kharita.spatial import (
+    GridIndex,
+    _QueryCells,
+    _columns_around,
+    nearest_within,
+    pairs_within,
+)
 
 RADIUS_M = 30.0
 
@@ -36,6 +42,17 @@ def _check_nearest(dist, idx, full, radius):
         np.testing.assert_array_equal(idx[hit], full[hit].argmin(axis=1))
     assert np.all(np.isinf(dist[~hit])) and np.all(idx[~hit] == -1)
     return hit
+
+
+def _check_runner_up(dist, idx, runner, full, radius):
+    """The runner-up search against a full distance matrix: the nearest
+    as in _check_nearest, then the second least distance, ties counted,
+    capped at the radius, for each query that has a nearest."""
+    hit = _check_nearest(dist, idx, full, radius)
+    second = np.sort(full, axis=1)[:, 1] if full.shape[1] > 1 \
+        else np.full(full.shape[0], np.inf)
+    np.testing.assert_array_equal(runner[hit], np.minimum(second[hit], radius))
+    assert np.all(np.isinf(runner[~hit]))
 
 
 # latitudes up to 0.01 degree from the pole, and clouds that straddle
@@ -156,8 +173,24 @@ def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
     theta = 40.0
     combined = np.hypot(full, theta * angle_diff_deg_many(
         qh[:, None], rh[None, :]) / 180.0)
-    _check_nearest(*_QueryCells(qlat, qlon, radius).nearest(
-        rlat, rlon, (qh, rh, theta)), combined, radius)
+    cells = _QueryCells(qlat, qlon, radius)
+    _check_nearest(*cells.nearest(rlat, rlon, (qh, rh, theta)), combined,
+                   radius)
+    # the runner-up search, with and without the heading term
+    _check_runner_up(*cells.nearest_and_runner_up(rlat, rlon), full, radius)
+    _check_runner_up(*cells.nearest_and_runner_up(rlat, rlon, (qh, rh, theta)),
+                     combined, radius)
+    # max_around: the largest value among the references of the 3x3
+    # neighborhood, which holds every reference within the cell size
+    value = np.arange(1.0, rlat.size + 1.0)
+    top = cells.max_around(rlat, rlon, value)
+    (qrow, qcol), (rrow, rcol) = cells._cells(qlat, qlon), cells._cells(rlat, rlon)
+    for q in range(qlat.size):
+        around = [v for v, r, c in zip(value, rrow, rcol)
+                  if abs(r - qrow[q]) <= 1
+                  and c in _columns_around(qcol[q], cells.ncols)]
+        assert top[q] == max(around, default=0.0)
+        assert top[q] >= max(value[full[q] <= radius], default=0.0)
 
 
 class TestGridIndex:

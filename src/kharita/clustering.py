@@ -15,7 +15,6 @@ every point.
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -27,10 +26,10 @@ from .geo import (
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
+    combined_distance_m,
+    combined_distance_m_many,
     heading_variability_deg,
     lon_delta_many,
-    vincenty_m,
-    vincenty_m_many,
     wrap_lon,
     wrap_lon_many,
 )
@@ -141,9 +140,10 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     The seeds so far sit in a GridIndex of cell seed_radius_cr, whose
     screen yields the seeds that can lie within that geodesic distance
     with planar bounds L <= dg <= U. Those settle most pairs:
-    hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one. Vincenty
-    runs only in between; both tests keep a relative margin of 1e-6, far
-    above its rounding, so seeds are those of exact distances.
+    hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one. The exact
+    combined distance runs only in between; both tests keep a relative
+    margin of 1e-6, far above its rounding, so seeds are those of exact
+    distances.
     """
     cr = cfg.seed_radius_cr
     theta = cfg.theta
@@ -169,20 +169,13 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
             ha2 = ha * ha
             if lo2 + ha2 >= miss2:
                 continue
-            if (hi2 + ha2 < hit2
-                    or math.hypot(vincenty_m(la, lo, plat, plon), ha) < cr):
+            if (hi2 + ha2 < hit2 or combined_distance_m(
+                    la, lo, h, plat, plon, hdg[j], theta) < cr):
                 break
         else:
             seeds.append(i)
             index.insert(i, la, lo)
     return np.asarray(seeds, dtype=np.int64)
-
-
-def _combined_many(lat, lon, hdg, clat, clon, chdg, theta: float):
-    """Combined distance from points to centroids (broadcast), with the
-    arithmetic of the batch kernel, so both give the same bits."""
-    return np.hypot(vincenty_m_many(lat, lon, clat, clon),
-                    theta * angle_diff_deg_many(hdg, chdg) / 180.0)
 
 
 class _Assigner:
@@ -191,13 +184,13 @@ class _Assigner:
 
     All the points are grouped by grid cell once, with cells of
     cr + theta; a call on a subset groups its points afresh. Each call
-    runs the runner-up search of spatial on the live centroids, with
-    the heading term theta * (heading difference) / 180 added in
-    quadrature to its bounds and exact distances. A 3x3 neighborhood
-    holds every centroid within the cell size, so it certifies any
-    minimum within it, and the runner-up bound is capped at the cell
-    size; the points without a minimum there get an exact scan over
-    every live centroid, whose second least is their bound.
+    runs the nearest search of spatial on the live centroids, with the
+    heading term theta * (heading difference) / 180 added in quadrature
+    to its bounds, and exact distances in the combined metric. A 3x3
+    neighborhood holds every centroid within the cell size, so it
+    certifies any minimum within it, and the runner-up bound is capped
+    at the cell size; the points without a minimum there get an exact
+    scan over every live centroid, whose second least is their bound.
     """
 
     def __init__(self, pts: PointArrays, cfg: ClusterConfig):
@@ -219,11 +212,10 @@ class _Assigner:
         else:
             lat, lon, hdg = pts.lat[which], pts.lon[which], pts.heading[which]
             cells = _QueryCells(lat, lon, self.cells.cell_m)
-        dist, near, lower = cells.nearest_and_runner_up(
-            clat, clon, (hdg, chdg, self.theta))
+        dist, near, lower = cells.nearest(clat, clon, (hdg, chdg, self.theta))
         for i in np.nonzero(near < 0)[0]:
-            d = _combined_many(lat[i], lon[i], hdg[i], clat, clon, chdg,
-                               self.theta)
+            d = combined_distance_m_many(lat[i], lon[i], hdg[i], clat, clon,
+                                         chdg, self.theta)
             near[i] = np.argmin(d)
             dist[i] = d[near[i]]
             d[near[i]] = np.inf
@@ -300,17 +292,17 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
             # the update moved the centroids from (olat, olon, ohdg)
             moved = (clat != olat) | (clon != olon) | (chdg != ohdg)
             drift = np.zeros(k)
-            drift[moved] = _combined_many(olat[moved], olon[moved], ohdg[moved],
-                                          clat[moved], clon[moved],
-                                          chdg[moved], cfg.theta)
+            drift[moved] = combined_distance_m_many(
+                olat[moved], olon[moved], ohdg[moved],
+                clat[moved], clon[moved], chdg[moved], cfg.theta)
             lower = np.minimum(lower - cells.max_around(olat, olon, drift),
                                cells.cell_m - drift.max())
             dist = dist.copy()
             stale = np.nonzero(moved[assign])[0]
             own = assign[stale]
-            dist[stale] = _combined_many(pts.lat[stale], pts.lon[stale],
-                                         pts.heading[stale], clat[own],
-                                         clon[own], chdg[own], cfg.theta)
+            dist[stale] = combined_distance_m_many(
+                pts.lat[stale], pts.lon[stale], pts.heading[stale],
+                clat[own], clon[own], chdg[own], cfg.theta)
             slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
             redo = np.nonzero(dist >= lower - slack)[0]
             assign = assign.copy()

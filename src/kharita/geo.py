@@ -258,6 +258,13 @@ def combined_distance_m(lat1: float, lon1: float, h1: float,
     return math.hypot(dg, da)
 
 
+def combined_distance_m_many(lat1, lon1, h1, lat2, lon2, h2,
+                             theta_m: float) -> np.ndarray:
+    """Vectorized combined_distance_m (broadcast to a common shape)."""
+    return np.hypot(vincenty_m_many(lat1, lon1, lat2, lon2),
+                    theta_m * angle_diff_deg_many(h1, h2) / 180.0)
+
+
 def circular_mean_deg(headings) -> float:
     """Mean direction of headings in degrees, in [0, 360).
 

@@ -226,15 +226,42 @@ def filter_slow_points(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     return Trajectory(tr.vehicle_id, kept)
 
 
+def _lerp_speed(a: GpsPoint, b: GpsPoint, f: float) -> float | None:
+    if a.speed_kmh is None:
+        return b.speed_kmh
+    if b.speed_kmh is None:
+        return a.speed_kmh
+    return a.speed_kmh + f * (b.speed_kmh - a.speed_kmh)
+
+
+def between(a: GpsPoint, b: GpsPoint, n: int, bearing: float) -> list[GpsPoint]:
+    """n points spaced evenly strictly between fixes a and b, at the
+    fractions i/(n+1) of the way: timestamps, latitudes and speeds are
+    interpolated (a missing speed takes the other fix's), longitudes the
+    short way round the antimeridian, and every point heads along
+    bearing. Both densify modes call it, each with its own count."""
+    # an explicit loop: most online pairs insert no point, and a
+    # comprehension costs more per call than it saves
+    out = []
+    dlon = lon_delta(a.lon, b.lon)
+    for i in range(1, n + 1):
+        f = i / (n + 1)
+        out.append(GpsPoint(a.vehicle_id,
+                            a.timestamp + f * (b.timestamp - a.timestamp),
+                            a.lat + f * (b.lat - a.lat),
+                            wrap_lon(a.lon + f * dlon),
+                            _lerp_speed(a, b, f),
+                            bearing))
+    return out
+
+
 def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     """Insert equidistant points into gaps wider than the sampling rate.
 
-    A pair of consecutive fixes L1, L2 gets floor(dist/sr) interpolated
-    points, but only when their headings differ by less than the angle
-    gate (straight-line motion); curved gaps are left alone. Inserted
-    points carry the pair's forward bearing and linearly interpolated
-    timestamps and speeds; positions are interpolated the short way
-    round the antimeridian.
+    A pair of consecutive fixes L1, L2 gets floor(dist/sr) points from
+    between, with the pair's forward bearing, but only when their
+    headings differ by less than the angle gate (straight-line motion);
+    curved gaps are left alone.
     """
     if len(tr.points) < 2:
         return tr
@@ -245,22 +272,8 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
         d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
         if (d > 1e-9 and a.heading_deg is not None and b.heading_deg is not None
                 and angle_diff_deg(a.heading_deg, b.heading_deg) < gate):
-            s = int(d // sr)
-            bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
-            dlon = lon_delta(a.lon, b.lon)
-            for i in range(1, s + 1):
-                f = i / (s + 1)
-                speed = None
-                if a.speed_kmh is not None and b.speed_kmh is not None:
-                    speed = a.speed_kmh + f * (b.speed_kmh - a.speed_kmh)
-                out.append(GpsPoint(
-                    tr.vehicle_id,
-                    a.timestamp + f * (b.timestamp - a.timestamp),
-                    a.lat + f * (b.lat - a.lat),
-                    wrap_lon(a.lon + f * dlon),
-                    speed,
-                    bearing,
-                ))
+            out += between(a, b, int(d // sr),
+                           initial_bearing_deg(a.lat, a.lon, b.lat, b.lon))
         out.append(b)
     return Trajectory(tr.vehicle_id, out)
 

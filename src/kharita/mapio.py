@@ -14,10 +14,11 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from typing import Iterable
 
 from .clustering import ClusterCentroid
-from .geo import lon_delta
+from .geo import lon_delta, valid_latlon
 from .graphs import RoadGraph
 from .ingest import EXPECTED_COLUMNS, Trajectory
 
@@ -66,10 +67,13 @@ def _flag(raw: str, path: str, lineno: int) -> bool:
 def load_map(path: str) -> RoadGraph:
     """Read an edge-list map file back into a RoadGraph.
 
-    Any structural problem raises MapFormatError naming the offending
-    line: bad header, unknown record type, wrong field count, numbers
-    that do not parse, non-consecutive node ids, or edges that mention
-    unknown nodes.
+    Any problem raises MapFormatError naming the offending line: bad
+    header, unknown record type, wrong field count, numbers that do not
+    parse, non-consecutive node ids, edges that mention unknown nodes,
+    and values no map holds: coordinates out of range (the rule of the
+    CSV reader), a heading, speed or last seen that is not finite, a
+    weight that is not finite and positive, or a negative support or
+    trajectory count.
     """
     graph = RoadGraph()
     with open(path) as fh:
@@ -93,20 +97,44 @@ def load_map(path: str) -> RoadGraph:
                         raise MapFormatError(
                             path, lineno,
                             f"node ids must be consecutive from 0, got {nid}")
+                    lat, lon, heading, speed, seen = (
+                        float(parts[i]) for i in (2, 3, 4, 6, 7))
+                    support = int(parts[5])
+                    if not valid_latlon(lat, lon):
+                        raise MapFormatError(
+                            path, lineno,
+                            f"node position out of range: {lat} {lon}")
+                    if not all(map(math.isfinite, (heading, speed, seen))):
+                        raise MapFormatError(
+                            path, lineno,
+                            "node heading, speed and last seen must be finite")
+                    if support < 0:
+                        raise MapFormatError(
+                            path, lineno,
+                            f"node support must be >= 0, got {support}")
                     graph.add_node(ClusterCentroid(
-                        lat=float(parts[2]), lon=float(parts[3]),
-                        heading_deg=float(parts[4]), support=int(parts[5]),
-                        max_speed_kmh=float(parts[6]),
-                        last_seen=float(parts[7]),
-                        active=_flag(parts[8], path, lineno)))
+                        lat, lon, heading, support, speed, seen,
+                        _flag(parts[8], path, lineno)))
                 elif kind == "E":
                     if len(parts) != 7:
                         raise MapFormatError(
                             path, lineno,
                             f"edge line needs 7 fields, got {len(parts)}")
-                    graph.add_edge(int(parts[1]), int(parts[2]),
-                                   float(parts[3]), traj_count=int(parts[4]),
-                                   last_seen=float(parts[5]),
+                    weight, count, seen = (float(parts[3]), int(parts[4]),
+                                           float(parts[5]))
+                    if not (math.isfinite(weight) and weight > 0.0):
+                        raise MapFormatError(
+                            path, lineno,
+                            f"edge weight must be finite and positive, got {weight}")
+                    if count < 0:
+                        raise MapFormatError(
+                            path, lineno,
+                            f"edge trajectory count must be >= 0, got {count}")
+                    if not math.isfinite(seen):
+                        raise MapFormatError(path, lineno,
+                                             "edge last seen must be finite")
+                    graph.add_edge(int(parts[1]), int(parts[2]), weight,
+                                   traj_count=count, last_seen=seen,
                                    active=_flag(parts[6], path, lineno))
                 else:
                     raise MapFormatError(path, lineno,

@@ -24,7 +24,7 @@ from .geo import (
     wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
-from .ingest import IngestConfig
+from .ingest import IngestConfig, between
 from .spatial import GridIndex
 
 log = logging.getLogger(__name__)
@@ -67,30 +67,26 @@ class StreamState:
         cfg.validate()
         self.graph = RoadGraph()
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
+        self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
         self.pairs_processed = 0
         self._index = GridIndex(cfg.clustering_radius_cr)
         self._hsum: dict[int, tuple[float, float]] = {}  # node -> (sum sin, sum cos)
 
     def forget_vehicle(self, vehicle_id: str) -> None:
-        """Drop the pairing anchor so no edge spans a gap in the feed."""
+        """Drop the pairing anchor and last fix so no edge spans a gap
+        in the feed."""
         self.prev_node.pop(vehicle_id, None)
-
-
-def _lerp_speed(a: GpsPoint, b: GpsPoint, f: float) -> float | None:
-    if a.speed_kmh is None:
-        return b.speed_kmh
-    if b.speed_kmh is None:
-        return a.speed_kmh
-    return a.speed_kmh + f * (b.speed_kmh - a.speed_kmh)
+        self.last_fix.pop(vehicle_id, None)
 
 
 def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     """Expand a pair into points spaced close to sr, endpoints included.
 
-    Returns (points, bearing). Intermediate points travel along the pair
-    and carry its bearing; the endpoints keep their measured headings,
-    falling back to the bearing when a heading is missing. bearing is
-    None only when the fixes coincide and neither carries a heading.
+    Returns (points, bearing). The intermediate points come from
+    ingest.between and carry the pair's bearing; the endpoints keep
+    their measured headings, falling back to the bearing when a heading
+    is missing. bearing is None only when the fixes coincide and neither
+    carries a heading.
 
     Unlike ingest.densify, which feeds clustering, this feeds node
     steps: there is no angle gate (no inference pass has filled missing
@@ -99,9 +95,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     process_pair drops a first point already folded in; and the spacing
     is d/k with k = max(1, floor(d/sr)), at least sr once d reaches sr,
     where batch spacing d/(floor(d/sr)+1) stays at or below sr.
-    A pair across the antimeridian is interpolated the short way round.
     """
-    dlon = lon_delta(x_i.lon, x_next.lon)
     d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
     if d > 1e-9:
         bearing = initial_bearing_deg(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
@@ -112,17 +106,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     first = x_i if x_i.heading_deg is not None else replace(x_i, heading_deg=bearing)
     last = x_next if x_next.heading_deg is not None else replace(x_next, heading_deg=bearing)
     k = max(1, int(d // sr))
-    pts = [first]
-    for j in range(1, k):
-        f = j / k
-        pts.append(GpsPoint(x_i.vehicle_id,
-                            x_i.timestamp + f * (x_next.timestamp - x_i.timestamp),
-                            x_i.lat + f * (x_next.lat - x_i.lat),
-                            wrap_lon(x_i.lon + f * dlon),
-                            _lerp_speed(x_i, x_next, f),
-                            bearing))
-    pts.append(last)
-    return pts, bearing
+    return [first, *between(x_i, x_next, k - 1, bearing), last], bearing
 
 
 def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
@@ -266,6 +250,8 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
     with each fix's speed inferred from the next one; a one-pass stream
     holds only each vehicle's previous fix, so it cannot call them.
     gap_s and min_speed_kmh default to those of IngestConfig.
+    Each vehicle's previous fix is kept in the state, so a stream fed
+    in several calls on one state builds the map of one call.
     Resparsifies every cfg.resparsify_interval pairs; on_pair, when
     given, is called with the state after every processed pair.
     """
@@ -273,7 +259,7 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
         state = StreamState(cfg)
     else:
         cfg.validate()
-    last: dict[str, GpsPoint] = {}
+    last = state.last_fix
     for p in points:
         if p.speed_kmh is not None and p.speed_kmh <= min_speed_kmh:
             continue
@@ -286,6 +272,7 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
             continue    # duplicate or regressive clock; keep p as anchor
         if dt > gap_s:
             state.forget_vehicle(p.vehicle_id)
+            last[p.vehicle_id] = p    # the fix after the gap starts anew
             continue
         if q.speed_kmh is None:
             implied = 3.6 * vincenty_m(q.lat, q.lon, p.lat, p.lon) / dt

@@ -14,14 +14,15 @@ row their queries reach, so the columns of neighbouring rows line up
 and a 3x3 neighborhood is 9 cells.
 
 Screen. bound_scales gives planar bounds L <= d <= U on the geodesic
-distance d. A candidate is kept only if its L is within the radius and,
-for a nearest search, no larger than the least U among its query's
-candidates: a candidate whose L exceeds another's U is strictly
-farther. Exact Vincenty runs on the survivors alone, and ties go to the
-lowest index. The runner-up search of k-means compares L with the
-second-least U instead, which keeps the two smallest exact distances.
-_QueryCells._screened is the batch form of the screen and
-GridIndex.screened the scalar one.
+distance d. A candidate is kept only if its L is within the radius. A
+batch nearest search also drops a candidate whose L exceeds the
+second-least U among its query's candidates: it is strictly farther
+than two others, so the survivors hold the two smallest exact
+distances, the nearest and the runner-up that k-means needs. The scalar
+GridIndex.nearest needs the nearest alone and compares L with the least
+U. Exact Vincenty runs on the survivors alone, and ties go to the
+lowest index. _QueryCells._screened is the batch form of the screen
+and GridIndex.screened the scalar one.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .geo import (
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
     angle_diff_deg_many,
+    combined_distance_m_many,
     lon_delta,
     lon_delta_many,
     vincenty_m,
@@ -179,18 +181,18 @@ class _QueryCells:
         if pending:
             yield chunk()
 
-    def _screened(self, rlat, rlon, least: int, heading=None):
+    def _screened(self, rlat, rlon, nearest: bool, heading=None):
         """Yield (pq, pr, d) per chunk: the pairs that pass the screen,
         with their exact distances.
 
         Each pair gets one planar distance, its U, and rho * U stands in
-        for L. heading=(qh, rh, theta) adds theta * (heading difference)
-        / 180 in quadrature to U and to d; L >= rho * U still holds.
-        least=0 keeps every pair within the gate. least=1 also drops the
-        pairs whose L exceeds their query's least U, and least=2 those
-        whose L exceeds the second-least U: both smallest-U candidates
-        survive, and a dropped pair is farther than each of them, so the
-        survivors hold the two smallest distances.
+        for L. heading=(qh, rh, theta) gives d the combined metric of
+        geo, and adds its heading term theta * (heading difference) /
+        180 in quadrature to U; L >= rho * U still holds. Every pair
+        within the gate is kept, and for a nearest search only those
+        whose L is within their query's second-least U: both smallest-U
+        candidates survive, and a dropped pair is farther than each of
+        them, so the survivors hold the two smallest distances.
         """
         rlat = np.asarray(rlat, dtype=np.float64)
         rlon = np.asarray(rlon, dtype=np.float64)
@@ -216,48 +218,38 @@ class _QueryCells:
                 u += ha
                 del ha
             bound = np.full(lens.size, gate)
-            if least:
+            if nearest:
+                # the second-least U: set the first least U of each
+                # query aside
                 starts = np.cumsum(lens) - lens
                 least_u = np.minimum.reduceat(u, starts)
-                if least == 2:
-                    # set the first least U of each query aside
-                    at = np.flatnonzero(u == np.repeat(least_u, lens))
-                    at = at[np.searchsorted(at, starts)]
-                    u[at] = np.inf
-                    second_u = np.minimum.reduceat(u, starts)
-                    u[at] = least_u
-                    least_u = second_u
-                np.minimum(bound, least_u, out=bound)
+                at = np.flatnonzero(u == np.repeat(least_u, lens))
+                at = at[np.searchsorted(at, starts)]
+                u[at] = np.inf
+                np.minimum(bound, np.minimum.reduceat(u, starts), out=bound)
+                u[at] = least_u
             keep = u <= np.repeat(bound * inv_rho2, lens)
             del u
             pq, pr = pq[keep], pr[keep]
-            d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
-            if heading is not None:
-                d = np.hypot(d, theta * angle_diff_deg_many(qh[pq], rh[pr]) / 180.0)
+            if heading is None:
+                d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
+            else:
+                d = combined_distance_m_many(qlat[pq], qlon[pq], qh[pq],
+                                             rlat[pr], rlon[pr], rh[pr], theta)
             yield pq, pr, d
 
     def nearest(self, rlat, rlon, heading=None):
-        """(dist, idx) of each query's nearest reference within cell_m,
-        or (inf, -1); ties go to the lowest reference index. heading is
-        as in _screened."""
-        dist, idx, _ = self._nearest(rlat, rlon, heading, False)
-        return dist, idx
-
-    def nearest_and_runner_up(self, rlat, rlon, heading=None):
-        """(dist, idx, runner): nearest's (dist, idx) and, for each query
-        with a nearest, a lower bound on its distance to every other
-        reference. That is the second-least distance in its 3x3
-        neighborhood, capped at cell_m: every reference outside the
-        neighborhood is farther than cell_m. runner is inf for the
-        queries without a nearest."""
-        return self._nearest(rlat, rlon, heading, True)
-
-    def _nearest(self, rlat, rlon, heading, runner_up: bool):
+        """(dist, idx, runner): each query's nearest reference within
+        cell_m, or (inf, -1), with ties to the lowest reference index;
+        and for each query with a nearest, a lower bound on its distance
+        to every other reference. That is the second-least distance in
+        its 3x3 neighborhood, capped at cell_m: every reference outside
+        the neighborhood is farther than cell_m. runner is inf for the
+        queries without a nearest. heading is as in _screened."""
         dist = np.full(self.lat.size, np.inf)
         idx = np.full(self.lat.size, -1, dtype=np.int64)
-        runner = np.full(self.lat.size, np.inf) if runner_up else None
-        for pq, pr, d in self._screened(rlat, rlon, 2 if runner_up else 1,
-                                        heading):
+        runner = np.full(self.lat.size, np.inf)
+        for pq, pr, d in self._screened(rlat, rlon, True, heading):
             first = np.flatnonzero(np.diff(pq, prepend=-1))
             lens = np.diff(first, append=pq.size)
             dmin = np.minimum.reduceat(d, first)
@@ -267,12 +259,11 @@ class _QueryCells:
             heads = pq[first[ok]]
             dist[heads] = dmin[ok]
             idx[heads] = imin[ok]
-            if runner_up:
-                # a reference is paired with a query once, so this drops
-                # only the nearest pair
-                d[pr == np.repeat(imin, lens)] = np.inf
-                second = np.minimum.reduceat(d, first)[ok]
-                runner[heads] = np.minimum(second, self.cell_m)
+            # a reference is paired with a query once, so this drops
+            # only the nearest pair
+            d[pr == np.repeat(imin, lens)] = np.inf
+            second = np.minimum.reduceat(d, first)[ok]
+            runner[heads] = np.minimum(second, self.cell_m)
         return dist, idx, runner
 
     def max_around(self, rlat, rlon, value):
@@ -305,7 +296,7 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
     of cell size radius_m, so only a 3x3 neighborhood is examined per
     query.
     """
-    return _QueryCells(qlat, qlon, radius_m).nearest(rlat, rlon)
+    return _QueryCells(qlat, qlon, radius_m).nearest(rlat, rlon)[:2]
 
 
 def pairs_within(qlat, qlon, rlat, rlon, radius_m: float):
@@ -320,7 +311,7 @@ def pairs_within(qlat, qlon, rlat, rlon, radius_m: float):
     out_r = [np.empty(0, dtype=np.int64)]
     out_d = [np.empty(0)]
     for pq, pr, d in _QueryCells(qlat, qlon, radius_m)._screened(
-            rlat, rlon, 0):
+            rlat, rlon, False):
         ok = d <= radius_m
         out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
     q, r, d = np.concatenate(out_q), np.concatenate(out_r), np.concatenate(out_d)

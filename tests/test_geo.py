@@ -18,6 +18,7 @@ from kharita.geo import (
     angle_diff_deg_many,
     circular_mean_deg,
     combined_distance_m,
+    combined_distance_m_many,
     heading_variability_deg,
     initial_bearing_deg,
     lon_delta,
@@ -216,6 +217,32 @@ class TestCombinedDistance:
             assert d(0, 1) == pytest.approx(d(1, 0), abs=1e-9)
             assert d(0, 1) >= 0.0
             assert d(0, 2) <= d(0, 1) + d(1, 2) + 1e-6
+
+    # three points around a base: a pole, where the longitudes span the
+    # whole circle and pairs pass over the pole, or the antimeridian
+    @given(st.sampled_from([(89.999, 0.0, 180.0), (-89.9995, 45.0, 180.0),
+                            (0.0, 180.0, 0.01), (65.0, -180.0, 0.01)]),
+           st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                              st.floats(0.0, 360.0, exclude_max=True)),
+                    min_size=3, max_size=3),
+           st.sampled_from([0.0, 10.0, 40.0, 100.0]))
+    def test_array_form_is_a_metric(self, base, offsets, theta):
+        """k-means bounds rest on the array form being a metric."""
+        lat0, lon0, span = base
+        lat = np.clip([lat0 + 0.005 * a for a, _, _ in offsets], -90.0, 90.0)
+        lon = wrap_lon_many([lon0 + span * b for _, b, _ in offsets])
+        h = np.array([c for _, _, c in offsets])
+        i, j = np.indices((3, 3))
+        d = combined_distance_m_many(lat[i], lon[i], h[i],
+                                     lat[j], lon[j], h[j], theta)
+        assert np.all(np.diag(d) == 0.0)
+        np.testing.assert_allclose(d, d.T, rtol=1e-9, atol=1e-12)
+        # d[a, c] <= d[a, b] + d[b, c] for every a, b, c
+        assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-6)
+        scalar = [[combined_distance_m(lat[a], lon[a], h[a],
+                                       lat[b], lon[b], h[b], theta)
+                   for b in range(3)] for a in range(3)]
+        np.testing.assert_allclose(d, scalar, rtol=1e-9, atol=1e-12)
 
 
 class TestCircularMean:

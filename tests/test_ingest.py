@@ -1,7 +1,7 @@
 """CSV parsing, inference, filtering, and densification tests."""
 import pytest
 
-from kharita.geo import GpsPoint, angle_diff_deg, vincenty_m
+from kharita.geo import GpsPoint, angle_diff_deg, lon_delta, vincenty_m
 from kharita.ingest import (
     EmptyInputError,
     IngestConfig,
@@ -182,6 +182,24 @@ class TestDensify:
         got = densify(self.make_pair(100.0), CFG)
         for p in got.points[1:-1]:
             assert angle_diff_deg(p.heading_deg, 0.0) < 1e-6
+
+    def test_missing_speed_takes_the_known_one(self):
+        # the online rule; inference leaves no speed missing in the pipeline
+        tr = self.make_pair(100.0)
+        tr.points[1].speed_kmh = None
+        got = densify(tr, CFG)
+        assert len(got) > 2
+        assert all(p.speed_kmh == 40.0 for p in got.points[1:-1])
+
+    def test_gap_across_the_antimeridian(self):
+        # 0.002 degrees of longitude on the equator, about 223 m east
+        tr = Trajectory("a", [GpsPoint("a", 0.0, 0.0, 179.999, 40.0, 90.0),
+                              GpsPoint("a", 10.0, 0.0, -179.999, 40.0, 90.0)])
+        lons = [p.lon for p in densify(tr, CFG).points]
+        assert len(lons) == 2 + 11
+        assert all(-180.0 <= x < 180.0 for x in lons)
+        steps = [lon_delta(a, b) for a, b in zip(lons, lons[1:])]
+        assert min(steps) > 0.0 and max(steps) - min(steps) < 1e-9
 
     def test_idempotent(self):
         once = densify(self.make_pair(170.0), CFG)

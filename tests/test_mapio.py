@@ -143,6 +143,31 @@ class TestLoadDiagnostics:
         with pytest.raises(MapFormatError, match=":5:"):
             load_map(p)
 
+    # each field of a well-formed line made hostile in turn, on line 4
+    @pytest.mark.parametrize("line, problem", [
+        ("N 2 nan 51.0 0.0 1 0.0 0.0 1", "position"),
+        ("N 2 95.0 51.0 0.0 1 0.0 0.0 1", "position"),
+        ("N 2 25.0 400.0 0.0 1 0.0 0.0 1", "position"),
+        ("N 2 25.0 -inf 0.0 1 0.0 0.0 1", "position"),
+        ("N 2 25.0 51.0 nan 1 0.0 0.0 1", "heading"),
+        ("N 2 25.0 51.0 0.0 -1 0.0 0.0 1", "support"),
+        ("N 2 25.0 51.0 0.0 1 inf 0.0 1", "speed"),
+        ("N 2 25.0 51.0 0.0 1 0.0 -inf 1", "last seen"),
+        ("E 0 1 -5.0 1 0.0 1", "weight"),
+        ("E 0 1 0.0 1 0.0 1", "weight"),
+        ("E 0 1 nan 1 0.0 1", "weight"),
+        ("E 0 1 inf 1 0.0 1", "weight"),
+        ("E 0 1 10.0 -1 0.0 1", "count"),
+        ("E 0 1 10.0 1 nan 1", "last seen"),
+    ])
+    def test_hostile_value(self, tmp_path, line, problem):
+        p = self.write(tmp_path,
+                       "# kharita-map v1\n"
+                       "N 0 25.0 51.0 0.0 1 0.0 0.0 1\n"
+                       "N 1 25.1 51.0 0.0 1 0.0 0.0 1\n" + line + "\n")
+        with pytest.raises(MapFormatError, match=f":4:.*{problem}"):
+            load_map(p)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = self.write(tmp_path,
                        "# kharita-map v1\n\n# remark\n"

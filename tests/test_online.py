@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kharita.geo import GpsPoint, M_PER_DEG_LAT, vincenty_m
+from kharita.mapio import save_map
 from kharita.online import (
     OnlineConfig,
     StreamState,
@@ -290,6 +291,24 @@ class TestConsumeStream:
         consume_stream([pt("v", 100.0, 75.0), pt("v", 103.0, 100.0)], cfg,
                        state=state)
         assert (0, 3) not in state.graph.edges
+
+    # vehicle v drives 60 fixes and, a day later and 1.1 km on, 30 more;
+    # w drives alongside its first drive. The splits cut a drive, fall
+    # in the gap (100) or leave one call empty
+    @pytest.mark.parametrize("split", [0, 1, 30, 61, 100, 115, 130])
+    def test_resumed_stream_builds_the_map_of_one_call(self, split, tmp_path):
+        cfg = OnlineConfig()
+        later = [pt("v", 86400.0 + i * 3.0, 2575.0 + i * 25.0)
+                 for i in range(30)]
+        pts = sorted(line_points("v", 25.0, 60)
+                     + line_points("w", 20.0, 40, t0=1.0),
+                     key=lambda p: p.timestamp) + later
+        whole, resumed = tmp_path / "whole.edges", tmp_path / "resumed.edges"
+        save_map(consume_stream(pts, cfg).graph, str(whole))
+        state = consume_stream(pts[:split], cfg)
+        save_map(consume_stream(pts[split:], cfg, state=state).graph,
+                 str(resumed))
+        assert resumed.read_bytes() == whole.read_bytes()
 
     def test_replay_is_deterministic(self):
         cfg = OnlineConfig()

@@ -174,12 +174,11 @@ def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
     combined = np.hypot(full, theta * angle_diff_deg_many(
         qh[:, None], rh[None, :]) / 180.0)
     cells = _QueryCells(qlat, qlon, radius)
-    _check_nearest(*cells.nearest(rlat, rlon, (qh, rh, theta)), combined,
-                   radius)
-    # the runner-up search, with and without the heading term
-    _check_runner_up(*cells.nearest_and_runner_up(rlat, rlon), full, radius)
-    _check_runner_up(*cells.nearest_and_runner_up(rlat, rlon, (qh, rh, theta)),
-                     combined, radius)
+    # the nearest search and its runner-up, with and without the
+    # heading term
+    _check_runner_up(*cells.nearest(rlat, rlon), full, radius)
+    _check_runner_up(*cells.nearest(rlat, rlon, (qh, rh, theta)), combined,
+                     radius)
     # max_around: the largest value among the references of the 3x3
     # neighborhood, which holds every reference within the cell size
     value = np.arange(1.0, rlat.size + 1.0)

@@ -1,7 +1,7 @@
 """Command-line surface: batch inference, streaming inference, map
 scoring, and synthetic ground-truth generation.
 
-Every command validates its configuration before touching data, logs
+Every command checks its configuration before touching data, logs
 timings and counts to stderr, and writes a manifest alongside its
 outputs so a run can be reproduced byte for byte. Exit codes: 0 on
 success, 1 on runtime failures (unreadable data, empty input, format
@@ -10,6 +10,7 @@ violations), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -57,14 +58,13 @@ def _require_file(path: str) -> None:
 
 def _config(cls, args):
     """A cls built from the flags named after its fields, the rest at
-    their defaults, then validated."""
+    their defaults; a config checks its fields when it is built."""
     given = vars(args)
-    cfg = cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
     try:
-        cfg.validate()
+        return cls(**{f.name: given[f.name] for f in fields(cls)
+                      if f.name in given})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _config_file_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -226,12 +226,14 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = _config(GridSpec, args)
+    # the generator's keywords: those given, the rest at its defaults
+    given = vars(args)
+    kw = {p.name: given.get(p.name, p.default)
+          for p in inspect.signature(generate_synthetic).parameters.values()
+          if p.default is not p.empty}
     t0 = time.perf_counter()
     try:
-        graph, trajectories = generate_synthetic(
-            spec, noise_sigma_m=args.noise, n_trajectories=args.traj,
-            sampling_spacing_m=args.spacing, rng_seed=args.seed,
-            heading_noise_deg=args.heading_noise)
+        graph, trajectories = generate_synthetic(spec, **kw)
     except ValueError as exc:   # the generator checks its own arguments
         raise UsageError(str(exc)) from exc
     log.info("generated %d nodes, %d edges, %d trajectories in %.3f s",
@@ -242,12 +244,9 @@ def cmd_synth(args) -> int:
     save_trajectories_csv(trajectories, args.out + ".trajectories.csv")
     log.info("wrote %s.truth.edges, %s.trajectories.csv",
              args.out, args.out)
+    rng_seed = kw.pop("rng_seed")
     write_manifest(args.out + ".manifest.json", "synth",
-                   {"grid": asdict(spec), "noise_sigma_m": args.noise,
-                    "n_trajectories": args.traj,
-                    "sampling_spacing_m": args.spacing,
-                    "heading_noise_deg": args.heading_noise},
-                   [], rng_seed=args.seed)
+                   {"grid": asdict(spec), **kw}, [], rng_seed=rng_seed)
     return EXIT_OK
 
 
@@ -269,9 +268,10 @@ def _config_flag() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The kharita parser. A flag that sets a config field stores into
-    that field and has no default, so the config dataclasses own every
-    default; the other flags keep theirs."""
+    """The kharita parser. A flag that sets a config field or a
+    generate_synthetic keyword stores into that name and has no
+    default, so the configs and the generator own every default; the
+    other flags keep theirs."""
     parser = argparse.ArgumentParser(
         prog="kharita",
         description="Road-network inference from GPS trajectories")
@@ -372,16 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of streets that run both ways")
     p.add_argument("--roundabout", action="store_true",
                    help="replace the central intersection with a circle")
-    # generator keywords, not GridSpec fields
-    p.add_argument("--traj", type=int, default=100,
+    # generate_synthetic keywords, not GridSpec fields
+    p.add_argument("--traj", dest="n_trajectories", type=int,
                    help="number of trajectories")
-    p.add_argument("--noise", type=float, default=3.0,
+    p.add_argument("--noise", dest="noise_sigma_m", type=float,
                    help="GPS noise sigma, meters")
-    p.add_argument("--spacing", type=float, default=20.0,
+    p.add_argument("--spacing", dest="sampling_spacing_m", type=float,
                    help="fix spacing along routes, meters")
-    p.add_argument("--heading-noise", type=float, default=5.0,
+    p.add_argument("--heading-noise", dest="heading_noise_deg", type=float,
                    help="heading noise sigma, degrees")
-    p.add_argument("--seed", type=int, default=0, help="generator RNG seed")
+    p.add_argument("--seed", dest="rng_seed", type=int,
+                   help="generator RNG seed")
     p.set_defaults(func=cmd_synth)
 
     return parser

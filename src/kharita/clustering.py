@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Checked, within
 from .geo import (
     GpsPoint,
     angle_diff_deg,
@@ -38,30 +39,19 @@ from .spatial import GridIndex, _QueryCells
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class ClusterConfig:
-    seed_radius_cr: float = 20.0          # meters
-    heading_weight_theta: float | None = None   # meters per half-turn; 2*cr when None
-    split_threshold_deg: float = 10.0
-    convergence_ratio: float = 1e-4
-    max_iterations: int = 100
+@dataclass(frozen=True)
+class ClusterConfig(Checked):
+    seed_radius_cr: float = within("(0, inf)", 20.0)    # meters
+    # meters per half-turn; 2*cr when None
+    heading_weight_theta: float | None = within("[0, inf)", None)
+    split_threshold_deg: float = within("(0, 180]", 10.0)
+    convergence_ratio: float = within("(0, inf]", 1e-4)     # inf: one update
+    max_iterations: int = within("[1, inf)", 100)
 
     @property
     def theta(self) -> float:
         return 2.0 * self.seed_radius_cr if self.heading_weight_theta is None \
             else self.heading_weight_theta
-
-    def validate(self) -> None:
-        if self.seed_radius_cr <= 0:
-            raise ValueError("seed_radius_cr must be positive")
-        if self.heading_weight_theta is not None and self.heading_weight_theta < 0:
-            raise ValueError("heading_weight_theta must be non-negative")
-        if not 0 < self.split_threshold_deg <= 180:
-            raise ValueError("split_threshold_deg must be in (0, 180]")
-        if self.convergence_ratio <= 0:
-            raise ValueError("convergence_ratio must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterCentroid
+from .config import Checked, check, within
 from .geo import (
     GpsPoint,
     M_PER_DEG_LAT,
@@ -38,35 +39,16 @@ DEFAULT_THRESHOLDS_M = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 START_RETRIES = 1000    # draws per TOPO sample before it counts as invalid
 
 
-@dataclass
-class EvalConfig:
-    sample_spacing_m: float = 5.0
-    matching_thresholds_m: tuple = DEFAULT_THRESHOLDS_M
-    topo_radius_m: float = 2000.0
-    topo_samples: int = 200
-    start_match_distance_m: float = 1.0
-    start_angle_tolerance_deg: float = 10.0
-    visit_distance_m: float = 30.0    # trajectory-passed-here test for pruning
-    rng_seed: int = 0
-
-    def validate(self) -> None:
-        if self.sample_spacing_m <= 0:
-            raise ValueError("sample_spacing_m must be positive")
-        if not self.matching_thresholds_m or \
-                any(t <= 0 for t in self.matching_thresholds_m):
-            raise ValueError("matching_thresholds_m must be positive")
-        if self.topo_radius_m <= 0:
-            raise ValueError("topo_radius_m must be positive")
-        if self.topo_samples < 1:
-            raise ValueError("topo_samples must be at least 1")
-        if self.start_match_distance_m <= 0:
-            raise ValueError("start_match_distance_m must be positive")
-        if not 0 < self.start_angle_tolerance_deg <= 180:
-            raise ValueError("start_angle_tolerance_deg must be in (0, 180]")
-        if self.visit_distance_m <= 0:
-            raise ValueError("visit_distance_m must be positive")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+@dataclass(frozen=True)
+class EvalConfig(Checked):
+    sample_spacing_m: float = within("(0, inf)", 5.0)
+    matching_thresholds_m: tuple = within("(0, inf)", DEFAULT_THRESHOLDS_M)
+    topo_radius_m: float = within("(0, inf]", 2000.0)    # inf: the whole graph
+    topo_samples: int = within("[1, inf)", 200)
+    start_match_distance_m: float = within("(0, inf)", 1.0)
+    start_angle_tolerance_deg: float = within("(0, 180]", 10.0)
+    visit_distance_m: float = within("(0, inf)", 30.0)   # passed-here test for pruning
+    rng_seed: int = within("[0, inf)", 0)
 
 
 @dataclass
@@ -155,7 +137,6 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
 def geo_score(inferred: RoadGraph, truth: RoadGraph, cfg: EvalConfig) -> EvalReport:
     """Geometric agreement: what fraction of each map's sample points
     the other map covers, per matching threshold."""
-    cfg.validate()
     holes = _sample_edges(truth, cfg.sample_spacing_m)
     if holes.lat.size == 0:
         raise ValueError("reference map has no active edges to sample")
@@ -178,7 +159,6 @@ def prune_unvisited_edges(truth: RoadGraph, trajectories: list,
                           cfg: EvalConfig) -> RoadGraph:
     """Copy of the reference map keeping only edges that some
     trajectory point passes within the visit distance."""
-    cfg.validate()
     s = _sample_edges(truth, cfg.sample_spacing_m)
     out = truth.copy_nodes()
     if not s.keys:
@@ -236,7 +216,6 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     partner are retried a bounded number of times, then the sample is
     skipped. Scores are means over valid samples.
     """
-    cfg.validate()
     pruned = prune_unvisited_edges(truth, trajectories, cfg)
     holes = _sample_edges(pruned, cfg.sample_spacing_m)
     if holes.lat.size == 0:
@@ -302,26 +281,21 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
                       samples_valid=valid, seed=cfg.rng_seed)
 
 
-@dataclass
-class GridSpec:
+@dataclass(frozen=True)
+class GridSpec(Checked):
     """Synthetic city: a rows x cols lattice of intersections joined by
     straight streets, optionally with a central roundabout."""
 
-    rows: int = 5
-    cols: int = 5
-    block_m: float = 100.0
-    two_way_fraction: float = 1.0    # chance a whole street runs both ways
+    rows: int = within("[2, inf)", 5)
+    cols: int = within("[2, inf)", 5)
+    block_m: float = within("(0, inf)", 100.0)
+    two_way_fraction: float = within("[0, 1]", 1.0)    # chance a street runs both ways
     roundabout: bool = False
-    origin_lat: float = 25.0
-    origin_lon: float = 51.0
+    origin_lat: float = within("[-90, 90]", 25.0)
+    origin_lon: float = within("[-180, 180]", 51.0)
 
-    def validate(self) -> None:
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid needs at least 2x2 intersections")
-        if self.block_m <= 0:
-            raise ValueError("block_m must be positive")
-        if not 0.0 <= self.two_way_fraction <= 1.0:
-            raise ValueError("two_way_fraction must be in [0, 1]")
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.roundabout and (self.rows < 3 or self.cols < 3):
             raise ValueError("roundabout needs an interior intersection")
 
@@ -344,14 +318,17 @@ def generate_synthetic(spec: GridSpec, noise_sigma_m: float = 3.0,
     trajectory its own spacing drawn uniformly from the range. The
     same seed reproduces identical output.
     """
-    spec.validate()
     if isinstance(sampling_spacing_m, tuple):
         spacing_lo, spacing_hi = sampling_spacing_m
     else:
         spacing_lo = spacing_hi = sampling_spacing_m
-    if noise_sigma_m < 0 or spacing_lo <= 0 or spacing_hi < spacing_lo \
-            or n_trajectories < 0:
-        raise ValueError("noise must be >= 0, spacing > 0, count >= 0")
+    check("noise_sigma_m", noise_sigma_m, "[0, inf)")
+    check("n_trajectories", n_trajectories, "[0, inf)", integral=True)
+    check("sampling_spacing_m", spacing_lo, "(0, inf)")
+    check("sampling_spacing_m", spacing_hi, "(0, inf)")
+    check("heading_noise_deg", heading_noise_deg, "[0, inf)")
+    if spacing_hi < spacing_lo:
+        raise ValueError("sampling_spacing_m range must not be reversed")
     rng = np.random.default_rng(rng_seed)
     lat_step = spec.block_m / M_PER_DEG_LAT
     lon_step = spec.block_m / (M_PER_DEG_LAT

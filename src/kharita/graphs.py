@@ -24,6 +24,7 @@ from .clustering import (
     select_seed_indices,
     split_by_heading,
 )
+from .config import Checked, within
 from .geo import vincenty_m
 from .ingest import EmptyInputError, IngestConfig, Trajectory, prepare_trajectories
 
@@ -36,16 +37,10 @@ MIN_EDGE_WEIGHT_M = 1e-3
 _NO_EDGES: dict = {}
 
 
-@dataclass
-class SpannerConfig:
-    alpha: float = math.sqrt(2.0)
-    duplex_speed_kmh: float = 60.0
-
-    def validate(self) -> None:
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be at least 1")
-        if self.duplex_speed_kmh < 0:
-            raise ValueError("duplex_speed_kmh must be non-negative")
+@dataclass(frozen=True)
+class SpannerConfig(Checked):
+    alpha: float = within("[1, inf)", math.sqrt(2.0))
+    duplex_speed_kmh: float = within("[0, inf]", 60.0)    # inf: every road two-way
 
 
 @dataclass
@@ -208,7 +203,6 @@ def greedy_spanner(graph: RoadGraph, cfg: SpannerConfig) -> RoadGraph:
     Every dropped edge is alpha-covered at drop time and stays covered,
     so all pairwise distances stretch by at most alpha.
     """
-    cfg.validate()
     out = graph.copy_nodes()
     pending = sorted(graph.active_edges(),
                      key=lambda e: (e.weight_m, e.src, e.dst))
@@ -227,7 +221,6 @@ def duplexify(graph: RoadGraph, cfg: SpannerConfig) -> RoadGraph:
     stays at or below duplex_speed_kmh and the reversal is absent. The
     new edge carries no trajectory evidence of its own (traj_count 0).
     """
-    cfg.validate()
     for (u, v) in sorted(graph.edges):
         e = graph.edges[(u, v)]
         if (v, u) in graph.edges:
@@ -258,9 +251,6 @@ def run_offline_pipeline(trajectories: list[Trajectory],
     filtering), exact-duplicate collapse, seed selection, k-means,
     heading split, candidate edges, spanner, duplexify.
     """
-    ingest_cfg.validate()
-    cluster_cfg.validate()
-    spanner_cfg.validate()
     st = stats if stats is not None else PipelineStats()
 
     def stage(name, fn):

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
+from .config import Checked, within
 from .geo import (
     GpsPoint,
     angle_diff_deg,
@@ -36,22 +37,12 @@ class EmptyInputError(ValueError):
     """Raised when an input file yields no valid data rows."""
 
 
-@dataclass
-class IngestConfig:
-    min_speed_kmh: float = 5.0        # fixes at or below this are dropped
-    sampling_rate_m: float = 20.0     # target spacing after densification
-    densify_angle_gate_deg: float = 5.0
-    new_trajectory_gap_s: float = 300.0
-
-    def validate(self) -> None:
-        if self.sampling_rate_m <= 0:
-            raise ValueError("sampling_rate_m must be positive")
-        if self.min_speed_kmh < 0:
-            raise ValueError("min_speed_kmh must be non-negative")
-        if not 0 <= self.densify_angle_gate_deg <= 180:
-            raise ValueError("densify_angle_gate_deg must be in [0, 180]")
-        if self.new_trajectory_gap_s <= 0:
-            raise ValueError("new_trajectory_gap_s must be positive")
+@dataclass(frozen=True)
+class IngestConfig(Checked):
+    min_speed_kmh: float = within("[0, inf)", 5.0)      # fixes at or below are dropped
+    sampling_rate_m: float = within("(0, inf]", 20.0)   # spacing; inf: no densification
+    densify_angle_gate_deg: float = within("[0, 180]", 5.0)
+    new_trajectory_gap_s: float = within("(0, inf]", 300.0)    # inf: never split
 
 
 @dataclass

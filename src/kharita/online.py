@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .clustering import ClusterCentroid
+from .config import Checked, within
 from .geo import (
     GpsPoint,
     angle_diff_deg,
@@ -30,28 +31,14 @@ from .spatial import GridIndex
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class OnlineConfig:
-    clustering_radius_cr: float = 20.0    # meters
-    sampling_rate_sr: float = 20.0        # meters
-    heading_tolerance_ha: float = 45.0    # degrees
-    alpha: float = math.sqrt(2.0)
-    staleness_horizon_s: float = 7 * 86400.0
-    resparsify_interval: int = 100000     # pairs between spanner sweeps
-
-    def validate(self) -> None:
-        if self.clustering_radius_cr <= 0:
-            raise ValueError("clustering_radius_cr must be positive")
-        if self.sampling_rate_sr <= 0:
-            raise ValueError("sampling_rate_sr must be positive")
-        if not 0 < self.heading_tolerance_ha <= 180:
-            raise ValueError("heading_tolerance_ha must be in (0, 180]")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
-        if self.staleness_horizon_s <= 0:
-            raise ValueError("staleness_horizon_s must be positive")
-        if self.resparsify_interval < 1:
-            raise ValueError("resparsify_interval must be at least 1")
+@dataclass(frozen=True)
+class OnlineConfig(Checked):
+    clustering_radius_cr: float = within("(0, inf)", 20.0)    # meters
+    sampling_rate_sr: float = within("(0, inf]", 20.0)    # meters; inf: no densification
+    heading_tolerance_ha: float = within("(0, 180]", 45.0)    # degrees
+    alpha: float = within("(1, inf)", math.sqrt(2.0))
+    staleness_horizon_s: float = within("(0, inf]", 7 * 86400.0)  # inf: never stale
+    resparsify_interval: int = within("[1, inf)", 100000)     # pairs between sweeps
 
 
 class StreamState:
@@ -64,7 +51,6 @@ class StreamState:
     """
 
     def __init__(self, cfg: OnlineConfig):
-        cfg.validate()
         self.graph = RoadGraph()
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
         self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
@@ -249,27 +235,30 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
     batch functions take whole trajectories, sorted and split up front
     with each fix's speed inferred from the next one; a one-pass stream
     holds only each vehicle's previous fix, so it cannot call them.
-    gap_s and min_speed_kmh default to those of IngestConfig.
+    gap_s and min_speed_kmh default to, and are checked as, those of
+    IngestConfig. A fix older than its vehicle's previous fix came late:
+    a stream cannot re-sort, so it is dropped and the anchor stays.
     Each vehicle's previous fix is kept in the state, so a stream fed
     in several calls on one state builds the map of one call.
     Resparsifies every cfg.resparsify_interval pairs; on_pair, when
     given, is called with the state after every processed pair.
     """
+    IngestConfig(min_speed_kmh=min_speed_kmh, new_trajectory_gap_s=gap_s)  # checks both
     if state is None:
         state = StreamState(cfg)
-    else:
-        cfg.validate()
     last = state.last_fix
     for p in points:
         if p.speed_kmh is not None and p.speed_kmh <= min_speed_kmh:
             continue
         q = last.get(p.vehicle_id)
+        if q is not None and p.timestamp < q.timestamp:
+            continue    # late: keep the anchor
         last[p.vehicle_id] = p
         if q is None:
             continue
         dt = p.timestamp - q.timestamp
-        if dt <= 0:
-            continue    # duplicate or regressive clock; keep p as anchor
+        if dt == 0:
+            continue    # same time: p is the anchor now
         if dt > gap_s:
             state.forget_vehicle(p.vehicle_id)
             last[p.vehicle_id] = p    # the fix after the gap starts anew

@@ -14,10 +14,10 @@ from kharita.cli import (
     main,
 )
 from kharita.clustering import ClusterConfig
-from kharita.evaluate import EvalConfig, GridSpec
+from kharita.evaluate import EvalConfig, GridSpec, generate_synthetic
 from kharita.graphs import SpannerConfig
 from kharita.ingest import IngestConfig
-from kharita.mapio import load_map
+from kharita.mapio import load_map, save_trajectories_csv
 from kharita.online import OnlineConfig
 
 CSV_HEADER = "vehicle_id,timestamp,lat,lon,speed_kmh,heading_deg\n"
@@ -60,6 +60,17 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "x"),
                      flag, value]) == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+    def test_defaults_are_the_generators(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out)]) == EXIT_OK
+        _, trajectories = generate_synthetic(GridSpec())
+        save_trajectories_csv(trajectories, str(tmp_path / "lib.csv"))
+        assert (tmp_path / "lib.csv").read_bytes() == \
+               (tmp_path / "d.trajectories.csv").read_bytes()
+        doc = json.load(open(str(out) + ".manifest.json"))
+        assert doc["config"]["n_trajectories"] == 120
+        assert doc["rng_seed"] == 0
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -288,6 +299,31 @@ class TestParser:
         for cls in classes:
             assert not {f.name for f in fields(cls)} & set(vars(args))
             assert _config(cls, args) == cls()
+
+
+class TestNonFinite:
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        for name in ("in.csv", "a.edges", "b.edges"):
+            (tmp_path / name).write_text(CSV_HEADER)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["offline", "--input", "in.csv", "--alpha", "nan"],
+        ["offline", "--input", "in.csv", "--duplex-speed", "nan"],
+        ["online", "--input", "in.csv", "--alpha", "inf"],
+        ["eval", "--inferred", "a.edges", "--truth", "b.edges",
+         "--topo-radius", "nan"],
+        ["synth", "--block", "nan"],
+        ["synth", "--heading-noise", "nan"],
+        ["offline", "--input", "in.csv", "--config", "nan.conf"]])
+    def test_is_usage_error_and_writes_nothing(self, inputs, argv,
+                                               monkeypatch):
+        (inputs / "nan.conf").write_text("alpha = nan\n")
+        before = sorted(inputs.iterdir())
+        monkeypatch.chdir(inputs)
+        assert main(argv + ["--out", "x"]) == EXIT_USAGE
+        assert sorted(inputs.iterdir()) == before
 
 
 class TestUsage:

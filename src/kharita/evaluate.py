@@ -8,6 +8,11 @@ matched starting points instead, so connectivity mistakes show up even
 where the geometry looks perfect. The reference map is first pruned to
 the edges that some trajectory actually passed, since roads no vehicle
 drove cannot be inferred from the data.
+
+A score asks of a match only which thresholds it meets: GEO reads each
+sample's nearest distance, and TOPO the band of each marble-hole pair,
+the least threshold it meets, found once for all samples
+(spatial.threshold_pairs).
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .geo import (
 )
 from .graphs import RoadGraph
 from .ingest import Trajectory
-from .spatial import nearest_within, pairs_within
+from .spatial import nearest_within, threshold_pairs
 
 log = logging.getLogger(__name__)
 
@@ -194,15 +199,12 @@ def _reachable(graph: RoadGraph, s: _Samples, start: int,
     return np.nonzero(cost <= radius)[0]
 
 
-def _first_match(owner: np.ndarray, dist: np.ndarray, keep: np.ndarray,
-                 n: int) -> np.ndarray:
-    """Per owner, the distance of its first kept pair (inf if none);
-    pairs are grouped by owner with the nearest first."""
-    o, d = owner[keep], dist[keep]
-    first = np.ones(o.size, dtype=bool)
-    first[1:] = o[1:] != o[:-1]
-    out = np.full(n, np.inf)
-    out[o[first]] = d[first]
+def _least_band(band, first, n: int, none: int) -> np.ndarray:
+    """Per owner of n, the least band of its pairs, or none if it has
+    none; first holds (start of each owner's group of pairs, owner)."""
+    out = np.full(n, none, dtype=band.dtype)
+    if band.size:
+        out[first[1]] = np.minimum.reduceat(band, first[0])
     return out
 
 
@@ -224,7 +226,6 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     if marbles.lat.size == 0:
         raise ValueError("tested map has no active edges to sample")
     ts = sorted(float(t) for t in cfg.matching_thresholds_m)
-    rmax = ts[-1]
 
     # resolve every marble's start partner up front: nearest hole, kept
     # when close enough and pointing the same way
@@ -237,12 +238,20 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     # draw through a geometric ordering so node relabelings that leave
     # the map unchanged leave the sampled starts unchanged too
     order = np.lexsort((marbles.offset, mb, marbles.lon, marbles.lat))
-    # every marble-hole pair within the largest threshold, ordered from
-    # each side; a sample's nearest match is then the first pair whose
-    # other end it reached
-    pm, ph, pd = pairs_within(marbles.lat, marbles.lon, holes.lat, holes.lon, rmax)
-    by_hole = np.lexsort((pm, pd, ph))
-    hm, hh, hdist = pm[by_hole], ph[by_hole], pd[by_hole]
+    # every marble-hole pair within the largest threshold with its band,
+    # the least threshold it meets; a stable sort groups the pairs, which
+    # come grouped by marble, by hole too. A sample's match for a point
+    # is then the least band among the pairs whose other end it reached
+    pm, ph, band = threshold_pairs(marbles.lat, marbles.lon,
+                                   holes.lat, holes.lon, ts)
+    none = len(ts)
+    band = band.astype(np.min_scalar_type(none))   # each sample scans it
+    by_hole = np.argsort(ph, kind="stable")
+    hm, hh, hband = pm[by_hole], ph[by_hole], band[by_hole]
+    firsts = []
+    for owner in (pm, hh):
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        firsts.append((starts, owner[starts]))
 
     p_sum = np.zeros(len(ts))
     r_sum = np.zeros(len(ts))
@@ -260,15 +269,18 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
             continue
         rm = _reachable(inferred, marbles, start, cfg.topo_radius_m)
         rh = _reachable(pruned, holes, int(si[start]), cfg.topo_radius_m)
-        in_m = np.zeros(marbles.lat.size, dtype=bool)
-        in_h = np.zeros(holes.lat.size, dtype=bool)
-        in_m[rm] = True
-        in_h[rh] = True
-        md = _first_match(pm, pd, in_m[pm] & in_h[ph], marbles.lat.size)[rm]
-        hd = _first_match(hh, hdist, in_m[hm] & in_h[hh], holes.lat.size)[rh]
-        for k, t in enumerate(ts):
-            p = float(np.mean(md <= t))
-            r = float(np.mean(hd <= t))
+        # a pair's band is raised to none where its other end is unreached
+        floor_m = np.full(marbles.lat.size, none, dtype=band.dtype)
+        floor_h = np.full(holes.lat.size, none, dtype=band.dtype)
+        floor_m[rm] = 0
+        floor_h[rh] = 0
+        md = _least_band(np.maximum(band, floor_h[ph]), firsts[0],
+                         marbles.lat.size, none)[rm]
+        hd = _least_band(np.maximum(hband, floor_m[hm]), firsts[1],
+                         holes.lat.size, none)[rh]
+        for k in range(len(ts)):
+            p = float(np.mean(md <= k))
+            r = float(np.mean(hd <= k))
             p_sum[k] += p
             r_sum[k] += r
             f_sum[k] += _f(p, r)

@@ -49,7 +49,7 @@ def normalize_heading(deg: float) -> float:
     h = math.fmod(deg, 360.0)
     if h < 0.0:
         h += 360.0
-    return h if h < 360.0 else 0.0
+    return 0.0 if h == 360.0 else h
 
 
 def wrap_lon(lon: float) -> float:
@@ -114,7 +114,7 @@ def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dp = p2 - p1
     dl = math.radians(lon2 - lon1)
     s = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
-    return 2.0 * EARTH_R * math.asin(min(1.0, math.sqrt(s)))
+    return 2.0 * EARTH_R * math.asin(min(math.sqrt(s), 1.0))
 
 
 def vincenty_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -8,10 +8,10 @@ of the row and its two neighbours (_column_count). A 3x3 neighborhood
 then holds every point within cell_m at any latitude. Columns wrap at
 the antimeridian, and a row of fewer than three columns is scanned
 whole. GridIndex, the incremental index, gives each row its own count.
-The batch searches (nearest_within, pairs_within and k-means assignment,
-all through _QueryCells) give every row the count of the most poleward
-row their queries reach, so the columns of neighbouring rows line up
-and a 3x3 neighborhood is 9 cells.
+The batch searches (nearest_within, threshold_pairs and k-means
+assignment, all through _QueryCells) give every row the count of the
+most poleward row their queries reach, so the columns of neighbouring
+rows line up and a 3x3 neighborhood is 9 cells.
 
 Screen. bound_scales gives planar bounds L <= d <= U on the geodesic
 distance d. A candidate is kept only if its L is within the radius. A
@@ -21,8 +21,10 @@ than two others, so the survivors hold the two smallest exact
 distances, the nearest and the runner-up that k-means needs. The scalar
 GridIndex.nearest needs the nearest alone and compares L with the least
 U. Exact Vincenty runs on the survivors alone, and ties go to the
-lowest index. _QueryCells._screened is the batch form of the screen
-and GridIndex.screened the scalar one.
+lowest index. _QueryCells.nearest is the batch form of the screen and
+GridIndex.screened the scalar one. threshold_pairs asks only which of
+several thresholds each pair meets, so a pair gets an exact distance
+only when a threshold lies between its L and U.
 """
 from __future__ import annotations
 
@@ -181,23 +183,16 @@ class _QueryCells:
         if pending:
             yield chunk()
 
-    def _screened(self, rlat, rlon, nearest: bool, heading=None):
-        """Yield (pq, pr, d) per chunk: the pairs that pass the screen,
-        with their exact distances.
+    def _upper(self, rlat, rlon, heading=None):
+        """Yield (pq, pr, lens, u, inv_rho2) per chunk of _chunks, with u
+        each pair's squared upper bound U^2. Each pair gets one planar
+        distance, its U, and rho * U stands in for L.
 
-        Each pair gets one planar distance, its U, and rho * U stands in
-        for L. heading=(qh, rh, theta) gives d the combined metric of
-        geo, and adds its heading term theta * (heading difference) /
-        180 in quadrature to U; L >= rho * U still holds. Every pair
-        within the gate is kept, and for a nearest search only those
-        whose L is within their query's second-least U: both smallest-U
-        candidates survive, and a dropped pair is farther than each of
-        them, so the survivors hold the two smallest distances.
+        heading=(qh, rh, theta) bounds the combined metric of geo
+        instead: its heading term theta * (heading difference) / 180
+        adds to U in quadrature, and L >= rho * U still holds.
         """
-        rlat = np.asarray(rlat, dtype=np.float64)
-        rlon = np.asarray(rlon, dtype=np.float64)
         qlat, qlon = self.lat, self.lon
-        gate = (1.001 * self.cell_m) ** 2
         for pq, pr, lens, lon_hi, inv_rho2 in self._chunks(rlat, rlon):
             # squared U, in place; lat_hi is M_PER_DEG_MAX in every band
             u = qlat[pq]
@@ -217,26 +212,7 @@ class _QueryCells:
                 ha *= ha
                 u += ha
                 del ha
-            bound = np.full(lens.size, gate)
-            if nearest:
-                # the second-least U: set the first least U of each
-                # query aside
-                starts = np.cumsum(lens) - lens
-                least_u = np.minimum.reduceat(u, starts)
-                at = np.flatnonzero(u == np.repeat(least_u, lens))
-                at = at[np.searchsorted(at, starts)]
-                u[at] = np.inf
-                np.minimum(bound, np.minimum.reduceat(u, starts), out=bound)
-                u[at] = least_u
-            keep = u <= np.repeat(bound * inv_rho2, lens)
-            del u
-            pq, pr = pq[keep], pr[keep]
-            if heading is None:
-                d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
-            else:
-                d = combined_distance_m_many(qlat[pq], qlon[pq], qh[pq],
-                                             rlat[pr], rlon[pr], rh[pr], theta)
-            yield pq, pr, d
+            yield pq, pr, lens, u, inv_rho2
 
     def nearest(self, rlat, rlon, heading=None):
         """(dist, idx, runner): each query's nearest reference within
@@ -245,11 +221,38 @@ class _QueryCells:
         to every other reference. That is the second-least distance in
         its 3x3 neighborhood, capped at cell_m: every reference outside
         the neighborhood is farther than cell_m. runner is inf for the
-        queries without a nearest. heading is as in _screened."""
+        queries without a nearest. heading is as in _upper.
+
+        Exact distances run only on the pairs whose L is within the gate
+        and their query's second-least U: a dropped pair is farther than
+        both smallest-U candidates, so the survivors hold the two
+        smallest distances."""
+        rlat = np.asarray(rlat, dtype=np.float64)
+        rlon = np.asarray(rlon, dtype=np.float64)
+        qlat, qlon = self.lat, self.lon
+        gate = (1.001 * self.cell_m) ** 2
         dist = np.full(self.lat.size, np.inf)
         idx = np.full(self.lat.size, -1, dtype=np.int64)
         runner = np.full(self.lat.size, np.inf)
-        for pq, pr, d in self._screened(rlat, rlon, True, heading):
+        for pq, pr, lens, u, inv_rho2 in self._upper(rlat, rlon, heading):
+            # the second-least U: set the first least U of each query
+            # aside
+            starts = np.cumsum(lens) - lens
+            least_u = np.minimum.reduceat(u, starts)
+            at = np.flatnonzero(u == np.repeat(least_u, lens))
+            at = at[np.searchsorted(at, starts)]
+            u[at] = np.inf
+            bound = np.minimum(gate, np.minimum.reduceat(u, starts))
+            u[at] = least_u
+            keep = u <= np.repeat(bound * inv_rho2, lens)
+            del u
+            pq, pr = pq[keep], pr[keep]
+            if heading is None:
+                d = vincenty_m_many(qlat[pq], qlon[pq], rlat[pr], rlon[pr])
+            else:
+                qh, rh, theta = heading
+                d = combined_distance_m_many(qlat[pq], qlon[pq], qh[pq],
+                                             rlat[pr], rlon[pr], rh[pr], theta)
             first = np.flatnonzero(np.diff(pq, prepend=-1))
             lens = np.diff(first, append=pq.size)
             dmin = np.minimum.reduceat(d, first)
@@ -299,24 +302,38 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
     return _QueryCells(qlat, qlon, radius_m).nearest(rlat, rlon)[:2]
 
 
-def pairs_within(qlat, qlon, rlat, rlon, radius_m: float):
-    """Every (query, reference) pair at most radius_m apart.
+def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
+    """Every (query, reference) pair at most the largest threshold
+    apart, with its band: the index of the least threshold at or above
+    its distance among the sorted thresholds (searchsorted "left"), so
+    a pair meets sorted threshold k exactly when its band is <= k.
 
-    Returns (q, r, dist) arrays sorted by query, then distance, then
-    reference index, so the first pair of a query is its nearest_within
-    match. Searching a subset of the references is then a scan of the
-    pairs whose reference is in it, with no distance recomputed.
+    Returns (q, r, band) arrays with the pairs of each query contiguous.
+    A pair whose bounds L and U, widened by a margin far above their
+    rounding, fall in the same band takes that band; exact Vincenty
+    runs only on the pairs that straddle a threshold.
     """
-    out_q = [np.empty(0, dtype=np.int64)]
-    out_r = [np.empty(0, dtype=np.int64)]
-    out_d = [np.empty(0)]
-    for pq, pr, d in _QueryCells(qlat, qlon, radius_m)._screened(
-            rlat, rlon, False):
-        ok = d <= radius_m
-        out_q.append(pq[ok]); out_r.append(pr[ok]); out_d.append(d[ok])
-    q, r, d = np.concatenate(out_q), np.concatenate(out_r), np.concatenate(out_d)
-    order = np.lexsort((r, d, q))
-    return q[order], r[order], d[order]
+    ts = np.sort(np.asarray(thresholds, dtype=np.float64))
+    cells = _QueryCells(qlat, qlon, ts[-1])
+    rlat = np.asarray(rlat, dtype=np.float64)
+    rlon = np.asarray(rlon, dtype=np.float64)
+    # U and L widened by 1e-6 relative and 1e-6 m: Vincenty and the bounds
+    # round by about a nanometer, over 1e-6 of a pair under a millimetre
+    hi2 = np.maximum(ts / (1.0 + 1e-6) - 1e-6, 0.0) ** 2
+    lo2 = (ts / (1.0 - 1e-6) + 1e-6) ** 2
+    out = [(np.empty(0, dtype=np.int64),) * 3]
+    for pq, pr, lens, u, inv_rho2 in cells._upper(rlat, rlon):
+        l2 = u / np.repeat(inv_rho2, lens)
+        keep = l2 <= lo2[-1]
+        pq, pr, u, l2 = pq[keep], pr[keep], u[keep], l2[keep]
+        band = np.searchsorted(hi2, u)
+        exact = np.flatnonzero(band != np.searchsorted(lo2, l2))
+        e_q, e_r = pq[exact], pr[exact]
+        band[exact] = np.searchsorted(ts, vincenty_m_many(
+            cells.lat[e_q], cells.lon[e_q], rlat[e_r], rlon[e_r]))
+        keep = band < ts.size
+        out.append((pq[keep], pr[keep], band[keep]))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 class GridIndex:

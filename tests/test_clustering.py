@@ -92,11 +92,11 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ClusterConfig(seed_radius_cr=0.0).validate()
+            ClusterConfig(seed_radius_cr=0.0)
         with pytest.raises(ValueError):
-            ClusterConfig(convergence_ratio=0.0).validate()
+            ClusterConfig(convergence_ratio=0.0)
         with pytest.raises(ValueError):
-            ClusterConfig(max_iterations=0).validate()
+            ClusterConfig(max_iterations=0)
 
 
 def at_distance(lat, lon, bearing_deg, d):

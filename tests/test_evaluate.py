@@ -72,7 +72,7 @@ class TestConfig:
                    {"visit_distance_m": -5.0},
                    {"rng_seed": -1}):
             with pytest.raises(ValueError):
-                EvalConfig(**kw).validate()
+                EvalConfig(**kw)
 
 
 class TestGeoScore:
@@ -283,8 +283,8 @@ class TestSynthetic:
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec(rows=1).validate()
+            GridSpec(rows=1)
         with pytest.raises(ValueError):
-            GridSpec(block_m=0.0).validate()
+            GridSpec(block_m=0.0)
         with pytest.raises(ValueError):
-            GridSpec(rows=2, cols=2, roundabout=True).validate()
+            GridSpec(rows=2, cols=2, roundabout=True)

@@ -120,6 +120,24 @@ class TestVincenty:
         assert any(vincenty_m(*p) == _haversine_m(*p) for p in pairs)
 
 
+    @pytest.mark.parametrize("at", range(4))
+    @pytest.mark.parametrize("pair", [(25.0, 51.0, 25.001, 51.001),
+                                      (0.0, 0.0, 0.5, 179.5)],
+                             ids=["short", "near_antipodal"])
+    def test_nan_in_any_position_gives_nan(self, at, pair):
+        args = list(pair)
+        args[at] = math.nan
+        assert math.isnan(vincenty_m(*args))
+        assert math.isnan(_haversine_m(*args))
+        assert math.isnan(initial_bearing_deg(*args))
+        # the array form agrees, alone and beside finite pairs
+        rows = np.array([args, pair, args])
+        batch = vincenty_m_many(*rows.T)
+        assert np.isnan(batch).tolist() == [True, False, True]
+        assert batch[1] == pytest.approx(vincenty_m(*pair), abs=1e-9)
+        assert np.isnan(vincenty_m_many(*args))
+
+
 class TestAngles:
     def test_wraparound(self):
         assert angle_diff_deg(350.0, 10.0) == pytest.approx(20.0)
@@ -149,6 +167,9 @@ class TestAngles:
         assert normalize_heading(-90.0) == 270.0
         assert normalize_heading(725.0) == pytest.approx(5.0)
         assert 0.0 <= normalize_heading(-1e-9) < 360.0
+        # -1e-20 + 360 rounds to 360 itself
+        assert normalize_heading(-1e-20) == 0.0
+        assert math.isnan(normalize_heading(math.nan))
 
 
 def same_mod_360(a, b):

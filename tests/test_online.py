@@ -46,7 +46,7 @@ class TestConfig:
                    {"alpha": 1.0}, {"staleness_horizon_s": 0.0},
                    {"resparsify_interval": 0}):
             with pytest.raises(ValueError):
-                OnlineConfig(**kw).validate()
+                OnlineConfig(**kw)
 
 
 class TestProcessPair:

@@ -12,7 +12,7 @@ from kharita.spatial import (
     _QueryCells,
     _columns_around,
     nearest_within,
-    pairs_within,
+    threshold_pairs,
 )
 
 RADIUS_M = 30.0
@@ -69,28 +69,32 @@ def test_nearest_within_matches_brute_force(lat0):
         assert hit.any() and not hit.all()
 
 
+def _check_bands(q, r, band, full, thresholds):
+    """threshold_pairs' output against a full distance matrix: every
+    pair within the largest threshold once, with the band searchsorted
+    gives its exact distance among the sorted thresholds, and the pairs
+    of each query contiguous."""
+    ts = np.sort(np.asarray(thresholds, dtype=np.float64))
+    want = np.searchsorted(ts, full, "left")
+    want_q, want_r = np.nonzero(want < ts.size)
+    assert sorted(zip(q.tolist(), r.tolist(), band.tolist())) == \
+        sorted(zip(want_q.tolist(), want_r.tolist(),
+                   want[want_q, want_r].tolist()))
+    heads = q[np.flatnonzero(np.diff(q, prepend=-1))]
+    assert np.unique(heads).size == heads.size
+
+
 @pytest.mark.parametrize("lat0", [0.0, 25.3, 80.0, 89.5, 89.9, 89.99])
 def test_pairs_within_matches_brute_force(lat0):
     rng = np.random.default_rng(7)
     for lon0 in (-12.0, 180.0):
         qlat, qlon = _cloud(rng, lat0, lon0, 80, 100.0)
         rlat, rlon = _cloud(rng, lat0, lon0, 90, 100.0)
-        q, r, d = pairs_within(qlat, qlon, rlat, rlon, RADIUS_M)
         full = _brute(qlat, qlon, rlat, rlon)
-        want_q, want_r = np.nonzero(full <= RADIUS_M)
-        assert sorted(zip(q.tolist(), r.tolist())) == \
-            sorted(zip(want_q.tolist(), want_r.tolist()))
-        np.testing.assert_array_equal(d, full[q, r])
-        # grouped by query, nearest first, ties to the lowest index
-        assert np.all(np.diff(q) >= 0)
-        same = q[1:] == q[:-1]
-        assert np.all(d[1:][same] >= d[:-1][same])
-        # the first pair of each query is its nearest_within match
-        dist, idx = nearest_within(qlat, qlon, rlat, rlon, RADIUS_M)
-        first = np.ones(q.size, dtype=bool)
-        first[1:] = ~same
-        np.testing.assert_array_equal(idx[q[first]], r[first])
-        np.testing.assert_array_equal(dist[q[first]], d[first])
+        for thresholds in ((RADIUS_M,), (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)):
+            q, r, band = threshold_pairs(qlat, qlon, rlat, rlon, thresholds)
+            assert q.size
+            _check_bands(q, r, band, full, thresholds)
 
 
 def test_points_exactly_at_the_radius_are_kept():
@@ -100,16 +104,23 @@ def test_points_exactly_at_the_radius_are_kept():
     d = float(vincenty_m_many(lat, lon, other_lat, lon)[0])
     dist, idx = nearest_within(lat, lon, other_lat, lon, d)
     assert dist[0] == d and idx[0] == 0
-    q, _, _ = pairs_within(lat, lon, other_lat, lon, d)
-    assert q.tolist() == [0]
+    below, above = np.nextafter(d, 0.0), np.nextafter(d, np.inf)
+    for thresholds, band in (([d], 0), ([above, d], 0), ([d, below], 1),
+                             ([below, above], 1), ([5.0, d, d, 40.0], 1)):
+        q, r, b = threshold_pairs(lat, lon, other_lat, lon, thresholds)
+        assert (q.tolist(), r.tolist(), b.tolist()) == ([0], [0], [band])
+    assert threshold_pairs(lat, lon, other_lat, lon, [below])[0].size == 0
 
 
 def test_empty_inputs():
     e = np.empty(0)
     dist, idx = nearest_within(e, e, np.array([1.0]), np.array([1.0]), 10.0)
     assert dist.size == 0 and idx.size == 0
-    q, r, d = pairs_within(np.array([1.0]), np.array([1.0]), e, e, 10.0)
-    assert q.size == r.size == d.size == 0
+    one = np.array([1.0])
+    for args in ((one, one, e, e), (e, e, one, one), (e, e, e, e)):
+        q, r, band = threshold_pairs(*args, [5.0, 10.0])
+        assert q.size == r.size == band.size == 0
+        assert q.dtype == r.dtype == band.dtype == np.int64
 
 
 def _brute_nearest(positions, lat, lon, radius_m):
@@ -164,11 +175,8 @@ def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
         radius = float(full[0, -1])
     _check_nearest(*nearest_within(qlat, qlon, rlat, rlon, radius), full,
                    radius)
-    q, r, d = pairs_within(qlat, qlon, rlat, rlon, radius)
-    want_q, want_r = np.nonzero(full <= radius)
-    assert sorted(zip(q.tolist(), r.tolist(), d.tolist())) == \
-        sorted(zip(want_q.tolist(), want_r.tolist(),
-                   full[want_q, want_r].tolist()))
+    _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, [radius]), full,
+                 [radius])
     # the k-means form: a heading term in quadrature
     theta = 40.0
     combined = np.hypot(full, theta * angle_diff_deg_many(
@@ -190,6 +198,58 @@ def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
                   and c in _columns_around(qcol[q], cells.ncols)]
         assert top[q] == max(around, default=0.0)
         assert top[q] >= max(value[full[q] <= radius], default=0.0)
+
+
+# thresholds drawn from a few values, so that unsorted and duplicate
+# lists are common; some are set at a pair's distance or next to it
+_thresholds = st.lists(st.sampled_from([2.5, 5.0, 7.5, 12.0, 20.0, 25.0]),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(lat0=_lat0, south=st.booleans(), lon0=_lon0,
+       queries=st.lists(_offset, max_size=15),
+       refs=st.lists(_offset, max_size=25), thresholds=_thresholds,
+       at_pairs=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 24),
+                                   st.sampled_from([-1, 0, 1])), max_size=4))
+def test_threshold_bands_match_brute_force(lat0, south, lon0, queries, refs,
+                                           thresholds, at_pairs):
+    if south:
+        lat0 = -lat0
+
+    def columns(offsets):
+        pos = [_place(lat0, lon0, n, e) for n, e in offsets]
+        return (np.array([p[0] for p in pos], dtype=np.float64),
+                np.array([p[1] for p in pos], dtype=np.float64))
+
+    qlat, qlon = columns(queries)
+    rlat, rlon = columns(refs)
+    full = _brute(qlat, qlon, rlat, rlon)
+    for i, j, step in at_pairs if full.size else ():
+        # a threshold at a pair's distance, or the float next to it
+        d = full[i % qlat.size, j % rlat.size]
+        if 0.0 < d <= 25.0:
+            thresholds = thresholds + [float(
+                d if step == 0 else np.nextafter(d, step * np.inf))]
+    _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, thresholds), full,
+                 thresholds)
+
+
+def test_threshold_bands_next_to_the_pole():
+    # pairs along a meridian next to the pole, 0.01 mm to 100 m long,
+    # where the upper bound meets the distance to within rounding, with a
+    # threshold at the distance, just below it or just above it
+    for north in np.logspace(-9, -3, 49):
+        for frac in (0.1, 0.45, 0.9):
+            for lon in (51.0, -179.9):
+                lat, other = 90.0 - north, 90.0 - north * (1.0 + frac)
+                d = float(vincenty_m_many(lat, lon, other, lon))
+                for t in (np.nextafter(d, 0.0), d * (1.0 - 1e-9), d,
+                          np.nextafter(d, np.inf)):
+                    ts = [t / 2.0, t, 2.0 * t]
+                    q, r, band = threshold_pairs([lat], [lon], [other],
+                                                 [lon], ts)
+                    assert band.tolist() == [int(np.searchsorted(ts, d))]
 
 
 class TestGridIndex:

@@ -36,7 +36,7 @@ from .geo import (
 )
 from .graphs import RoadGraph
 from .ingest import Trajectory
-from .spatial import nearest_within, threshold_pairs
+from .spatial import nearest_within, segments, threshold_pairs
 
 log = logging.getLogger(__name__)
 
@@ -99,44 +99,48 @@ class _Samples:
     edge_id: np.ndarray     # index into keys, per sample
     offset: np.ndarray      # meters from the edge source, per sample
     keys: list              # (src, dst) per edge
+    src: np.ndarray         # source node, per edge
     length: np.ndarray      # geometric meters, per edge
     bearing: np.ndarray     # degrees, per edge
 
 
 def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
+    """Samples at offsets 0.5, 1.5, 2.5, ... spacings along each edge
+    (half-phase, so edges sharing a node never duplicate a sample), or
+    one at the middle of an edge shorter than half a spacing; an edge of
+    length 0 has one sample on its source node. The offsets are those of
+    np.arange(0.5 * spacing, length, spacing), bit for bit."""
     keys = [k for k in sorted(graph.edges) if graph.edges[k].active]
-    lats, lons, eids, offs = [], [], [], []
-    lengths, bearings = [], []
+    ends = np.empty((len(keys), 6))
     for j, (u, v) in enumerate(keys):
         nu, nv = graph.nodes[u], graph.nodes[v]
         L = vincenty_m(nu.lat, nu.lon, nv.lat, nv.lon)
-        if L <= 0.0:
-            lengths.append(0.0)
-            bearings.append(nu.heading_deg)
-            lats.append(np.array([nu.lat]))
-            lons.append(np.array([nu.lon]))
-            eids.append(np.array([j]))
-            offs.append(np.array([0.0]))
-            continue
-        lengths.append(L)
-        bearings.append(initial_bearing_deg(nu.lat, nu.lon, nv.lat, nv.lon))
-        # half-phase so edges sharing a node never duplicate a sample
-        o = np.arange(0.5 * spacing, L, spacing)
-        if o.size == 0:
-            o = np.array([L / 2.0])
-        f = o / L
-        lats.append(nu.lat + f * (nv.lat - nu.lat))
-        lons.append(nu.lon + f * lon_delta(nu.lon, nv.lon))
-        eids.append(np.full(o.size, j))
-        offs.append(o)
-    if not keys:
-        empty = np.empty(0)
-        return _Samples(empty, empty, np.empty(0, dtype=np.int64), empty,
-                        [], empty, empty)
-    return _Samples(np.concatenate(lats), wrap_lon_many(np.concatenate(lons)),
-                    np.concatenate(eids).astype(np.int64),
-                    np.concatenate(offs), keys,
-                    np.asarray(lengths), np.asarray(bearings))
+        ends[j] = (nu.lat, nu.lon, nv.lat - nu.lat, lon_delta(nu.lon, nv.lon),
+                   L if L > 0.0 else 0.0,
+                   initial_bearing_deg(nu.lat, nu.lon, nv.lat, nv.lon)
+                   if L > 0.0 else nu.heading_deg)
+    lat0, lon0, dlat, dlon, length, bearing = ends.T
+    # np.arange's count and values: start, start + spacing, then
+    # start + i * (second - start)
+    start = 0.5 * spacing
+    count = np.maximum(np.ceil((length - start) / spacing), 0.0).astype(np.int64)
+    short = count == 0
+    count[short] = 1
+    edge_id = np.repeat(np.arange(len(keys)), count)
+    i = segments(np.zeros_like(count), count)
+    offset = start + i * ((start + spacing) - start)
+    offset[i == 1] = start + spacing
+    along = length[edge_id]
+    half = short[edge_id]
+    offset[half] = along[half] / 2.0
+    f = offset / np.where(along > 0.0, along, 1.0)
+    lat = lat0[edge_id] + f * dlat[edge_id]
+    lon = lon0[edge_id] + f * dlon[edge_id]
+    node = along == 0.0
+    lat[node], lon[node] = lat0[edge_id[node]], lon0[edge_id[node]]
+    return _Samples(lat, wrap_lon_many(lon), edge_id, offset, keys,
+                    np.array([u for u, _ in keys], dtype=np.int64),
+                    length, bearing)
 
 
 def geo_score(inferred: RoadGraph, truth: RoadGraph, cfg: EvalConfig) -> EvalReport:
@@ -189,23 +193,69 @@ def _reachable(graph: RoadGraph, s: _Samples, start: int,
     its edge's source node plus the sample's offset; samples further
     along the start's own edge are reached directly."""
     e0 = int(s.edge_id[start])
-    u0, v0 = s.keys[e0]
+    v0 = s.keys[e0][1]
     o0 = float(s.offset[start])
     into = graph.dists_within(v0, radius, start_cost=s.length[e0] - o0)
-    src_dist = np.array([into.get(k[0], math.inf) for k in s.keys])
-    cost = src_dist[s.edge_id] + s.offset
+    node_dist = np.full(len(graph.nodes), math.inf)
+    node_dist[np.fromiter(into.keys(), np.int64, len(into))] = \
+        np.fromiter(into.values(), np.float64, len(into))
+    cost = node_dist[s.src][s.edge_id] + s.offset
     fwd = (s.edge_id == e0) & (s.offset >= o0)
     cost[fwd] = np.minimum(cost[fwd], s.offset[fwd] - o0)
     return np.nonzero(cost <= radius)[0]
 
 
-def _least_band(band, first, n: int, none: int) -> np.ndarray:
-    """Per owner of n, the least band of its pairs, or none if it has
-    none; first holds (start of each owner's group of pairs, owner)."""
-    out = np.full(n, none, dtype=band.dtype)
+@dataclass
+class _Owned:
+    """The marble-hole pairs grouped by one of their ends, the owner:
+    per pair its band and its other end, and per owner the position of
+    its first pair, its number of pairs and its least band (none where
+    it has no pair)."""
+
+    band: np.ndarray
+    other: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    least: np.ndarray
+
+
+def _owned(owner, other, band, n: int, none: int) -> _Owned:
+    """_Owned of pairs whose owners come grouped."""
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    start = np.zeros(n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    least = np.full(n, none, dtype=band.dtype)
+    start[owner[heads]] = heads
+    count[owner[heads]] = np.diff(heads, append=owner.size)
     if band.size:
-        out[first[1]] = np.minimum.reduceat(band, first[0])
-    return out
+        least[owner[heads]] = np.minimum.reduceat(band, heads)
+    return _Owned(band, other, start, count, least)
+
+
+def _least_reached(own: _Owned, reached, theirs: _Owned,
+                   floor_theirs) -> np.ndarray:
+    """Per reached owner (ascending indices), the least band of its
+    pairs whose other end the sample reached, or none: a pair's band is
+    raised to the floor of its other end, 0 where reached and none where
+    not.
+
+    Only an owner paired with an unreached item can lose its least
+    band. Those owners are found through the pairs of the unreached
+    items and rescanned over their own pairs; every other owner keeps
+    its least band."""
+    unreached = np.flatnonzero(floor_theirs)
+    touched = np.zeros(own.least.size, dtype=bool)
+    touched[theirs.other[segments(theirs.start[unreached],
+                                  theirs.count[unreached])]] = True
+    redo = np.flatnonzero(touched[reached])
+    least = own.least[reached]
+    if redo.size:
+        n = own.count[reached[redo]]
+        at = segments(own.start[reached[redo]], n)
+        least[redo] = np.minimum.reduceat(
+            np.maximum(own.band[at], floor_theirs[own.other[at]]),
+            np.cumsum(n) - n)
+    return least
 
 
 def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
@@ -239,19 +289,17 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     # the map unchanged leave the sampled starts unchanged too
     order = np.lexsort((marbles.offset, mb, marbles.lon, marbles.lat))
     # every marble-hole pair within the largest threshold with its band,
-    # the least threshold it meets; a stable sort groups the pairs, which
-    # come grouped by marble, by hole too. A sample's match for a point
-    # is then the least band among the pairs whose other end it reached
+    # the least threshold it meets, grouped by marble and, through a
+    # stable sort, by hole. A sample's match for a point is then the
+    # least band among the pairs whose other end it reached
     pm, ph, band = threshold_pairs(marbles.lat, marbles.lon,
                                    holes.lat, holes.lon, ts)
     none = len(ts)
-    band = band.astype(np.min_scalar_type(none))   # each sample scans it
+    band = band.astype(np.min_scalar_type(none))
     by_hole = np.argsort(ph, kind="stable")
-    hm, hh, hband = pm[by_hole], ph[by_hole], band[by_hole]
-    firsts = []
-    for owner in (pm, hh):
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        firsts.append((starts, owner[starts]))
+    marble_pairs = _owned(pm, ph, band, marbles.lat.size, none)
+    hole_pairs = _owned(ph[by_hole], pm[by_hole], band[by_hole],
+                        holes.lat.size, none)
 
     p_sum = np.zeros(len(ts))
     r_sum = np.zeros(len(ts))
@@ -269,18 +317,17 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
             continue
         rm = _reachable(inferred, marbles, start, cfg.topo_radius_m)
         rh = _reachable(pruned, holes, int(si[start]), cfg.topo_radius_m)
-        # a pair's band is raised to none where its other end is unreached
         floor_m = np.full(marbles.lat.size, none, dtype=band.dtype)
         floor_h = np.full(holes.lat.size, none, dtype=band.dtype)
         floor_m[rm] = 0
         floor_h[rh] = 0
-        md = _least_band(np.maximum(band, floor_h[ph]), firsts[0],
-                         marbles.lat.size, none)[rm]
-        hd = _least_band(np.maximum(hband, floor_m[hm]), firsts[1],
-                         holes.lat.size, none)[rh]
+        md = _least_reached(marble_pairs, rm, hole_pairs, floor_h)
+        hd = _least_reached(hole_pairs, rh, marble_pairs, floor_m)
+        # the share of reached points matched within each threshold
+        precision = np.cumsum(np.bincount(md, minlength=none))[:none] / md.size
+        recall = np.cumsum(np.bincount(hd, minlength=none))[:none] / hd.size
         for k in range(len(ts)):
-            p = float(np.mean(md <= k))
-            r = float(np.mean(hd <= k))
+            p, r = float(precision[k]), float(recall[k])
             p_sum[k] += p
             r_sum[k] += r
             f_sum[k] += _f(p, r)

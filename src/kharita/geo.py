@@ -69,7 +69,7 @@ def wrap_lon_many(lon) -> np.ndarray:
     """Vectorized wrap_lon."""
     lon = np.asarray(lon, dtype=np.float64)
     w = np.remainder(lon + 180.0, 360.0) - 180.0
-    w[w >= 180.0] = -180.0
+    w = np.where(w >= 180.0, -180.0, w)
     return np.where((lon >= -180.0) & (lon < 180.0), lon, w)
 
 

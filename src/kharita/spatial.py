@@ -11,7 +11,12 @@ whole. GridIndex, the incremental index, gives each row its own count.
 The batch searches (nearest_within, threshold_pairs and k-means
 assignment, all through _QueryCells) give every row the count of the
 most poleward row their queries reach, so the columns of neighbouring
-rows line up and a 3x3 neighborhood is 9 cells.
+rows line up and a 3x3 neighborhood is 9 cells. There a cell's key is
+row * ncols + col, and _QueryCells keeps its queries as sorted keys over
+a stable argsort: one searchsorted of the nine neighbour keys of every
+query cell into the sorted keys of the references finds all the
+candidates, and np.repeat plus a ramp (segments) lays out the pairs,
+with no loop over cells.
 
 Screen. bound_scales gives planar bounds L <= d <= U on the geodesic
 distance d. A candidate is kept only if its L is within the radius. A
@@ -97,19 +102,12 @@ def _columns_around(col: int, n: int):
     return ((col - 1) % n, col % n, (col + 1) % n) if n >= 3 else range(n)
 
 
-def bucket_map(rows: np.ndarray, cols: np.ndarray) -> dict:
-    """Map (row, col) -> array of item indices in that cell."""
-    order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    if r.size == 0:
-        return {}
-    change = np.nonzero((r[1:] != r[:-1]) | (c[1:] != c[:-1]))[0] + 1
-    starts = np.concatenate(([0], change, [r.size]))
-    out = {}
-    for i in range(starts.size - 1):
-        s = starts[i]
-        out[(int(r[s]), int(c[s]))] = order[s:starts[i + 1]]
-    return out
+def segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions start, start + 1, ..., start + count - 1 of every
+    segment, one segment after another."""
+    at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    at += np.arange(at.size)
+    return at
 
 
 class _QueryCells:
@@ -117,7 +115,13 @@ class _QueryCells:
     cell_m against any set of reference points.
 
     The grid has one column count, that of the most poleward row the
-    queries reach (see the module docstring).
+    queries reach (see the module docstring). A cell's key is
+    row * ncols + col, with rows counted from the row below the lowest
+    query row, so the keys sort by row, then column. The queries are
+    held in a stable argsort of their keys, and each query cell keeps
+    the keys of the cells of its 3x3 neighbourhood: rows row-1..row+1,
+    each with columns col-1..col+1 wrapped, or the whole row when it
+    has fewer than three columns.
     """
 
     def __init__(self, lat, lon, cell_m: float):
@@ -125,22 +129,69 @@ class _QueryCells:
         self.lon = np.asarray(lon, dtype=np.float64)
         self.cell_m = float(cell_m)
         self.row_deg = self.cell_m / M_PER_DEG_LAT_MIN
-        ends = (self.lat.min(), self.lat.max()) if self.lat.size else ()
-        self.ncols = min((_column_count(math.floor(a / self.row_deg),
-                                        self.row_deg, self.cell_m)
-                          for a in ends), default=1)
-        self.groups = list(bucket_map(*self._cells(self.lat, self.lon)).items())
+        ends = [math.floor(a / self.row_deg)
+                for a in (self.lat.min(), self.lat.max())] \
+            if self.lat.size else [0, 0]
+        # neighbour rows are 0..nrows-1; a reference elsewhere is put in
+        # row -1 or nrows, which no query looks at. Fewer, wider columns
+        # keep every key inside int64 on tiny cells
+        self.row0 = ends[0] - 1
+        self.nrows = ends[1] - self.row0 + 2
+        self.ncols = min(min(_column_count(r, self.row_deg, self.cell_m)
+                             for r in ends),
+                         max(1, _INT_MAX // 2 // (self.nrows + 1)))
+        key = self._keys(self.lat, self.lon)
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        heads = np.flatnonzero(np.diff(key, prepend=-1))
+        # per query cell: its first position in order, the keys of its
+        # neighbourhood and the bound scales of its row (see _chunks)
+        self.starts = np.append(heads, key.size)
+        n = self.ncols
+        row, col = np.divmod(key[heads], n)
+        cols = (col[:, None] + np.array([-1, 0, 1])) % n if n >= 3 \
+            else np.broadcast_to(np.arange(n), (col.size, n))
+        self.around = ((row[:, None] + np.array([-1, 0, 1]))[:, :, None] * n
+                       + cols[:, None, :]).reshape(col.size, 3 * cols.shape[1])
+        rows, self.cell_row = np.unique(row, return_inverse=True)
+        self.lon_hi = np.empty(rows.size)
+        self.inv_rho2 = np.empty(rows.size)
+        for i, r in enumerate(rows.tolist()):
+            lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(
+                (r + self.row0 + 0.5) * self.row_deg, 1.5 * self.cell_m)
+            rho = min(lat_lo / lat_hi, lon_lo / lon_hi)
+            self.lon_hi[i] = lon_hi
+            self.inv_rho2[i] = 1.0 / (rho * rho)
 
-    def _cells(self, lat, lon):
-        rows = np.floor(lat / self.row_deg).astype(np.int64)
+    def _keys(self, lat, lon):
+        """Each point's cell key, rows counted from row0."""
+        rows = np.floor(lat / self.row_deg).astype(np.int64) - self.row0
         cols = np.floor((lon + 180.0) / (360.0 / self.ncols)).astype(np.int64)
-        return rows, cols % self.ncols
+        return np.clip(rows, -1, self.nrows) * self.ncols + cols % self.ncols
+
+    def _around(self, rlat, rlon):
+        """(order, heads, at): the references in a stable argsort of their
+        keys, the first position in it of each reference cell, and per
+        query cell and neighbour the index of that reference cell in
+        heads, or heads.size where no reference lies."""
+        key = self._keys(np.asarray(rlat, dtype=np.float64),
+                         np.asarray(rlon, dtype=np.float64))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        heads = np.flatnonzero(np.diff(key, prepend=np.int64(-2) * self.ncols))
+        keys = key[heads]
+        at = np.searchsorted(keys, self.around)
+        at[np.append(keys, 0)[at] != self.around] = keys.size
+        return order, heads, at
 
     def _chunks(self, rlat, rlon):
         """Yield (pq, pr, lens, lon_hi, inv_rho2): the query/reference
         pairs of each query's 3x3 neighborhood, about _PAIR_BUDGET at a
         time with the pairs of a query contiguous, and per query its
-        number of pairs and the bound scales of its row.
+        number of pairs and the bound scales of its row. The queries
+        come by cell, in key order, and a cell's references by
+        neighbour, then by index; a chunk ends after the first cell that
+        brings it to _PAIR_BUDGET pairs.
 
         Each row takes bound_scales at its middle latitude with a band of
         1.5 * cell_m: that covers the rows row-1..row+1, which hold every
@@ -148,40 +199,33 @@ class _QueryCells:
         L and U hold for all of its pairs. rho is the smaller ratio of
         lower to upper scale, so that L >= rho * U.
         """
-        buckets = bucket_map(*self._cells(rlat, rlon))
-        bufs = [], [], [], [], []
-        bq, br, blen, bhi, binv = bufs
-
-        def chunk():
-            out = (np.concatenate(bq), np.concatenate(br),
-                   *(np.asarray(b) for b in bufs[2:]))
-            for b in bufs:
-                b.clear()
-            return out
-
-        pending = 0
-        for (row, col), members in self.groups:
-            parts = [b for r in (row - 1, row, row + 1)
-                     for c in _columns_around(col, self.ncols)
-                     if (b := buckets.get((r, c))) is not None]
-            if not parts:
-                continue
-            cand = np.concatenate(parts)
-            lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(
-                (row + 0.5) * self.row_deg, 1.5 * self.cell_m)
-            rho = min(lat_lo / lat_hi, lon_lo / lon_hi)
-            m = members.size
-            bq.append(np.repeat(members, cand.size))
-            br.append(np.tile(cand, m))
-            blen += [cand.size] * m
-            bhi += [lon_hi] * m
-            binv += [1.0 / (rho * rho)] * m
-            pending += m * cand.size
-            if pending >= _PAIR_BUDGET:
-                yield chunk()
-                pending = 0
-        if pending:
-            yield chunk()
+        order, heads, at = self._around(rlat, rlon)
+        size = np.append(np.diff(heads, append=order.size), 0)[at]
+        # every cell's candidates, one cell after another
+        cand = order[segments(np.append(heads, 0)[at].ravel(), size.ravel())]
+        size = size.sum(axis=1)
+        first = np.cumsum(size) - size
+        members = np.diff(self.starts)
+        # the cells with candidates, and per query of theirs its
+        # candidates' first position in cand and their number
+        busy = np.flatnonzero(size)
+        members = members[busy]
+        queries = self.order[segments(self.starts[busy], members)]
+        first = np.repeat(first[busy], members)
+        lens = np.repeat(size[busy], members)
+        row = np.repeat(self.cell_row[busy], members)
+        # pairs and queries before each busy cell
+        pairs = np.append(0, np.cumsum(members * size[busy]))
+        ends = np.append(0, np.cumsum(members))
+        done = 0
+        while done < busy.size:
+            stop = min(int(np.searchsorted(pairs, pairs[done] + _PAIR_BUDGET)),
+                       busy.size)
+            a, b = ends[done], ends[stop]
+            n = lens[a:b]
+            yield (np.repeat(queries[a:b], n), cand[segments(first[a:b], n)],
+                   n, self.lon_hi[row[a:b]], self.inv_rho2[row[a:b]])
+            done = stop
 
     def _upper(self, rlat, rlon, heading=None):
         """Yield (pq, pr, lens, u, inv_rho2) per chunk of _chunks, with u
@@ -272,22 +316,13 @@ class _QueryCells:
     def max_around(self, rlat, rlon, value):
         """Per query, the largest of the non-negative values of the
         references in its 3x3 neighborhood, or 0 where it holds none."""
-        n = self.ncols
-        rows, cols = self._cells(np.asarray(rlat, dtype=np.float64),
-                                 np.asarray(rlon, dtype=np.float64))
-        # a reference lends its value to the 9 cells around its own: they
-        # are the cells whose neighborhood holds it (columns wrap alike)
-        keys, inverse = np.unique(
-            [(rows + dr) * n + (cols + dc) % n
-             for dr in (-1, 0, 1) for dc in (-1, 0, 1)], return_inverse=True)
-        top = np.zeros(keys.size + 1)
-        np.maximum.at(top, inverse.ravel(), np.tile(value, 9))
-        own = np.array([r * n + c for (r, c), _ in self.groups], dtype=np.int64)
-        at = np.searchsorted(keys, own)
-        at[np.append(keys, 0)[at] != own] = keys.size
+        order, heads, at = self._around(rlat, rlon)
+        top = np.zeros(heads.size + 1)
+        if heads.size:
+            top[:-1] = np.maximum.reduceat(
+                np.asarray(value, dtype=np.float64)[order], heads)
         out = np.empty(self.lat.size)
-        for (_, members), v in zip(self.groups, top[at]):
-            out[members] = v
+        out[self.order] = np.repeat(top[at].max(axis=1), np.diff(self.starts))
         return out
 
 
@@ -295,7 +330,7 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
     """Nearest reference point within radius_m of each query point.
 
     Returns (dist, idx) arrays; unmatched queries get (inf, -1); ties
-    go to the lowest reference index. Both sets are bucketed on a grid
+    go to the lowest reference index. Both sets are put on a grid
     of cell size radius_m, so only a 3x3 neighborhood is examined per
     query.
     """

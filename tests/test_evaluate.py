@@ -9,12 +9,20 @@ from kharita.clustering import ClusterCentroid
 from kharita.evaluate import (
     EvalConfig,
     GridSpec,
+    _sample_edges,
     generate_synthetic,
     geo_score,
     prune_unvisited_edges,
     topo_score,
 )
-from kharita.geo import GpsPoint, M_PER_DEG_LAT
+from kharita.geo import (
+    GpsPoint,
+    M_PER_DEG_LAT,
+    initial_bearing_deg,
+    lon_delta,
+    vincenty_m,
+    wrap_lon_many,
+)
 from kharita.graphs import RoadGraph
 from kharita.ingest import Trajectory
 
@@ -207,6 +215,48 @@ class TestTopoScore:
         trs = trace_edges(truth)
         with pytest.raises(ValueError):
             topo_score(inferred, truth, trs, EvalConfig(topo_samples=5))
+
+
+class TestSampleEdges:
+    @staticmethod
+    def reference(graph, spacing):
+        """Per edge, in key order: np.arange(spacing / 2, length,
+        spacing), or the middle of a short edge, or the source node of an
+        edge of length 0."""
+        lat, lon, offset, bearing = [], [], [], []
+        for u, v in sorted(k for k, e in graph.edges.items() if e.active):
+            nu, nv = graph.nodes[u], graph.nodes[v]
+            L = vincenty_m(nu.lat, nu.lon, nv.lat, nv.lon)
+            if L <= 0.0:
+                lat.append([nu.lat])
+                lon.append([nu.lon])
+                offset.append([0.0])
+                bearing.append(nu.heading_deg)
+                continue
+            o = np.arange(0.5 * spacing, L, spacing)
+            o = o if o.size else np.array([L / 2.0])
+            lat.append(nu.lat + o / L * (nv.lat - nu.lat))
+            lon.append(nu.lon + o / L * lon_delta(nu.lon, nv.lon))
+            offset.append(o)
+            bearing.append(initial_bearing_deg(nu.lat, nu.lon, nv.lat, nv.lon))
+        return (np.concatenate(lat), wrap_lon_many(np.concatenate(lon)),
+                np.concatenate(offset), np.array(bearing))
+
+    @pytest.mark.parametrize("spacing", [5.0, 3.3, 0.7, 7.1, math.pi, 1e5])
+    def test_matches_arange_per_edge(self, spacing):
+        # the one-pass layout keeps np.arange's bits: its second value is
+        # start + spacing and the rest start + i * (second - start)
+        truth, _ = generate_synthetic(
+            GridSpec(rows=3, cols=3, roundabout=True, origin_lon=179.999),
+            n_trajectories=0)
+        node = truth.add_node(truth.nodes[0])
+        truth.add_edge(0, node, 0.0)
+        truth.add_edge(node, 1, 1.0, active=False)
+        s = _sample_edges(truth, spacing)
+        want = self.reference(truth, spacing)
+        for got, ref in zip((s.lat, s.lon, s.offset, s.bearing), want):
+            assert got.tobytes() == ref.tobytes()
+        assert s.src.tolist() == [u for u, _ in s.keys]
 
 
 class TestSynthetic:

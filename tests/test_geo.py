@@ -206,6 +206,12 @@ class TestLongitude:
         wide = np.append(wide, BELOW_SEAM)
         assert wrap_lon_many(wide).tolist() == [wrap_lon(x) for x in wide.tolist()]
 
+    @pytest.mark.parametrize("lon", [10.0, 180.0, -180.0, 181.0, -181.0,
+                                     540.0, BELOW_SEAM, np.float64(-540.0)])
+    def test_zero_d_input_matches_scalar(self, lon):
+        w = wrap_lon_many(lon)
+        assert w.shape == () and float(w) == wrap_lon(float(lon))
+
 
 class TestCombinedDistance:
     def test_worked_values(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kharita import spatial
 from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_lon
 from kharita.spatial import (
     GridIndex,
@@ -191,7 +192,8 @@ def test_batch_kernel_matches_brute_force(lat0, south, lon0, queries, refs,
     # neighborhood, which holds every reference within the cell size
     value = np.arange(1.0, rlat.size + 1.0)
     top = cells.max_around(rlat, rlon, value)
-    (qrow, qcol), (rrow, rcol) = cells._cells(qlat, qlon), cells._cells(rlat, rlon)
+    (qrow, qcol), (rrow, rcol) = (np.divmod(cells._keys(la, lo), cells.ncols)
+                                  for la, lo in ((qlat, qlon), (rlat, rlon)))
     for q in range(qlat.size):
         around = [v for v, r, c in zip(value, rrow, rcol)
                   if abs(r - qrow[q]) <= 1
@@ -233,6 +235,75 @@ def test_threshold_bands_match_brute_force(lat0, south, lon0, queries, refs,
                 d if step == 0 else np.nextafter(d, step * np.inf))]
     _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, thresholds), full,
                  thresholds)
+
+
+def _searches(qlat, qlon, rlat, rlon, qh, rh, radius):
+    """Every batch search on one input, as a flat list of arrays."""
+    cells = _QueryCells(qlat, qlon, radius)
+    value = np.arange(1.0, rlat.size + 1.0)
+    return [*nearest_within(qlat, qlon, rlat, rlon, radius),
+            *threshold_pairs(qlat, qlon, rlat, rlon, [radius / 3, radius]),
+            *cells.nearest(rlat, rlon), *cells.nearest(rlat, rlon, (qh, rh, 40.0)),
+            cells.max_around(rlat, rlon, value)]
+
+
+@pytest.mark.parametrize("lat0,lon0", [(25.3, 51.0), (-47.0, 180.0),
+                                       (89.99, 51.0)])
+def test_chunk_boundaries_change_no_result(lat0, lon0, monkeypatch):
+    # the default budget holds these pairs in one chunk; budgets of 1, 7
+    # and 100 pairs end a chunk after every cell or every few cells
+    rng = np.random.default_rng(3)
+    qlat, qlon = _cloud(rng, lat0, lon0, 150, 200.0)
+    rlat, rlon = _cloud(rng, lat0, lon0, 120, 200.0)
+    qh, rh = rng.uniform(0.0, 360.0, 150), rng.uniform(0.0, 360.0, 120)
+    want = _searches(qlat, qlon, rlat, rlon, qh, rh, RADIUS_M)
+    cells = _QueryCells(qlat, qlon, RADIUS_M)
+    assert len(list(cells._chunks(rlat, rlon))) == 1
+    for budget in (1, 7, 100):
+        monkeypatch.setattr(spatial, "_PAIR_BUDGET", budget)
+        assert len(list(cells._chunks(rlat, rlon))) > 1
+        got = _searches(qlat, qlon, rlat, rlon, qh, rh, RADIUS_M)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("lat0,lon0", [(0.0, 180.0), (-33.0, -179.99999),
+                                       (89.99995, 51.0), (-89.9999, 180.0)])
+def test_tiny_cells_match_brute_force(lat0, lon0):
+    # the TOPO start match: a 1 m radius on a 0.25 m lattice, about one
+    # query per cell, with exact ties and coincident points
+    rng = np.random.default_rng(11)
+    steps = np.arange(-16, 17) * 0.25
+    north, east = (g.ravel() for g in np.meshgrid(steps, steps))
+    lat = lat0 + north / 111_000.0
+    lon = np.array([wrap_lon(lon0 + e / (111_000.0 * math.cos(math.radians(a))))
+                    for e, a in zip(east, lat)])
+    q = rng.random(lat.size) < 0.3
+    r = rng.random(lat.size) < 0.05
+    qlat, qlon, rlat, rlon = lat[q], lon[q], lat[r], lon[r]
+    full = _brute(qlat, qlon, rlat, rlon)
+    hit = _check_nearest(*nearest_within(qlat, qlon, rlat, rlon, 1.0), full,
+                         1.0)
+    assert hit.any() and not hit.all()
+    _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, [0.25, 0.5, 1.0]),
+                 full, [0.25, 0.5, 1.0])
+
+
+def test_tiny_cells_over_a_wide_extent():
+    # 0.1 mm cells over 10 degrees of latitude: row * ncols would pass
+    # int64, so the cells take fewer, wider columns
+    rng = np.random.default_rng(5)
+    qlat, qlon = rng.uniform(20.0, 30.0, 50), rng.uniform(-180.0, 180.0, 50)
+    rlat = np.append(qlat + 3e-10, rng.uniform(20.0, 30.0, 20))
+    rlon = np.append(qlon, rng.uniform(-180.0, 180.0, 20))
+    cells = _QueryCells(qlat, qlon, 1e-4)
+    assert (cells.nrows + 1) * cells.ncols < np.iinfo(np.int64).max
+    full = _brute(qlat, qlon, rlat, rlon)
+    hit = _check_nearest(*nearest_within(qlat, qlon, rlat, rlon, 1e-4), full,
+                         1e-4)
+    assert hit.all()
+    _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, [1e-4]), full, [1e-4])
 
 
 def test_threshold_bands_next_to_the_pole():

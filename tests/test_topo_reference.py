@@ -138,6 +138,15 @@ def test_ac05_matches_the_reference(ac05, seed, samples):
         reference_topo_score(*ac05, cfg).as_dict()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ac05_matches_the_reference_with_most_partners_unreached(ac05, seed):
+    # a 50 m radius leaves most matched partners of a reached point
+    # unreached, so most owners are rescanned in every sample
+    cfg = EvalConfig(topo_samples=40, rng_seed=seed, topo_radius_m=50.0)
+    assert topo_score(*ac05, cfg).as_dict() == \
+        reference_topo_score(*ac05, cfg).as_dict()
+
+
 @pytest.mark.parametrize("spec", [
     GridSpec(rows=6, cols=6, two_way_fraction=0.5),
     GridSpec(roundabout=True, origin_lon=179.999),

@@ -34,7 +34,7 @@ from .geo import (
     wrap_lon,
     wrap_lon_many,
 )
-from .spatial import GridIndex, _QueryCells
+from .spatial import GridIndex, _QueryCells, threshold_margins
 
 log = logging.getLogger(__name__)
 
@@ -123,48 +123,76 @@ def distinct_points(pts: PointArrays) -> tuple[PointArrays, np.ndarray]:
     return out, inverse
 
 
+# points screened at a time against the seeds chosen before them, in
+# select_seed_indices
+_SEED_BLOCK = 4096
+
+
+def _covered(pts: PointArrays, block: slice, seeds: np.ndarray,
+             cr: float, theta: float) -> np.ndarray:
+    """Whether each point of the block lies within cr of one of the
+    seeds in combined distance, by one batch screen: a pair is a hit
+    when its U is under the hit margin of threshold_margins and a miss
+    when its L >= rho * U is over the miss margin; the combined distance
+    settles the rest."""
+    hit2, miss2 = threshold_margins(cr)
+    qlat, qlon, qh = pts.lat[block], pts.lon[block], pts.heading[block]
+    slat, slon, sh = pts.lat[seeds], pts.lon[seeds], pts.heading[seeds]
+    cells = _QueryCells(qlat, qlon, cr)
+    out = np.zeros(qlat.size, dtype=bool)
+    for pq, pr, lens, u, inv_rho2 in cells._upper(slat, slon, (qh, sh, theta)):
+        out[pq[u < hit2]] = True
+        # the pairs neither bound decides
+        open_ = (u >= hit2) & (u <= miss2 * np.repeat(inv_rho2, lens))
+        for q, r in zip(pq[open_].tolist(), pr[open_].tolist()):
+            if not out[q] and combined_distance_m(
+                    qlat[q], qlon[q], qh[q], slat[r], slon[r], sh[r],
+                    theta) < cr:
+                out[q] = True
+    return out
+
+
 def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """Greedy scan in input order; a point becomes a seed only if every
     existing seed is at least seed_radius_cr away in combined distance.
 
-    The seeds so far sit in a GridIndex of cell seed_radius_cr, whose
-    screen yields the seeds that can lie within that geodesic distance
-    with planar bounds L <= dg <= U. Those settle most pairs:
-    hypot(L, ha) >= cr is no hit and hypot(U, ha) < cr is one. The exact
-    combined distance runs only in between; both tests keep a relative
-    margin of 1e-6, far above its rounding, so seeds are those of exact
-    distances.
+    The points go in blocks of _SEED_BLOCK. One batch screen (_covered)
+    finds the points of a block within cr of a seed chosen before the
+    block began. The others go through the scalar greedy in input order,
+    against a GridIndex of cell cr that holds the block's own seeds:
+    its screen yields the seeds that can lie within cr with planar
+    bounds L <= dg <= U, and hypot(L, ha) over the miss margin is no
+    hit, hypot(U, ha) under the hit margin is one. The exact combined
+    distance runs only in between. Both screens take the margins of
+    spatial.threshold_margins, so every decision is that of exact
+    distances and the seeds do not depend on the block size.
     """
     cr = cfg.seed_radius_cr
     theta = cfg.theta
-    ang_gate = 180.0 * cr / theta if theta > 0 else 181.0
-    miss2 = (cr * (1.0 + 1e-6)) ** 2
-    hit2 = (cr * (1.0 - 1e-6)) ** 2
-
-    index = GridIndex(cr)
-    seeds: list[int] = []
+    hit2, miss2 = (float(m) for m in threshold_margins(cr))
     # views index to plain floats, without copying the columns to lists
     lat, lon, hdg = (memoryview(np.ascontiguousarray(a, dtype=np.float64))
                      for a in (pts.lat, pts.lon, pts.heading))
-    for i in range(pts.n):
-        la = lat[i]; lo = lon[i]; h = hdg[i]
-        for lo2, hi2, j, plat, plon in index.screened(la, lo, cr):
-            # angle_diff_deg inline: this loop is hot
-            da = abs(hdg[j] - h) % 360.0
-            if da > 180.0:
-                da = 360.0 - da
-            if da > ang_gate:
-                continue
-            ha = theta * da / 180.0
-            ha2 = ha * ha
-            if lo2 + ha2 >= miss2:
-                continue
-            if (hi2 + ha2 < hit2 or combined_distance_m(
-                    la, lo, h, plat, plon, hdg[j], theta) < cr):
-                break
-        else:
-            seeds.append(i)
-            index.insert(i, la, lo)
+    seeds: list[int] = []
+    for start in range(0, pts.n, _SEED_BLOCK):
+        block = slice(start, min(start + _SEED_BLOCK, pts.n))
+        todo = np.arange(block.start, block.stop)
+        if seeds:
+            todo = todo[~_covered(pts, block, np.asarray(seeds), cr, theta)]
+        index = GridIndex(cr)
+        for i in todo.tolist():
+            la = lat[i]; lo = lon[i]; h = hdg[i]
+            for lo2, hi2, j, plat, plon in index.screened(la, lo, cr):
+                ha = theta * angle_diff_deg(hdg[j], h) / 180.0
+                ha2 = ha * ha
+                if lo2 + ha2 > miss2:
+                    continue
+                if (hi2 + ha2 < hit2 or combined_distance_m(
+                        la, lo, h, plat, plon, hdg[j], theta) < cr):
+                    break
+            else:
+                seeds.append(i)
+                index.insert(i, la, lo)
     return np.asarray(seeds, dtype=np.int64)
 
 
@@ -243,9 +271,9 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
     return counts, lat, lon, hdg
 
 
-# relative margin of the bound test, as in select_seed_indices. It is
-# taken of the cell size at least: the bound sums distances and drifts
-# whose rounding is absolute, about a nanometer each
+# relative margin of the bound test, as in spatial.threshold_margins.
+# It is taken of the cell size at least: the bound sums distances and
+# drifts whose rounding is absolute, about a nanometer each
 _BOUND_MARGIN = 1e-6
 
 

@@ -105,7 +105,11 @@ def angle_diff_deg_many(a, b) -> np.ndarray:
     place on one array: k-means passes inputs millions long."""
     d = np.asarray(np.subtract(a, b), dtype=np.float64)
     np.abs(d, out=d)
-    np.remainder(d, 360.0, out=d)
+    # headings in [0, 360] differ by at most 360, which the remainder
+    # would turn to 0 and the last step turns to 0 as well; a NaN fails
+    # the test and keeps the remainder
+    if d.size and not d.max() <= 360.0:
+        np.remainder(d, 360.0, out=d)
     return np.subtract(360.0, d, out=d, where=d > 180.0)
 
 

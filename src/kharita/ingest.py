@@ -260,11 +260,14 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     sr = cfg.sampling_rate_m
     out: list[GpsPoint] = [tr.points[0]]
     for a, b in zip(tr.points, tr.points[1:]):
-        d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
-        if (d > 1e-9 and a.heading_deg is not None and b.heading_deg is not None
+        # measure only the pairs the gate passes, and take the bearing
+        # only of those that get a point
+        if (a.heading_deg is not None and b.heading_deg is not None
                 and angle_diff_deg(a.heading_deg, b.heading_deg) < gate):
-            out += between(a, b, int(d // sr),
-                           initial_bearing_deg(a.lat, a.lon, b.lat, b.lon))
+            d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
+            if d > 1e-9 and (n := int(d // sr)):
+                out += between(a, b, n,
+                               initial_bearing_deg(a.lat, a.lon, b.lat, b.lon))
         out.append(b)
     return Trajectory(tr.vehicle_id, out)
 

@@ -337,6 +337,18 @@ def nearest_within(qlat, qlon, rlat, rlon, radius_m: float):
     return _QueryCells(qlat, qlon, radius_m).nearest(rlat, rlon)[:2]
 
 
+def threshold_margins(threshold):
+    """Squared (hit, miss) margins of a distance threshold, or of an
+    array of them: a pair whose upper bound U has U^2 under hit is within
+    the threshold, and one whose lower bound L has L^2 over miss is
+    beyond it. Each widens the threshold by 1e-6 relative and 1e-6 m:
+    Vincenty and the bounds round by about a nanometer, over 1e-6 of a
+    pair under a millimetre."""
+    t = np.asarray(threshold, dtype=np.float64)
+    return (np.maximum(t / (1.0 + 1e-6) - 1e-6, 0.0) ** 2,
+            (t / (1.0 - 1e-6) + 1e-6) ** 2)
+
+
 def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
     """Every (query, reference) pair at most the largest threshold
     apart, with its band: the index of the least threshold at or above
@@ -344,18 +356,15 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
     a pair meets sorted threshold k exactly when its band is <= k.
 
     Returns (q, r, band) arrays with the pairs of each query contiguous.
-    A pair whose bounds L and U, widened by a margin far above their
-    rounding, fall in the same band takes that band; exact Vincenty
-    runs only on the pairs that straddle a threshold.
+    A pair whose bounds L and U fall in the same band, with the margins
+    of threshold_margins, takes that band; exact Vincenty runs only on
+    the pairs that straddle a threshold.
     """
     ts = np.sort(np.asarray(thresholds, dtype=np.float64))
     cells = _QueryCells(qlat, qlon, ts[-1])
     rlat = np.asarray(rlat, dtype=np.float64)
     rlon = np.asarray(rlon, dtype=np.float64)
-    # U and L widened by 1e-6 relative and 1e-6 m: Vincenty and the bounds
-    # round by about a nanometer, over 1e-6 of a pair under a millimetre
-    hi2 = np.maximum(ts / (1.0 + 1e-6) - 1e-6, 0.0) ** 2
-    lo2 = (ts / (1.0 - 1e-6) + 1e-6) ** 2
+    hi2, lo2 = threshold_margins(ts)
     out = [(np.empty(0, dtype=np.int64),) * 3]
     for pq, pr, lens, u, inv_rho2 in cells._upper(rlat, rlon):
         l2 = u / np.repeat(inv_rho2, lens)

@@ -4,12 +4,14 @@ Brute-force O(n^2) reimplementations of the distance logic act as
 oracles for the grid-accelerated code paths.
 """
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kharita import clustering
 from kharita.clustering import (
     ClusterConfig,
     PointArrays,
@@ -215,6 +217,59 @@ class TestSeedSelection:
                GpsPoint("v", 1.0, 25.0, 51.0, 30.0, 90.0)]
         seeds = select_seed_indices(PointArrays.from_points(pts), ClusterConfig())
         assert list(seeds) == [0]
+
+
+    def test_sub_millimetre_radius_at_the_pole(self):
+        # two fixes 5.6e-5 m apart next to the pole, exactly at least cr
+        # apart: the planar U there rounds 2.24e-5 relative below
+        # Vincenty, so only the 1e-6 m floor of the margins keeps the
+        # second fix a seed, in the scalar screen and in the batch one
+        cfg = ClusterConfig(seed_radius_cr=5.584753802239989e-05)
+        pts = PointArrays(np.array([89.999999999, 89.9999999985]),
+                          np.zeros(2), np.zeros(2), np.full(2, 30.0),
+                          np.zeros(2))
+        assert greedy_seeds(pts, cfg) == [0, 1]
+        for block in (1, 4096):
+            with patch.object(clustering, "_SEED_BLOCK", block):
+                assert list(select_seed_indices(pts, cfg)) == [0, 1]
+
+    # a 2.5 m lattice, for duplicates and equal distances, with few
+    # headings; blocks of one point, of a few and of all of them
+    @settings(max_examples=150)
+    @given(lat0=st.one_of(st.floats(-89.5, 89.5),
+                          st.sampled_from([89.99, -89.99])),
+           lon0=st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999]),
+           sited=st.lists(st.tuples(
+               st.tuples(st.integers(-16, 16).map(lambda n: n * 2.5),
+                         st.integers(-16, 16).map(lambda e: e * 2.5)),
+               st.sampled_from([0.0, 10.0, 90.0, 180.0, 350.0])),
+               min_size=1, max_size=80),
+           cr=st.sampled_from([5.0, 20.0]),
+           theta=st.sampled_from([None, 0.0, 1e6]))
+    def test_blocks_match_brute_force(self, lat0, lon0, sited, cr, theta):
+        pts = lattice_site(lat0, lon0, sited)
+        cfg = ClusterConfig(seed_radius_cr=cr, heading_weight_theta=theta)
+        want = greedy_seeds(pts, cfg)
+        for block in (1, 7, 4096):
+            with patch.object(clustering, "_SEED_BLOCK", block):
+                assert list(select_seed_indices(pts, cfg)) == want
+
+    @pytest.mark.parametrize("theta", [None, 0.0, 1e6])
+    def test_blocks_match_brute_force_on_clouds(self, theta):
+        # random clouds in the open, near the pole and across the
+        # antimeridian, each followed by copies of some of its points
+        rng = np.random.default_rng(59)
+        cfg = ClusterConfig(seed_radius_cr=20.0, heading_weight_theta=theta)
+        sites = [random_points(rng, 300, span=0.002)] + [
+            seam_points(rng, 300, lat0, lon0) for lat0, lon0 in POLAR_SEAM]
+        for pts in sites:
+            dup = np.concatenate([np.arange(pts.n), rng.integers(0, pts.n, 60)])
+            pts = PointArrays(*(a[dup] for a in (
+                pts.lat, pts.lon, pts.heading, pts.speed, pts.ts)))
+            want = greedy_seeds(pts, cfg)
+            for block in (1, 7, 4096):
+                with patch.object(clustering, "_SEED_BLOCK", block):
+                    assert list(select_seed_indices(pts, cfg)) == want
 
 
 class TestAssignment:

@@ -162,6 +162,35 @@ class TestAngles:
         assert angle_diff_deg_many(a, 45.0).tolist() == \
                [angle_diff_deg(x, 45.0) for x in a]
 
+    @given(st.data(), st.integers(0, 12))
+    @example(None, 0)
+    def test_many_matches_the_remainder_formula(self, data, n):
+        # the formula with the remainder always taken, bit for bit: in
+        # range, at 360 and -0.0, and with NaN, negative and >360 inputs
+        if data is None:
+            pairs = [(360.0, 0.0), (0.0, 360.0), (-0.0, 0.0), (0.0, -0.0),
+                     (math.nan, 10.0), (-5.0, 355.0), (725.0, 1.0),
+                     (math.inf, 0.0), (361.0, 0.0), (0.0, 400.0),
+                     (-10.0, 355.0), (math.nextafter(360.0, 361.0), 0.0)]
+        else:
+            heading = st.one_of(
+                st.floats(0.0, 360.0),
+                st.sampled_from([0.0, -0.0, 180.0, 360.0, math.nan, -10.0,
+                                 361.0, 720.0, -1e-300]),
+                st.floats(allow_nan=True, allow_infinity=True))
+            pairs = data.draw(st.lists(st.tuples(heading, heading),
+                                       min_size=n, max_size=n))
+        # whether the remainder is taken depends on the whole array, so
+        # each pair goes alone too
+        for chunk in [pairs] + [[p] for p in pairs]:
+            a = np.array([p[0] for p in chunk], dtype=np.float64)
+            b = np.array([p[1] for p in chunk], dtype=np.float64)
+            with np.errstate(invalid="ignore"):
+                want = np.remainder(np.abs(a - b), 360.0)
+                want = np.where(want > 180.0, 360.0 - want, want)
+                got = angle_diff_deg_many(a, b)
+            assert got.tobytes() == want.tobytes()
+
     def test_normalize_heading(self):
         assert normalize_heading(360.0) == 0.0
         assert normalize_heading(-90.0) == 270.0

@@ -34,7 +34,7 @@ from .geo import (
     wrap_lon,
     wrap_lon_many,
 )
-from .spatial import GridIndex, _QueryCells, threshold_margins
+from .spatial import GridIndex, _QueryCells, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +135,7 @@ def _covered(pts: PointArrays, block: slice, seeds: np.ndarray,
     when its U is under the hit margin of threshold_margins and a miss
     when its L >= rho * U is over the miss margin; the combined distance
     settles the rest."""
-    hit2, miss2 = threshold_margins(cr)
+    hit2, miss2 = scalar_margins(cr)
     qlat, qlon, qh = pts.lat[block], pts.lon[block], pts.heading[block]
     slat, slon, sh = pts.lat[seeds], pts.lon[seeds], pts.heading[seeds]
     cells = _QueryCells(qlat, qlon, cr)
@@ -169,7 +169,7 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """
     cr = cfg.seed_radius_cr
     theta = cfg.theta
-    hit2, miss2 = (float(m) for m in threshold_margins(cr))
+    hit2, miss2 = scalar_margins(cr)
     # views index to plain floats, without copying the columns to lists
     lat, lon, hdg = (memoryview(np.ascontiguousarray(a, dtype=np.float64))
                      for a in (pts.lat, pts.lon, pts.heading))

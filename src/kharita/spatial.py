@@ -23,16 +23,22 @@ distance d. A candidate is kept only if its L is within the radius. A
 batch nearest search also drops a candidate whose L exceeds the
 second-least U among its query's candidates: it is strictly farther
 than two others, so the survivors hold the two smallest exact
-distances, the nearest and the runner-up that k-means needs. The scalar
-GridIndex.nearest needs the nearest alone and compares L with the least
-U. Exact Vincenty runs on the survivors alone, and ties go to the
-lowest index. _QueryCells.nearest is the batch form of the screen and
-GridIndex.screened the scalar one. threshold_pairs asks only which of
-several thresholds each pair meets, so a pair gets an exact distance
+distances, the nearest and the runner-up that k-means needs. Exact
+Vincenty runs on the survivors alone, and ties go to the lowest index.
+_QueryCells.nearest is the batch form of the screen. The scalar
+GridIndex.nearest needs the nearest alone: one pass over the candidates
+keeps those whose L is within the least U seen so far, and when one is
+left its bounds against the margins of threshold_margins settle
+whether it is within the radius; Vincenty runs only when several are
+left or the one left straddles the radius. GridIndex.screened yields
+every candidate's bounds for seed selection, whose heading term keeps
+it from pruning on a running minimum. threshold_pairs asks only which
+of several thresholds each pair meets, so a pair gets an exact distance
 only when a threshold lies between its L and U.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -95,11 +101,6 @@ def _column_count(row: int, row_deg: float, cell_m: float) -> int:
     edge = min(max(abs(row - 1), abs(row + 2)) * row_deg, 90.0)
     return max(1, int(360.0 * M_PER_DEG_LAT * math.cos(math.radians(edge))
                       / (1.001 * cell_m)))
-
-
-def _columns_around(col: int, n: int):
-    """The columns of a 3x3 neighborhood in a row of n, each once."""
-    return ((col - 1) % n, col % n, (col + 1) % n) if n >= 3 else range(n)
 
 
 def segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -349,6 +350,14 @@ def threshold_margins(threshold):
             (t / (1.0 - 1e-6) + 1e-6) ** 2)
 
 
+@functools.lru_cache(maxsize=64)
+def scalar_margins(threshold: float) -> tuple[float, float]:
+    """threshold_margins of one threshold, as floats, for the scalar
+    screens that ask it once per query."""
+    hit2, miss2 = threshold_margins(threshold)
+    return float(hit2), float(miss2)
+
+
 def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
     """Every (query, reference) pair at most the largest threshold
     apart, with its band: the index of the least threshold at or above
@@ -383,31 +392,34 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
 class GridIndex:
     """Incremental point index for within-radius nearest queries, on the
     grid rule of the module docstring with each row's own column count.
-    The index keeps each item's position, set by insert and move.
+    The index keeps each item's position, set by insert and move. A
+    cell's key is row * stride + col, with stride the column count of
+    row 0, which no row exceeds.
     """
 
     def __init__(self, cell_m: float):
         self.cell_m = float(cell_m)
         self._row_deg = self.cell_m / M_PER_DEG_LAT_MIN
-        self._rows: dict[int, tuple[int, float]] = {}  # row -> (columns, degrees each)
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        self._keys: dict[int, tuple[int, int]] = {}
+        self._stride = _column_count(0, self._row_deg, self.cell_m)
+        # row -> (columns, degrees each, key of its column 0)
+        self._rows: dict[int, tuple[int, float, int]] = {}
+        self._cells: dict[int, list[int]] = {}
+        self._keys: dict[int, int] = {}
         self._pos: dict[int, tuple[float, float]] = {}
 
     def __len__(self) -> int:
         return len(self._pos)
 
-    def _columns(self, row: int) -> tuple[int, float]:
+    def _row(self, row: int) -> tuple[int, float, int]:
         got = self._rows.get(row)
         if got is None:
             n = _column_count(row, self._row_deg, self.cell_m)
-            got = self._rows[row] = (n, 360.0 / n)
+            got = self._rows[row] = (n, 360.0 / n, row * self._stride)
         return got
 
-    def _key(self, lat: float, lon: float) -> tuple[int, int]:
-        row = math.floor(lat / self._row_deg)
-        n, width = self._columns(row)
-        return row, math.floor((lon + 180.0) / width) % n
+    def _key(self, lat: float, lon: float) -> int:
+        n, width, base = self._row(math.floor(lat / self._row_deg))
+        return base + math.floor((lon + 180.0) / width) % n
 
     def insert(self, item: int, lat: float, lon: float) -> None:
         key = self._key(lat, lon)
@@ -434,13 +446,26 @@ class GridIndex:
         """Items in the 3x3 neighborhood of the position's cell."""
         row = math.floor(lat / self._row_deg)
         x = lon + 180.0
+        rows, cells = self._rows, self._cells
         out = []
         for r in (row - 1, row, row + 1):
-            n, width = self._columns(r)
-            for c in _columns_around(math.floor(x / width), n):
-                got = self._cells.get((r, c))
-                if got:
-                    out.extend(got)
+            n, width, base = rows.get(r) or self._row(r)
+            if n < 3:
+                for c in range(base, base + n):
+                    got = cells.get(c)
+                    if got:
+                        out += got
+                continue
+            c = math.floor(x / width) % n
+            got = cells.get(base + c - 1 if c else base + n - 1)
+            if got:
+                out += got
+            got = cells.get(base + c)
+            if got:
+                out += got
+            got = cells.get(base + c + 1 if c + 1 < n else base)
+            if got:
+                out += got
         return out
 
     def screened(self, lat: float, lon: float, radius_m: float):
@@ -463,27 +488,49 @@ class GridIndex:
                 a, b = dlat * lat_hi, dlon * lon_hi
                 yield lo, a * a + b * b, item, plat, plon
 
-    def nearest(self, lat: float, lon: float,
-                radius_m: float) -> tuple[float, int]:
-        """(distance, item) of the nearest item within radius_m, or
-        (inf, -1); ties go to the lowest item. Requires radius_m <= cell_m.
+    def nearest(self, lat: float, lon: float, radius_m: float) -> int:
+        """The nearest item within radius_m, or -1; ties go to the lowest
+        item. Requires radius_m <= cell_m.
 
-        Vincenty runs only on screened candidates whose L is no larger
-        than the least U among them: the others cannot win.
+        One pass over the candidates keeps a candidate while its L is
+        within 1.001 * radius_m (as in screened) and the least U seen so
+        far: one whose L exceeds another's U cannot win. When one
+        candidate is left, the margins of threshold_margins settle it: U
+        under the hit margin is inside, L over the miss margin outside.
+        Vincenty runs only when several candidates are left, or the one
+        left straddles the radius.
         """
+        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
+        bound = (1.001 * radius_m) ** 2
+        pos = self._pos
         near = []
-        u_min = math.inf
-        for lo, hi, item, plat, plon in self.screened(lat, lon, radius_m):
-            if hi < u_min:
-                u_min = hi
-            near.append((lo, item, plat, plon))
-        best_d, best_i = math.inf, -1
-        for lo, item, plat, plon in near:
-            if lo > u_min:
+        for item in self.candidates(lat, lon):
+            plat, plon = pos[item]
+            dlat = plat - lat
+            a = dlat * lat_lo
+            lo = a * a
+            if lo > bound:
                 continue
-            d = vincenty_m(lat, lon, plat, plon)
+            dlon = lon_delta(lon, plon)
+            b = dlon * lon_lo
+            lo += b * b
+            if lo <= bound:
+                a, b = dlat * lat_hi, dlon * lon_hi
+                hi = a * a + b * b
+                if hi < bound:
+                    bound = hi
+                near.append((lo, hi, item))
+        near = [c for c in near if c[0] <= bound]
+        if len(near) == 1:
+            lo, hi, item = near[0]
+            hit2, miss2 = scalar_margins(radius_m)
+            if hi < hit2:
+                return item
+            if lo > miss2:
+                return -1
+        best_d, best_i = math.inf, -1
+        for lo, hi, item in near:
+            d = vincenty_m(lat, lon, *pos[item])
             if d < best_d or (d == best_d and item < best_i):
                 best_d, best_i = d, item
-        if best_d > radius_m:
-            return math.inf, -1
-        return best_d, best_i
+        return best_i if best_d <= radius_m else -1

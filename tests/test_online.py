@@ -1,20 +1,36 @@
 """Streaming construction tests: incremental assignment, online edge
 admission, staleness, re-sparsification, and the stream driver."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kharita.geo import GpsPoint, M_PER_DEG_LAT, vincenty_m
-from kharita.mapio import save_map
+from kharita import online
+from kharita.evaluate import GridSpec, generate_synthetic
+from kharita.geo import (
+    GpsPoint,
+    M_PER_DEG_LAT,
+    M_PER_DEG_LAT_MIN,
+    initial_bearing_deg,
+    vincenty_m,
+    vincenty_m_many,
+    wrap_lon,
+)
+from kharita.ingest import between, stream_points
+from kharita.mapio import save_map, save_trajectories_csv
 from kharita.online import (
     OnlineConfig,
     StreamState,
+    _densify_pair,
     consume_stream,
     mark_stale,
     process_pair,
     resparsify,
 )
+from kharita.spatial import GridIndex
 
 LAT0, LON0 = 25.0, 51.0
 DEG_PER_M_LAT = 1.0 / M_PER_DEG_LAT
@@ -392,3 +408,154 @@ class TestAntimeridian:
         assert g.edges
         for e in g.edges.values():
             assert e.weight_m <= 2 * cfg.sampling_rate_sr
+
+
+def _exact_densify_pair(x_i, x_next, sr):
+    """The rule of online._densify_pair with the pair's exact length d:
+    a bearing of its own when d > 1e-9, and k = max(1, floor(d / sr))."""
+    d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
+    if d > 1e-9:
+        bearing = initial_bearing_deg(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
+    elif x_i.heading_deg is not None:
+        bearing = x_i.heading_deg
+    else:
+        bearing = x_next.heading_deg
+    first = x_i if x_i.heading_deg is not None else replace(x_i, heading_deg=bearing)
+    last = x_next if x_next.heading_deg is not None else replace(x_next, heading_deg=bearing)
+    k = max(1, int(d // sr))
+    return [first, *between(x_i, x_next, k - 1, bearing), last], bearing
+
+
+def _exact_nearest(index, lat, lon, radius_m):
+    """GridIndex.nearest by Vincenty on every item: the nearest within
+    radius_m, ties to the lowest item, or -1. Two coarse cuts spare the
+    scalar Vincenty only the items that are surely beyond the radius: a
+    degree of latitude is at least M_PER_DEG_LAT_MIN long, and the batch
+    Vincenty agrees with the scalar one to a nanometre."""
+    if not index._pos:
+        return -1
+    items = np.array(list(index._pos))
+    plat, plon = np.array(list(index._pos.values())).T
+    near = np.abs(plat - lat) * M_PER_DEG_LAT_MIN <= 2.0 * radius_m
+    items, plat, plon = items[near], plat[near], plon[near]
+    d = vincenty_m_many(np.full(plat.size, lat), np.full(plat.size, lon),
+                        plat, plon)
+    best = (math.inf, -1)
+    for j in np.flatnonzero(d <= radius_m * (1.0 + 1e-6) + 1e-6).tolist():
+        dj = vincenty_m(lat, lon, plat[j], plon[j])
+        if dj <= radius_m and (dj, int(items[j])) < best:
+            best = (dj, int(items[j]))
+    return best[1]
+
+
+class TestExactReference:
+    """Online maps against a reference that decides every assignment
+    and every densify count with exact distances."""
+
+    @pytest.mark.parametrize("origin_lon, changes", [
+        (51.0, {}),
+        (51.0, {"sampling_rate_sr": math.inf}),
+        (179.998, {}),
+        (51.0, {"clustering_radius_cr": 1e-3}),
+    ], ids=["ac05", "sr-inf", "seam", "cr-1mm"])
+    def test_map_bytes_match(self, origin_lon, changes, tmp_path,
+                             monkeypatch):
+        # the AC-05 city; spacings of 20-170 m put points between fixes
+        _, trajectories = generate_synthetic(
+            GridSpec(rows=5, cols=5, block_m=100.0, origin_lon=origin_lon),
+            noise_sigma_m=5.0, n_trajectories=200,
+            sampling_spacing_m=(20.0, 170.0), rng_seed=7)
+        csv = str(tmp_path / "city.csv")
+        save_trajectories_csv(trajectories, csv)
+        cfg = replace(OnlineConfig(), **changes)
+        maps = []
+        for exact in (False, True):
+            if exact:
+                monkeypatch.setattr(GridIndex, "nearest", _exact_nearest)
+                monkeypatch.setattr(online, "_densify_pair",
+                                    _exact_densify_pair)
+            graph = consume_stream(stream_points(csv), cfg).graph
+            assert graph.edges
+            path = tmp_path / f"{exact}.edges"
+            save_map(graph, str(path))
+            maps.append(path.read_bytes())
+        assert maps[0] == maps[1]
+
+
+def _offset_point(p, meters, bearing_deg):
+    """A point about meters from p along bearing_deg, scaled so that
+    Vincenty puts it at meters to within about 1e-9 relative."""
+    lat_scale = M_PER_DEG_LAT
+    lon_scale = M_PER_DEG_LAT * math.cos(math.radians(p.lat))
+    b = math.radians(bearing_deg)
+    north, east = math.cos(b), math.sin(b)
+    for _ in range(3):
+        lat = p.lat + meters * north / lat_scale
+        lon = wrap_lon(p.lon + meters * east / lon_scale)
+        d = vincenty_m(p.lat, p.lon, lat, lon)
+        if d == 0.0:
+            break
+        north, east = north * meters / d, east * meters / d
+    return lat, lon
+
+
+_heading = st.one_of(st.none(), st.floats(0.0, 359.9))
+
+
+@st.composite
+def _pairs(draw):
+    lat = draw(st.one_of(st.floats(-80.0, 80.0),
+                         st.sampled_from([0.0, 25.0, -33.9, 65.1])))
+    lon = draw(st.one_of(st.floats(-180.0, 179.999),
+                         st.sampled_from([179.99999, -180.0, -179.99999])))
+    sr = draw(st.sampled_from([20.0, 7.5, 0.01, math.inf]))
+    p = GpsPoint("v", 0.0, lat, lon, 30.0, draw(_heading))
+    kind = draw(st.sampled_from(["sr", "2sr", "any", "tiny", "ulps"]))
+    if kind == "ulps":
+        # a few units in the last place: Vincenty rounds to nanometres
+        qlat = lat + draw(st.integers(-8, 8)) * math.ulp(lat or 1.0)
+        qlon = wrap_lon(lon + draw(st.integers(-8, 8)) * math.ulp(lon))
+    else:
+        rel = draw(st.floats(-1e-6, 1e-6))
+        base = {"sr": sr, "2sr": 2.0 * sr,
+                "any": draw(st.floats(0.0, 5.0)) * min(sr, 50.0),
+                "tiny": draw(st.floats(0.0, 1e-8))}[kind]
+        if not math.isfinite(base):
+            base = draw(st.floats(0.0, 500.0))
+        # east and west across the antimeridian when lon is at it
+        bearing = draw(st.one_of(st.floats(0.0, 360.0),
+                                 st.sampled_from([90.0, 270.0, 0.0])))
+        qlat, qlon = _offset_point(p, base * (1.0 + rel), bearing)
+    q = GpsPoint("v", 10.0, qlat, qlon, 30.0, draw(_heading))
+    return p, q, sr
+
+
+@settings(max_examples=600)
+@given(pair=_pairs())
+def test_densify_pair_matches_the_exact_rule(pair):
+    p, q, sr = pair
+    assert _densify_pair(p, q, sr) == _exact_densify_pair(p, q, sr)
+
+
+def test_densify_pair_measures_only_the_pairs_the_bounds_leave_open(
+        monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vincenty_m(*args)
+
+    monkeypatch.setattr(online, "vincenty_m", counted)
+    a = pt("v", 0.0, 0.0)
+    # under 2 sr by U and over a micrometre by L: k = 1 unmeasured
+    assert _densify_pair(a, pt("v", 1.0, 10.0, 25.0), 20.0) == \
+        _exact_densify_pair(a, pt("v", 1.0, 10.0, 25.0), 20.0)
+    assert _densify_pair(a, pt("v", 1.0, 12.0), math.inf)[0][1:] == \
+        [pt("v", 1.0, 12.0)]
+    assert calls == []
+    # long, coincident, or east-west under sr = inf: measured
+    for b, sr in ((pt("v", 1.0, 50.0), 20.0), (pt("v", 1.0, 0.0), 20.0),
+                  (pt("v", 1.0, 0.0, 12.0), math.inf)):
+        calls.clear()
+        assert _densify_pair(a, b, sr) == _exact_densify_pair(a, b, sr)
+        assert len(calls) == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kharita import evaluate, graphs
+from kharita import evaluate, graphs, online
 from kharita.clustering import ClusterConfig
 from kharita.ingest import IngestConfig
 
@@ -45,6 +45,27 @@ def test_hooks_install_and_see_every_pipeline_stage(layers):
         tracer.uninstall()
     assert set(stats.timings) == set(layers.PIPELINE_STAGES)
     assert set(layers.PIPELINE_STAGES.values()) <= {s.name for s in tracer.spans}
+
+
+def test_online_hooks_see_one_candidate_scan_per_query(layers):
+    # spatial.grid_candidates_per_query divides the candidates counted
+    # on GridIndex.candidates by the GridIndex.nearest calls
+    _, trajectories = evaluate.generate_synthetic(
+        evaluate.GridSpec(3, 3, block_m=100.0), noise_sigma_m=5.0,
+        n_trajectories=12, sampling_spacing_m=20.0, rng_seed=1)
+    stream = sorted((p for t in trajectories for p in t.points),
+                    key=lambda p: p.timestamp)
+    tracer = layers.Tracer(layers.TARGETS)
+    try:
+        tracer.install()
+        state = online.consume_stream(stream, online.OnlineConfig())
+    finally:
+        tracer.uninstall()
+    fn = tracer.by_function()
+    nearest = fn["spatial.GridIndex.nearest"].calls
+    assert state.graph.nodes and nearest > len(state.graph.nodes)
+    assert fn["spatial.GridIndex.candidates"].calls == nearest
+    assert tracer.counts["grid_candidates"] > 0
 
 
 def test_every_workload_runs_once(workloads, tmp_path):

@@ -11,7 +11,6 @@ from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_l
 from kharita.spatial import (
     GridIndex,
     _QueryCells,
-    _columns_around,
     nearest_within,
     threshold_pairs,
 )
@@ -124,15 +123,20 @@ def test_empty_inputs():
         assert q.dtype == r.dtype == band.dtype == np.int64
 
 
+def _columns_around(col, n):
+    """The columns of a 3x3 neighborhood in a row of n, each once."""
+    return ((col - 1) % n, col % n, (col + 1) % n) if n >= 3 else range(n)
+
+
 def _brute_nearest(positions, lat, lon, radius_m):
-    """(distance, item) of the nearest position within radius_m, ties to
-    the lowest item, or (inf, -1): every item checked with Vincenty."""
+    """The nearest position's item within radius_m, ties to the lowest
+    item, or -1: every item checked with Vincenty."""
     best = (math.inf, -1)
     for item in sorted(positions):
         d = vincenty_m(lat, lon, *positions[item])
         if d <= radius_m and (d, item) < best:
             best = (d, item)
-    return best
+    return best[1]
 
 
 # offsets in meters on a 2.5 m lattice, so equal positions (exact ties)
@@ -332,7 +336,8 @@ class TestGridIndex:
            lon0=_lon0,
            inserts=st.lists(_offset, min_size=1, max_size=25),
            moves=st.lists(st.tuples(st.integers(0, 24), _offset), max_size=10),
-           queries=st.lists(st.tuples(_offset, st.booleans()),
+           queries=st.lists(st.tuples(_offset, st.sampled_from(
+               ["cell", "at", "inside", "outside", "mm"])),
                             min_size=1, max_size=6))
     def test_nearest_matches_brute_force(self, lat0, south, lon0, inserts,
                                          moves, queries):
@@ -348,14 +353,17 @@ class TestGridIndex:
                 positions[item] = _place(lat0, lon0, n, e)
                 index.move(item, *positions[item])
         assert len(index) == len(positions)
-        for (n, e), on_boundary in queries:
+        for (n, e), radius_at in queries:
             lat, lon = _place(lat0, lon0, n, e)
             radius = self.CELL_M
-            if on_boundary:
-                # a radius exactly at some item's distance keeps that item
-                d = vincenty_m(lat, lon, *positions[len(inserts) // 2])
-                if 0.0 < d <= self.CELL_M:
-                    radius = d
+            # a radius exactly at some item's distance keeps that item,
+            # and one a hair inside or outside it decides by its side
+            d = vincenty_m(lat, lon, *positions[len(inserts) // 2])
+            scale = {"at": 1.0, "inside": 1.0 - 1e-7, "outside": 1.0 + 1e-7}
+            if radius_at in scale and 0.0 < d * scale[radius_at] <= self.CELL_M:
+                radius = d * scale[radius_at]
+            elif radius_at == "mm":
+                radius = 1e-3
             assert index.nearest(lat, lon, radius) == \
                 _brute_nearest(positions, lat, lon, radius)
 
@@ -370,18 +378,15 @@ class TestGridIndex:
         for i in range(200):
             lon = 10.0 + i * 1.7e-5
             index.move(1, 60.0, lon + east)
-            d, item = index.nearest(60.0, lon, self.CELL_M)
-            missed += item != 1
-            assert item != 1 or d == vincenty_m(60.0, lon, 60.0, lon + east)
+            missed += index.nearest(60.0, lon, self.CELL_M) != 1
         assert missed == 0
 
     def test_columns_wrap_at_the_antimeridian(self):
         index = GridIndex(self.CELL_M)
         index.insert(0, 10.0, 179.99995)
         index.insert(1, 10.0, 0.0)
-        d, item = index.nearest(10.0, -179.99995, self.CELL_M)
-        assert item == 0
-        assert d == vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
+        assert vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
+        assert index.nearest(10.0, -179.99995, self.CELL_M) == 0
 
     def test_rows_near_the_pole(self):
         # whole-circle rows hold only a few columns; none is scanned twice
@@ -389,7 +394,50 @@ class TestGridIndex:
         index.insert(0, 89.99995, 0.0)
         index.insert(1, 89.99995, 120.0)
         assert sorted(index.candidates(89.99995, -120.0)) == [0, 1]
-        d, item = index.nearest(89.99995, -120.0, self.CELL_M)
-        assert (d, item) == _brute_nearest({0: (89.99995, 0.0),
-                                            1: (89.99995, 120.0)},
-                                           89.99995, -120.0, self.CELL_M)
+        assert index.nearest(89.99995, -120.0, self.CELL_M) == \
+            _brute_nearest({0: (89.99995, 0.0), 1: (89.99995, 120.0)},
+                           89.99995, -120.0, self.CELL_M)
+
+    def test_ties_go_to_the_lowest_item(self):
+        # item 0 leaves and rejoins the cell, so it is scanned last
+        index = GridIndex(self.CELL_M)
+        for item in range(3):
+            index.insert(item, 25.0, 51.0)
+        index.move(0, 25.001, 51.0)
+        index.move(0, 25.0, 51.0)
+        assert index.candidates(25.0, 51.0) == [1, 2, 0]
+        assert index.nearest(25.0, 51.00001, self.CELL_M) == 0
+
+    def test_vincenty_only_where_the_bounds_leave_it_open(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return vincenty_m(*args)
+
+        monkeypatch.setattr(spatial, "vincenty_m", counted)
+        index = GridIndex(self.CELL_M)
+        for item, (n, e) in enumerate([(5.0, 0.0), (0.0, 15.0), (-12.0, -9.0),
+                                       (40.0, 0.0), (0.0, -18.0)]):
+            index.insert(item, *_place(25.0, 51.0, n, e))
+        lat, lon = 25.0, 51.0
+        # one candidate is left, well inside: no exact distance
+        assert index.nearest(lat, lon, self.CELL_M) == 0
+        assert calls == []
+        # the one left is outside by its lower bound: item 0 lies due
+        # north, so L is its latitude step at M_PER_DEG_LAT_MIN
+        low = (index._pos[0][0] - lat) * spatial.M_PER_DEG_LAT_MIN
+        radius = low / 1.0005
+        assert low <= 1.001 * radius    # within the screen's slack
+        assert index.nearest(lat, lon, radius) == -1
+        assert calls == []
+        # the one left sits at the radius
+        d = vincenty_m(lat, lon, *index._pos[0])
+        assert index.nearest(lat, lon, d) == 0
+        assert len(calls) == 1
+        # two candidates whose bounds overlap
+        calls.clear()
+        index.insert(5, *_place(25.0, 51.0, 0.0, 5.0))
+        assert index.nearest(lat, lon, self.CELL_M) == \
+            _brute_nearest(index._pos, lat, lon, self.CELL_M)
+        assert len(calls) == 2

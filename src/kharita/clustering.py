@@ -9,8 +9,11 @@ k-means searches again, each iteration, only the points whose centroid
 can change. Every point keeps a lower bound on its distance to all other
 centroids (Hamerly, SDM 2010), lowered by the drift of the centroids
 near it (the local bound of Yinyang k-means, Ding et al., ICML 2015).
-The assignments, centroids and costs are exactly those of searching
-every point.
+A point that fails that test keeps its centroid all the same when it is
+nearer than half the centroid's separation, a planar lower bound on the
+centroid's distance to every other centroid (Hamerly's second test;
+Elkan, ICML 2003, Lemma 1). The assignments, centroids and costs are
+exactly those of searching every point.
 """
 from __future__ import annotations
 
@@ -240,6 +243,25 @@ class _Assigner:
             lower[i] = d.min()
         return live[near], dist, lower
 
+    def separation(self, clat, clon, chdg, alive, which: np.ndarray):
+        """Per centroid of `which`, a lower bound on its combined distance
+        to every other live centroid, with no exact distance: the least
+        rho * U over the live centroids of its 3x3 neighborhood, as in
+        _QueryCells._upper, capped at the cell size, which every centroid
+        outside the neighborhood exceeds."""
+        live = np.nonzero(alive)[0]
+        cell_m = self.cells.cell_m
+        cells = _QueryCells(clat[which], clon[which], cell_m)
+        sep2 = np.full(which.size, cell_m * cell_m)
+        for pq, pr, lens, u, inv_rho2 in cells._upper(
+                clat[live], clon[live], (chdg[which], chdg[live], self.theta)):
+            u[live[pr] == which[pq]] = np.inf
+            starts = np.cumsum(lens) - lens
+            q = pq[starts]
+            sep2[q] = np.minimum(sep2[q],
+                                 np.minimum.reduceat(u, starts) / inv_rho2)
+        return np.sqrt(sep2)
+
 
 def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
     """Per-cluster aggregates; clusters are rows 0..k-1 of the outputs.
@@ -292,7 +314,11 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
     at least the cell size less the largest drift of all, as the other
     centroids were farther than the cell size. A point nearer its own
     centroid than its bound, by a margin above rounding, keeps it and
-    cannot tie; only the others are searched again.
+    cannot tie. So does one nearer than half its centroid's separation
+    s (_Assigner.separation) by that margin: any other centroid is at
+    least s - dist > dist away. Only the points that fail both tests
+    are searched again; the bound of a point spared by the second is
+    left as it is, still a valid bound.
     """
     assigner = _Assigner(pts, cfg)
     cells = assigner.cells
@@ -323,6 +349,12 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
                 clat[own], clon[own], chdg[own], cfg.theta)
             slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
             redo = np.nonzero(dist >= lower - slack)[0]
+            if redo.size:
+                own = np.flatnonzero(np.bincount(assign[redo], minlength=k))
+                half = np.zeros(k)
+                half[own] = 0.5 * assigner.separation(clat, clon, chdg,
+                                                      alive, own)
+                redo = redo[dist[redo] >= half[assign[redo]] - slack[redo]]
             assign = assign.copy()
             assign[redo], dist[redo], lower[redo] = assigner(
                 clat, clon, chdg, alive, redo)

@@ -91,9 +91,6 @@ class RoadGraph:
         del self.edges[(src, dst)]
         del self._out[src][dst]
 
-    def out_edges(self, src: int):
-        yield from self._out.get(src, _NO_EDGES).values()
-
     def active_edges(self):
         return (e for e in self.edges.values() if e.active)
 

@@ -27,6 +27,7 @@ from .geo import (
     vincenty_m,
     wrap_lon,
 )
+from .spatial import bound_scales, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -246,26 +247,60 @@ def between(a: GpsPoint, b: GpsPoint, n: int, bearing: float) -> list[GpsPoint]:
     return out
 
 
+def pair_bounds(a: GpsPoint, b: GpsPoint, reach: float) -> tuple[float, float]:
+    """Squared planar bounds (L^2, U^2) on the geodesic distance d of
+    fixes a and b, from spatial.bound_scales at reach. Both hold once U
+    is under reach: U >= d whenever L <= reach, and L <= d whenever
+    d <= reach. Both densify modes call it, each with its own count
+    rule."""
+    lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(a.lat, reach)
+    dlat = b.lat - a.lat
+    dlon = lon_delta(a.lon, b.lon)
+    return ((dlat * lat_lo) ** 2 + (dlon * lon_lo) ** 2,
+            (dlat * lat_hi) ** 2 + (dlon * lon_hi) ** 2)
+
+
+# densify settles a pair's count from its bounds up to this many
+# sampling rates; longer pairs are measured
+_REACH_SR = 4
+
+
 def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     """Insert equidistant points into gaps wider than the sampling rate.
 
     A pair of consecutive fixes L1, L2 gets floor(dist/sr) points from
     between, with the pair's forward bearing, but only when their
     headings differ by less than the angle gate (straight-line motion);
-    curved gaps are left alone.
+    curved gaps are left alone. With sr = inf no pair gets a point.
+
+    The count needs the pair's length d only through n = floor(d/sr)
+    and the test d > 1e-9. The bounds L <= d <= U of pair_bounds, at a
+    reach of _REACH_SR * sr, settle both when L and U fall in one band
+    [n * sr, (n + 1) * sr) inside the margins of
+    spatial.threshold_margins, and L is over the miss margin of 1e-9 m.
+    Vincenty runs on the other pairs, the longer ones among them.
     """
-    if len(tr.points) < 2:
+    sr = cfg.sampling_rate_m
+    if len(tr.points) < 2 or sr == math.inf:
         return tr
     gate = cfg.densify_angle_gate_deg
-    sr = cfg.sampling_rate_m
+    reach = _REACH_SR * sr
+    # squared margins of the band edges k * sr, k = 0.._REACH_SR; the
+    # miss margins are taken at 1e-9 m at least, for the test d > 1e-9
+    hit2 = [scalar_margins(k * sr)[0] for k in range(_REACH_SR + 1)]
+    miss2 = [scalar_margins(max(k * sr, 1e-9))[1] for k in range(_REACH_SR)]
     out: list[GpsPoint] = [tr.points[0]]
     for a, b in zip(tr.points, tr.points[1:]):
-        # measure only the pairs the gate passes, and take the bearing
-        # only of those that get a point
+        # measure only the pairs the gate passes and the bounds leave
+        # open, and take the bearing only of those that get a point
         if (a.heading_deg is not None and b.heading_deg is not None
                 and angle_diff_deg(a.heading_deg, b.heading_deg) < gate):
-            d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
-            if d > 1e-9 and (n := int(d // sr)):
+            l2, u2 = pair_bounds(a, b, reach)
+            n = int(math.sqrt(l2) // sr)
+            if not (n < _REACH_SR and u2 < hit2[n + 1] and l2 > miss2[n]):
+                d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
+                n = int(d // sr) if d > 1e-9 else 0
+            if n:
                 out += between(a, b, n,
                                initial_bearing_deg(a.lat, a.lon, b.lat, b.lon))
         out.append(b)

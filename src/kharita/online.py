@@ -25,8 +25,8 @@ from .geo import (
     wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
-from .ingest import IngestConfig, between
-from .spatial import GridIndex, bound_scales, scalar_margins
+from .ingest import IngestConfig, between, pair_bounds
+from .spatial import GridIndex, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
 
     The pair's length d is needed only through k and the test d > 1e-9
     for a bearing of its own. The planar bounds L <= d <= U of
-    spatial.bound_scales, taken for a radius of 2 * sr, settle both for
+    ingest.pair_bounds, at a reach of 2 * sr, settle both for
     most pairs: U under the hit margin of 2 * sr gives k = 1, and L over
     the miss margin of 1e-9 m gives d > 1e-9. That margin's 1e-6 m floor
     puts it a thousand times over 1e-9 m, far beyond Vincenty's
@@ -94,11 +94,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     latitude needs Vincenty.
     """
     reach = 2.0 * sr
-    lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(x_i.lat, reach)
-    dlat = x_next.lat - x_i.lat
-    dlon = lon_delta(x_i.lon, x_next.lon)
-    u2 = (dlat * lat_hi) ** 2 + (dlon * lon_hi) ** 2
-    l2 = (dlat * lat_lo) ** 2 + (dlon * lon_lo) ** 2
+    l2, u2 = pair_bounds(x_i, x_next, reach)
     if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(1e-9)[1]:
         moved, k = True, 1
     else:

@@ -327,6 +327,33 @@ class TestAssignment:
             combined(25.0, 179.997, 0.0, 25.0, 179.99, 0.0, cfg.theta),
             rel=1e-9)
 
+    def test_separation_is_a_lower_bound(self):
+        # every live centroid's separation is at most its least combined
+        # distance to another live centroid, and at most the cell size;
+        # repeated centroids are 0 apart
+        rng = np.random.default_rng(37)
+        cfg = ClusterConfig(seed_radius_cr=20.0)
+        cell = cfg.seed_radius_cr + cfg.theta
+        sites = [random_points(rng, 400, span=0.002)] + [
+            seam_points(rng, 400, lat0, lon0) for lat0, lon0 in POLAR_SEAM]
+        for pts in sites:
+            sid = np.concatenate([select_seed_indices(pts, cfg),
+                                  rng.integers(0, pts.n, 5)])
+            clat, clon, chdg = pts.lat[sid], pts.lon[sid], pts.heading[sid]
+            alive = rng.random(sid.size) < 0.8
+            which = np.nonzero(alive)[0]
+            got = _Assigner(pts, cfg).separation(clat, clon, chdg, alive, which)
+            cents = PointArrays(clat, clon, chdg, chdg, chdg)
+            ds = combined_matrix(cents, clat, clon, chdg, cfg.theta)
+            ds[np.arange(sid.size), np.arange(sid.size)] = np.inf
+            want = ds[np.ix_(which, which)].min(axis=1)
+            assert np.all(got <= np.minimum(want, cell))
+            # and it is not vacuous: within 20% of the exact separation
+            # where that is under the cell size (about 1% off the pole)
+            near = want < 0.9 * cell
+            assert near.sum() > 10
+            assert np.all(got[near] >= 0.8 * want[near])
+
 
 def lloyd(pts, seed_lat, seed_lon, seed_hdg, cfg):
     """kmeans_arrays with every point assigned by brute force in every
@@ -433,6 +460,80 @@ class TestKmeans:
             pts, np.zeros(2), np.array([3e-5, -2e-5]), np.zeros(2),
             ClusterConfig())
         assert assign.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tie_halfway_between_centroids_is_searched_again(
+            self, exact, monkeypatch):
+        # On the equator the fix at lon 0 lies exactly halfway between
+        # the centroids at lon 7e-5 and -7e-5 once they have drifted
+        # there (centroid 0 from 21e-5, centroid 1 from -14e-5), so it
+        # ties and goes to centroid 0. It was centroid 1's, and the
+        # lower bound does not hold it, as in the test above. Its
+        # distance is exactly half the centroids' separation in exact
+        # arithmetic, and the rounded half separation exceeds it by
+        # 9e-16 m. With the exact separation (exact=True), only the
+        # margin sends the fix to be searched again; the planar
+        # separation lies about 1% below it
+        pts = PointArrays(np.zeros(3), np.array([0.0, -14e-5, 7e-5]),
+                          np.zeros(3), np.full(3, 30.0), np.zeros(3))
+        cfg = ClusterConfig()
+
+        def exact_separation(self, clat, clon, chdg, alive, which):
+            live = np.nonzero(alive)[0]
+            ds = combined_matrix(PointArrays(clat[which], clon[which],
+                                             chdg[which], chdg[which],
+                                             chdg[which]),
+                                 clat[live], clon[live], chdg[live], cfg.theta)
+            ds[live[None, :] == which[:, None]] = np.inf
+            return np.minimum(ds.min(axis=1), self.cells.cell_m)
+
+        half = vincenty_m(0.0, -7e-5, 0.0, 7e-5) / 2.0
+        assert half > vincenty_m(0.0, 0.0, 0.0, -7e-5) == \
+            vincenty_m(0.0, 0.0, 0.0, 7e-5)
+        if exact:
+            monkeypatch.setattr(_Assigner, "separation", exact_separation)
+        _, assign, _ = assert_matches_lloyd(
+            pts, np.zeros(2), np.array([21e-5, -14e-5]), np.zeros(2), cfg)
+        assert assign.tolist() == [0, 1, 0]
+
+    def test_points_deep_in_a_cluster_are_not_searched_again(self):
+        # Clusters A and B, 30 m apart, and C, 120 m east of A, whose
+        # seed starts 50 m east of A: its first update moves it 70 m,
+        # more than any lower bound of A or B, so the lower test fails
+        # for all their points. A point within a metre of its centroid
+        # is nearer than half the 30 m separation of A and B, and keeps
+        # its centroid without a search. The point 15.5 m east starts in
+        # A, is searched again and moves to B
+        rng = np.random.default_rng(71)
+        east = np.concatenate([rng.uniform(-1, 1, 20), np.full(1, 15.5),
+                               30.0 + rng.uniform(-1, 1, 20),
+                               120.0 + rng.uniform(-1, 1, 10)])
+        north = np.concatenate([rng.uniform(-1, 1, 20), np.zeros(1),
+                                rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 10)])
+        lat0, lon0 = 25.0, 51.0
+        m_lon = 111320.0 * math.cos(math.radians(lat0))
+        pts = PointArrays(lat0 + north / 110570.0, lon0 + east / m_lon,
+                          np.zeros(east.size), np.full(east.size, 30.0),
+                          np.arange(east.size, dtype=float))
+        deep = np.r_[0:20, 21:51]
+        seed_east = np.array([0.5, 31.0, 50.0])
+        searched = []
+        real = _Assigner.__call__
+
+        def spy(self, clat, clon, chdg, alive, which=None):
+            searched.append(which)
+            return real(self, clat, clon, chdg, alive, which)
+
+        cfg = ClusterConfig()
+        with patch.object(_Assigner, "__call__", spy):
+            _, assign, costs = assert_matches_lloyd(
+                pts, np.full(3, lat0), lon0 + seed_east / m_lon, np.zeros(3),
+                cfg)
+        assert assign.tolist() == [0] * 20 + [1] * 21 + [2] * 10
+        assert searched[0] is None and len(searched) == len(costs)
+        again = np.concatenate([np.asarray(w) for w in searched[1:]])
+        assert not np.isin(again, deep).any()
+        assert 20 in again
 
     def test_cost_never_increases(self):
         rng = np.random.default_rng(41)

@@ -46,7 +46,7 @@ class TestRoadGraph:
         g.add_edge(0, 1, 111.0, traj_count=3)
         assert (0, 1) in g.edges
         assert (1, 0) not in g.edges
-        assert [e.dst for e in g.out_edges(0)] == [1]
+        assert [e.dst for e in g._out[0].values()] == [1]
 
     def test_duplicate_edge_rejected(self):
         g = RoadGraph([node(), node(lat=25.001)])
@@ -115,7 +115,7 @@ class TestShortestPathProperties:
         g, order = graph_and_order
         n = len(g.nodes)
         for u in range(n):
-            assert [e.dst for e in g.out_edges(u)] == order.get(u, [])
+            assert [e.dst for e in g._out.get(u, {}).values()] == order.get(u, [])
         start = half_start / 2.0
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))

@@ -1,11 +1,26 @@
 """CSV parsing, inference, filtering, and densification tests."""
-import pytest
+import math
+from dataclasses import replace
 
-from kharita.geo import GpsPoint, angle_diff_deg, lon_delta, vincenty_m
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kharita import ingest
+from kharita.geo import (
+    M_PER_DEG_LAT,
+    GpsPoint,
+    angle_diff_deg,
+    initial_bearing_deg,
+    lon_delta,
+    vincenty_m,
+    wrap_lon,
+)
 from kharita.ingest import (
     EmptyInputError,
     IngestConfig,
     Trajectory,
+    between,
     densify,
     filter_slow_points,
     infer_speed_heading,
@@ -211,6 +226,110 @@ class TestDensify:
         got = densify(tr, CFG)
         assert got.points[0] == tr.points[0]
         assert got.points[-1] == tr.points[-1]
+
+
+def _measured_densify(tr, cfg):
+    """densify with every gated pair measured by Vincenty: the rule that
+    the count from bounds must reproduce."""
+    out = [tr.points[0]]
+    for a, b in zip(tr.points, tr.points[1:]):
+        if (a.heading_deg is not None and b.heading_deg is not None
+                and angle_diff_deg(a.heading_deg, b.heading_deg)
+                < cfg.densify_angle_gate_deg):
+            d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
+            if d > 1e-9 and (n := int(d // cfg.sampling_rate_m)):
+                out += between(a, b, n, initial_bearing_deg(
+                    a.lat, a.lon, b.lat, b.lon))
+        out.append(b)
+    return Trajectory(tr.vehicle_id, out)
+
+
+def _offset(lat, lon, meters, bearing_deg):
+    """A point about meters from (lat, lon) along bearing_deg, rescaled
+    until Vincenty puts it at meters to about 1e-9 relative."""
+    b = math.radians(bearing_deg)
+    north = math.cos(b) / M_PER_DEG_LAT
+    east = math.sin(b) / (M_PER_DEG_LAT * math.cos(math.radians(lat)))
+    for _ in range(4):
+        qlat = max(-90.0, min(90.0, lat + meters * north))
+        qlon = wrap_lon(lon + meters * east)
+        d = vincenty_m(lat, lon, qlat, qlon)
+        if d == 0.0:
+            break
+        north, east = north * meters / d, east * meters / d
+    return qlat, qlon
+
+
+@st.composite
+def _drives(draw):
+    """A short drive at the pole, across the antimeridian or anywhere,
+    whose steps sit at and within 1e-6 relative of k * sr (k = 0..4),
+    under 10 nm, at zero or anywhere up to 6 * sr, and the sr."""
+    sr = draw(st.sampled_from([20.0, 7.5, 0.01, math.inf]))
+    lat = draw(st.one_of(st.floats(-89.9, 89.9),
+                         st.sampled_from([89.9, -89.9, 0.0, 25.0])))
+    lon = draw(st.one_of(st.floats(-180.0, 179.999),
+                         st.sampled_from([179.99999, -180.0, -179.99999])))
+    # turns of under 2.5 degrees pass the 5 degree gate; 90 and a
+    # missing heading do not
+    h0 = draw(st.floats(0.0, 359.9))
+    headings = st.one_of(st.floats(0.0, 2.4).map(lambda t: (h0 + t) % 360.0),
+                         st.just((h0 + 90.0) % 360.0), st.none())
+    step = 20.0 if sr == math.inf else sr
+    points = [GpsPoint("v", 0.0, lat, lon, 30.0, h0)]
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["band", "band", "tiny", "zero", "any"]))
+        meters = {"band": draw(st.integers(0, 4)) * step
+                  * (1.0 + draw(st.floats(-1e-6, 1e-6))),
+                  "tiny": draw(st.floats(0.0, 1e-8)),
+                  "zero": 0.0,
+                  "any": draw(st.floats(0.0, 6.0)) * step}[kind]
+        # east and west cross the antimeridian from a longitude at it
+        bearing = draw(st.one_of(st.floats(0.0, 360.0),
+                                 st.sampled_from([90.0, 270.0, 0.0, 180.0])))
+        lat, lon = _offset(lat, lon, meters, bearing)
+        points.append(GpsPoint("v", i + 1.0, lat, lon, 30.0, draw(headings)))
+    return Trajectory("v", points), replace(CFG, sampling_rate_m=sr)
+
+
+@settings(max_examples=500)
+@given(drive=_drives())
+def test_densify_matches_every_pair_measured(drive):
+    tr, cfg = drive
+    assert densify(tr, cfg).points == _measured_densify(tr, cfg).points
+
+
+def test_densify_measures_only_the_pairs_the_bounds_leave_open(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vincenty_m(*args)
+
+    monkeypatch.setattr(ingest, "vincenty_m", counted)
+
+    def drive(*meters):
+        pts = [GpsPoint("v", 0.0, 25.0, 51.0, 40.0, 0.0)]
+        for i, m in enumerate(meters):
+            pts.append(GpsPoint("v", i + 1.0, *_offset(pts[-1].lat, 51.0, m, 0.0),
+                                40.0, 0.0))
+        return Trajectory("v", pts)
+
+    # 15 m, 25 m and 70 m at sr 20 settle by the bounds (counts 0, 1, 3)
+    tr = drive(15.0, 25.0, 70.0)
+    assert densify(tr, CFG).points == _measured_densify(tr, CFG).points
+    assert len(densify(tr, CFG)) == 4 + 1 + 3
+    assert calls == []
+    # coincident, 40 m (on a band edge), and beyond 4 * sr: measured
+    for m in (0.0, 40.0, 100.0):
+        calls.clear()
+        densify(drive(m), CFG)
+        assert len(calls) == 1
+    # sr = inf: no pair gets a point, none is measured
+    calls.clear()
+    inf_cfg = replace(CFG, sampling_rate_m=math.inf)
+    assert densify(tr, inf_cfg).points == tr.points
+    assert calls == []
 
 
 def test_prepare_pipeline(tmp_path):

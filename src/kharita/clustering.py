@@ -12,8 +12,10 @@ near it (the local bound of Yinyang k-means, Ding et al., ICML 2015).
 A point that fails that test keeps its centroid all the same when it is
 nearer than half the centroid's separation, a planar lower bound on the
 centroid's distance to every other centroid (Hamerly's second test;
-Elkan, ICML 2003, Lemma 1). The assignments, centroids and costs are
-exactly those of searching every point.
+Elkan, ICML 2003, Lemma 1); its bound is then raised to the separation
+less its distance, which the triangle inequality gives. The
+assignments, centroids and costs are exactly those of searching every
+point.
 """
 from __future__ import annotations
 
@@ -262,28 +264,56 @@ class _Assigner:
                                  np.minimum.reduceat(u, starts) / inv_rho2)
         return np.sqrt(sep2)
 
+    def spare(self, clat, clon, chdg, alive, assign, dist, lower, slack,
+              redo: np.ndarray) -> np.ndarray:
+        """The points of redo that the separation test leaves to be
+        searched again. A point whose dist is under half its centroid's
+        separation s by its slack keeps its centroid: every other live
+        centroid is at least s - dist > dist away. Its bound in lower is
+        raised to s - dist less the slack, so the lower-bound test can
+        settle it in the iterations that follow."""
+        own = np.flatnonzero(np.bincount(assign[redo], minlength=clat.size))
+        sep = np.zeros(clat.size)
+        sep[own] = self.separation(clat, clon, chdg, alive, own)
+        s, d, margin = sep[assign[redo]], dist[redo], slack[redo]
+        search = d >= 0.5 * s - margin
+        kept = redo[~search]
+        lower[kept] = np.maximum(lower[kept], (s - d - margin)[~search])
+        return redo[search]
 
-def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int):
+
+def _point_terms(pts: PointArrays):
+    """The per-point inputs of _centroid_stats, which no k-means
+    iteration changes: the sine and cosine of every heading, and every
+    longitude's delta from 180 when the longitudes span more than 180
+    degrees, else None."""
+    rad = np.radians(pts.heading)
+    seam = lon_delta_many(180.0, pts.lon) \
+        if pts.n and np.ptp(pts.lon) > 180.0 else None
+    return np.sin(rad), np.cos(rad), seam
+
+
+def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int, terms):
     """Per-cluster aggregates; clusters are rows 0..k-1 of the outputs.
-    A cluster whose longitudes span more than 180 degrees straddles the
-    antimeridian: it averages their deltas from 180, then wraps."""
+    terms are the _point_terms of pts. A cluster whose longitudes span
+    more than 180 degrees straddles the antimeridian: it averages their
+    deltas from 180, then wraps."""
+    sin, cos, seam_delta = terms
     counts = np.bincount(assign, minlength=k)
     safe = np.maximum(counts, 1)
     lat = np.bincount(assign, weights=pts.lat, minlength=k) / safe
     lon = np.bincount(assign, weights=pts.lon, minlength=k) / safe
-    if np.ptp(pts.lon) > 180.0:
+    if seam_delta is not None:
         lo = np.full(k, np.inf)
         hi = np.full(k, -np.inf)
         np.minimum.at(lo, assign, pts.lon)
         np.maximum.at(hi, assign, pts.lon)
         seam = hi - lo > 180.0
         if seam.any():
-            off = np.bincount(assign, weights=lon_delta_many(180.0, pts.lon),
-                              minlength=k) / safe
+            off = np.bincount(assign, weights=seam_delta, minlength=k) / safe
             lon[seam] = wrap_lon_many(180.0 + off[seam])
-    rad = np.radians(pts.heading)
-    s = np.bincount(assign, weights=np.sin(rad), minlength=k) / safe
-    c = np.bincount(assign, weights=np.cos(rad), minlength=k) / safe
+    s = np.bincount(assign, weights=sin, minlength=k) / safe
+    c = np.bincount(assign, weights=cos, minlength=k) / safe
     hdg = np.degrees(np.arctan2(s, c)) % 360.0
     degenerate = (np.abs(s) < 1e-12) & (np.abs(c) < 1e-12) & (counts > 0)
     if degenerate.any():
@@ -318,10 +348,13 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
     s (_Assigner.separation) by that margin: any other centroid is at
     least s - dist > dist away. Only the points that fail both tests
     are searched again; the bound of a point spared by the second is
-    left as it is, still a valid bound.
+    raised to s - dist less the margin (_Assigner.spare), so the first
+    test settles it while the centroids stay put. The per-point terms
+    of the centroid update are taken once (_point_terms).
     """
     assigner = _Assigner(pts, cfg)
     cells = assigner.cells
+    terms = _point_terms(pts)
     k = seed_lat.size
     clat = np.array(seed_lat, dtype=np.float64)
     clon = np.array(seed_lon, dtype=np.float64)
@@ -350,11 +383,8 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
             slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
             redo = np.nonzero(dist >= lower - slack)[0]
             if redo.size:
-                own = np.flatnonzero(np.bincount(assign[redo], minlength=k))
-                half = np.zeros(k)
-                half[own] = 0.5 * assigner.separation(clat, clon, chdg,
-                                                      alive, own)
-                redo = redo[dist[redo] >= half[assign[redo]] - slack[redo]]
+                redo = assigner.spare(clat, clon, chdg, alive, assign, dist,
+                                      lower, slack, redo)
             assign = assign.copy()
             assign[redo], dist[redo], lower[redo] = assigner(
                 clat, clon, chdg, alive, redo)
@@ -366,7 +396,7 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
         best = (clat, clon, chdg, alive, assign, dist, cost)
         if stop or cost == 0.0:
             break
-        counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k)
+        counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k, terms)
         olat, olon, ohdg = clat, clon, chdg
         alive = counts > 0
         clat = np.where(alive, nlat, clat)

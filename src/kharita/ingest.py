@@ -247,13 +247,14 @@ def between(a: GpsPoint, b: GpsPoint, n: int, bearing: float) -> list[GpsPoint]:
     return out
 
 
-def pair_bounds(a: GpsPoint, b: GpsPoint, reach: float) -> tuple[float, float]:
+def pair_bounds(a: GpsPoint, b: GpsPoint, scales) -> tuple[float, float]:
     """Squared planar bounds (L^2, U^2) on the geodesic distance d of
-    fixes a and b, from spatial.bound_scales at reach. Both hold once U
-    is under reach: U >= d whenever L <= reach, and L <= d whenever
-    d <= reach. Both densify modes call it, each with its own count
-    rule."""
-    lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(a.lat, reach)
+    fixes a and b, under the meters per degree (lat_lo, lon_lo, lat_hi,
+    lon_hi) of spatial.bound_scales at a's latitude and a reach, or of
+    looser scales. Both hold once U is under reach: U >= d whenever
+    L <= reach, and L <= d whenever d <= reach. Both densify modes call
+    it, each with its own count rule."""
+    lat_lo, lon_lo, lat_hi, lon_hi = scales
     dlat = b.lat - a.lat
     dlon = lon_delta(a.lon, b.lon)
     return ((dlat * lat_lo) ** 2 + (dlon * lon_lo) ** 2,
@@ -279,12 +280,21 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     [n * sr, (n + 1) * sr) inside the margins of
     spatial.threshold_margins, and L is over the miss margin of 1e-9 m.
     Vincenty runs on the other pairs, the longer ones among them.
+
+    The scales are taken once per trajectory, each at the latitude that
+    makes it loosest for every pair: lon_lo at the most poleward |lat|,
+    lon_hi at the least. bound_scales' lon_lo only falls and its lon_hi
+    only rises as |lat| moves that way, and its latitude scales do not
+    depend on lat.
     """
     sr = cfg.sampling_rate_m
     if len(tr.points) < 2 or sr == math.inf:
         return tr
     gate = cfg.densify_angle_gate_deg
     reach = _REACH_SR * sr
+    abs_lat = [abs(p.lat) for p in tr.points]
+    lat_lo, _, lat_hi, lon_hi = bound_scales(min(abs_lat), reach)
+    scales = (lat_lo, bound_scales(max(abs_lat), reach)[1], lat_hi, lon_hi)
     # squared margins of the band edges k * sr, k = 0.._REACH_SR; the
     # miss margins are taken at 1e-9 m at least, for the test d > 1e-9
     hit2 = [scalar_margins(k * sr)[0] for k in range(_REACH_SR + 1)]
@@ -295,7 +305,7 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
         # open, and take the bearing only of those that get a point
         if (a.heading_deg is not None and b.heading_deg is not None
                 and angle_diff_deg(a.heading_deg, b.heading_deg) < gate):
-            l2, u2 = pair_bounds(a, b, reach)
+            l2, u2 = pair_bounds(a, b, scales)
             n = int(math.sqrt(l2) // sr)
             if not (n < _REACH_SR and u2 < hit2[n + 1] and l2 > miss2[n]):
                 d = vincenty_m(a.lat, a.lon, b.lat, b.lon)

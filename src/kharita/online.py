@@ -26,7 +26,7 @@ from .geo import (
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
 from .ingest import IngestConfig, between, pair_bounds
-from .spatial import GridIndex, scalar_margins
+from .spatial import GridIndex, bound_scales, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     latitude needs Vincenty.
     """
     reach = 2.0 * sr
-    l2, u2 = pair_bounds(x_i, x_next, reach)
+    l2, u2 = pair_bounds(x_i, x_next, bound_scales(x_i.lat, reach))
     if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(1e-9)[1]:
         moved, k = True, 1
     else:

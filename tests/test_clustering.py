@@ -4,6 +4,7 @@ Brute-force O(n^2) reimplementations of the distance logic act as
 oracles for the grid-accelerated code paths.
 """
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -17,6 +18,7 @@ from kharita.clustering import (
     PointArrays,
     _Assigner,
     _centroid_stats,
+    _point_terms,
     distinct_points,
     finalize_centroids,
     kmeans_arrays,
@@ -31,6 +33,7 @@ from kharita.geo import (
     vincenty_m_many,
     wrap_lon,
 )
+from kharita.spatial import _QueryCells
 
 
 def combined(lat1, lon1, h1, lat2, lon2, h2, theta):
@@ -355,6 +358,43 @@ class TestAssignment:
             assert np.all(got[near] >= 0.8 * want[near])
 
 
+def exact_separation(self, clat, clon, chdg, alive, which):
+    """_Assigner.separation from exact distances: per centroid of which,
+    the least combined distance to another live centroid, capped at the
+    cell size."""
+    live = np.nonzero(alive)[0]
+    ds = combined_matrix(PointArrays(clat[which], clon[which], chdg[which],
+                                     chdg[which], chdg[which]),
+                         clat[live], clon[live], chdg[live], self.theta)
+    ds[live[None, :] == which[:, None]] = np.inf
+    return np.minimum(ds.min(axis=1), self.cells.cell_m)
+
+
+def checked_spare(raised):
+    """_Assigner.spare, checking after each call that every point's
+    bound is at most its exact combined distance to every other live
+    centroid. Appends to raised, per call, the number of bounds raised
+    and the least gap between a raised bound and that distance."""
+    real = _Assigner.spare
+
+    def spare(self, clat, clon, chdg, alive, assign, dist, lower, slack,
+              redo):
+        before = lower.copy()
+        left = real(self, clat, clon, chdg, alive, assign, dist, lower,
+                    slack, redo)
+        live = np.nonzero(alive)[0]
+        ds = combined_matrix(self.pts, clat[live], clon[live], chdg[live],
+                             self.theta)
+        ds[live[None, :] == assign[:, None]] = np.inf
+        gap = ds.min(axis=1) - lower
+        assert np.all(gap >= 0.0)
+        up = lower > before
+        raised.append((np.count_nonzero(up), gap[up].min(initial=np.inf)))
+        return left
+
+    return spare
+
+
 def lloyd(pts, seed_lat, seed_lon, seed_hdg, cfg):
     """kmeans_arrays with every point assigned by brute force in every
     iteration, no bounds: (centroids, assignments, costs) alike."""
@@ -375,7 +415,8 @@ def lloyd(pts, seed_lat, seed_lon, seed_hdg, cfg):
         best = (clat, clon, chdg, assign, cost)
         if stop or cost == 0.0:
             break
-        counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k)
+        counts, nlat, nlon, nhdg = _centroid_stats(pts, assign, k,
+                                                   _point_terms(pts))
         alive = counts > 0
         clat = np.where(alive, nlat, clat)
         clon = np.where(alive, nlon, clon)
@@ -477,16 +518,6 @@ class TestKmeans:
         pts = PointArrays(np.zeros(3), np.array([0.0, -14e-5, 7e-5]),
                           np.zeros(3), np.full(3, 30.0), np.zeros(3))
         cfg = ClusterConfig()
-
-        def exact_separation(self, clat, clon, chdg, alive, which):
-            live = np.nonzero(alive)[0]
-            ds = combined_matrix(PointArrays(clat[which], clon[which],
-                                             chdg[which], chdg[which],
-                                             chdg[which]),
-                                 clat[live], clon[live], chdg[live], cfg.theta)
-            ds[live[None, :] == which[:, None]] = np.inf
-            return np.minimum(ds.min(axis=1), self.cells.cell_m)
-
         half = vincenty_m(0.0, -7e-5, 0.0, 7e-5) / 2.0
         assert half > vincenty_m(0.0, 0.0, 0.0, -7e-5) == \
             vincenty_m(0.0, 0.0, 0.0, 7e-5)
@@ -534,6 +565,71 @@ class TestKmeans:
         again = np.concatenate([np.asarray(w) for w in searched[1:]])
         assert not np.isin(again, deep).any()
         assert 20 in again
+
+    def test_raised_bounds_stay_below_every_other_centroid(self):
+        # after each separation test, every point's bound, raised or
+        # not, is at most its exact distance to every other live
+        # centroid; and some bounds are raised
+        rng = np.random.default_rng(43)
+        cfg = ClusterConfig(seed_radius_cr=20.0)
+        raised = []
+        sites = [random_points(rng, 300, span=0.002),
+                 seam_points(rng, 300, 25.0, 180.0),
+                 seam_points(rng, 300, 89.99, 180.0)]
+        with patch.object(_Assigner, "spare", checked_spare(raised)):
+            for pts in sites:
+                raised.clear()
+                for sid in (select_seed_indices(pts, cfg),
+                            rng.integers(0, pts.n, 30)):
+                    assert_matches_lloyd(pts, pts.lat[sid], pts.lon[sid],
+                                         pts.heading[sid], cfg)
+                assert sum(n for n, _ in raised) > 0
+
+    def test_raised_bound_is_tight_on_the_equator(self):
+        # The clusters of test_points_deep_in_a_cluster_are_not_searched_
+        # again, on the equator, with the exact separation s. Geodesics
+        # there run along it, so a point between its centroid and the
+        # other is s - dist from that one in exact arithmetic; the
+        # computed distances miss that by micrometres, and only the
+        # slack keeps the raised bound under them
+        rng = np.random.default_rng(71)
+        east = np.concatenate([rng.uniform(-1, 1, 20),
+                               30.0 + rng.uniform(-1, 1, 20),
+                               120.0 + rng.uniform(-1, 1, 10)])
+        m_lon = 111319.49
+        pts = PointArrays(np.zeros(east.size), east / m_lon,
+                          np.zeros(east.size), np.full(east.size, 30.0),
+                          np.arange(east.size, dtype=float))
+        raised = []
+        with patch.object(_Assigner, "separation", exact_separation), \
+                patch.object(_Assigner, "spare", checked_spare(raised)):
+            _, assign, _ = assert_matches_lloyd(
+                pts, np.zeros(3), np.array([0.5, 31.0, 50.0]) / m_lon,
+                np.zeros(3), ClusterConfig())
+        assert assign.tolist() == [0] * 20 + [1] * 20 + [2] * 10
+        # C is 90 m from B, beyond the cell: every point is spared
+        assert raised[0][0] == 50
+        assert min(gap for _, gap in raised) < 1e-4
+
+    def test_working_set_stays_chunk_sized(self):
+        # numpy reports its buffers to tracemalloc. The first assignment
+        # of this cloud has 1.17M pairs, nine chunks of the batch
+        # search; k-means peaked at 9.2 MB traced over its whole run,
+        # and at 58 MB with all the pairs in one chunk (2M budget)
+        rng = np.random.default_rng(61)
+        pts = random_points(rng, 10_000, span=0.004)
+        sid = rng.choice(pts.n, 800, replace=False)
+        cfg = ClusterConfig()
+        cells = _QueryCells(pts.lat, pts.lon, cfg.seed_radius_cr + cfg.theta)
+        assert sum(1 for _ in cells._chunks(pts.lat[sid], pts.lon[sid])) >= 8
+        tracemalloc.start()
+        try:
+            kmeans_arrays(pts, pts.lat[sid], pts.lon[sid], pts.heading[sid],
+                          cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_cost_never_increases(self):
         rng = np.random.default_rng(41)

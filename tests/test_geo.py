@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kharita import geo
 from kharita.geo import (
     _haversine_m,
     angle_diff_deg,
@@ -136,6 +137,51 @@ class TestVincenty:
         assert np.isnan(batch).tolist() == [True, False, True]
         assert batch[1] == pytest.approx(vincenty_m(*pair), abs=1e-9)
         assert np.isnan(vincenty_m_many(*args))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_change_no_bit(self, block, monkeypatch):
+        # the default block holds these pairs at once; blocks of 1 and 7
+        # pairs split them everywhere, by pair and across pair kinds
+        rng = np.random.default_rng(23)
+        n = 420
+        lat1 = rng.uniform(-89.0, 89.0, n)
+        lon1 = rng.uniform(-180.0, 180.0, n)
+        lat2 = lat1 + rng.uniform(-0.01, 0.01, n)     # short
+        lon2 = lon1 + rng.uniform(-0.01, 0.01, n)
+        lat2[:60] = rng.uniform(-90.0, 90.0, 60)       # long
+        lon2[:60] = rng.uniform(-180.0, 180.0, 60)
+        # near-antipodal: some iterate long, some never converge
+        lat2[60:140] = -lat1[60:140] + rng.uniform(-0.5, 0.5, 80)
+        lon2[60:140] = lon1[60:140] + 180.0 + rng.uniform(-0.5, 0.5, 80)
+        lat2[140:160], lon2[140:160] = lat1[140:160], lon1[140:160]
+        # polar, within 0.01 degree of either pole
+        pole = rng.choice([-1.0, 1.0], 40)
+        lat1[160:200] = pole * rng.uniform(89.99, 90.0, 40)
+        lat2[160:200] = pole * rng.uniform(89.99, 90.0, 40)
+        # across the antimeridian, either way round
+        lon1[200:240] = rng.choice([-180.0, 180.0], 40) * rng.uniform(
+            0.9999, 1.0, 40)
+        lon2[200:240] = -lon1[200:240]
+        order = rng.permutation(n)
+        args = [x[order] for x in (lat1, lon1, lat2, lon2)]
+
+        def every_form():
+            return [vincenty_m_many(*args),
+                    vincenty_m_many(args[0][0], args[1][0], args[2], args[3]),
+                    vincenty_m_many(args[0][:20, None], args[1][:20, None],
+                                    args[2][None, :30], args[3][None, :30])]
+
+        want = every_form()
+        assert want[2].shape == (20, 30)
+        monkeypatch.setattr(geo, "_VINCENTY_BLOCK", block)
+        for got, exp in zip(every_form(), want):
+            assert got.shape == exp.shape
+            np.testing.assert_array_equal(got, exp)
+        # the batch has coincident pairs and pairs that took the
+        # great-circle fallback
+        assert np.count_nonzero(want[0] == 0.0) == 20
+        pairs = [tuple(float(x[i]) for x in args) for i in range(n)]
+        assert any(vincenty_m(*p) == _haversine_m(*p) for p in pairs)
 
 
 class TestAngles:

@@ -299,6 +299,20 @@ def test_densify_matches_every_pair_measured(drive):
     assert densify(tr, cfg).points == _measured_densify(tr, cfg).points
 
 
+@settings(max_examples=200)
+@given(first=_drives(), second=_drives())
+def test_densify_across_latitudes_matches_every_pair_measured(first, second):
+    # densify takes its bound scales at the trajectory's extreme
+    # latitudes, so two drives joined into one, each anywhere, get
+    # bounds as loose as the pair of latitudes makes them. A headingless
+    # fix keeps the gate shut across the jump, which would fill the gap
+    # between them with up to 1e9 points
+    (a, cfg), (b, _) = first, second
+    gap = replace(b.points[0], heading_deg=None)
+    tr = Trajectory("v", a.points + [gap] + b.points)
+    assert densify(tr, cfg).points == _measured_densify(tr, cfg).points
+
+
 def test_densify_measures_only_the_pairs_the_bounds_leave_open(monkeypatch):
     calls = []
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kharita import spatial
+from kharita import clustering, spatial
+from kharita.clustering import (
+    ClusterConfig,
+    PointArrays,
+    kmeans_arrays,
+    select_seed_indices,
+)
 from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_lon
 from kharita.spatial import (
     GridIndex,
@@ -242,20 +248,34 @@ def test_threshold_bands_match_brute_force(lat0, south, lon0, queries, refs,
 
 
 def _searches(qlat, qlon, rlat, rlon, qh, rh, radius):
-    """Every batch search on one input, as a flat list of arrays."""
+    """Every batch search on one input, and the seed selection and
+    k-means of clustering on the queries, as a flat list of arrays."""
     cells = _QueryCells(qlat, qlon, radius)
     value = np.arange(1.0, rlat.size + 1.0)
+    # headings over 30 degrees, so that about 60 of 150 points seed and
+    # k-means runs four iterations
+    pts = PointArrays(qlat, qlon, qh / 12.0, np.full(qlat.size, 30.0),
+                      np.zeros(qlat.size))
+    cfg = ClusterConfig(seed_radius_cr=radius)
+    sid = select_seed_indices(pts, cfg)
+    cents, assign, costs = kmeans_arrays(pts, qlat[sid], qlon[sid],
+                                         pts.heading[sid], cfg)
     return [*nearest_within(qlat, qlon, rlat, rlon, radius),
             *threshold_pairs(qlat, qlon, rlat, rlon, [radius / 3, radius]),
             *cells.nearest(rlat, rlon), *cells.nearest(rlat, rlon, (qh, rh, 40.0)),
-            cells.max_around(rlat, rlon, value)]
+            cells.max_around(rlat, rlon, value),
+            sid, cents["lat"], cents["lon"], cents["heading"], assign,
+            np.asarray(costs)]
 
 
 @pytest.mark.parametrize("lat0,lon0", [(25.3, 51.0), (-47.0, 180.0),
                                        (89.99, 51.0)])
 def test_chunk_boundaries_change_no_result(lat0, lon0, monkeypatch):
     # the default budget holds these pairs in one chunk; budgets of 1, 7
-    # and 100 pairs end a chunk after every cell or every few cells
+    # and 100 pairs end a chunk after every cell or every few cells.
+    # Seed selection screens a block against the seeds before it in
+    # batch, so blocks of 16 points make it chunk too
+    monkeypatch.setattr(clustering, "_SEED_BLOCK", 16)
     rng = np.random.default_rng(3)
     qlat, qlon = _cloud(rng, lat0, lon0, 150, 200.0)
     rlat, rlon = _cloud(rng, lat0, lon0, 120, 200.0)

@@ -76,7 +76,7 @@ def _config_file_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
     given on the command line override the file.
     """
     out: list[str] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -211,7 +211,7 @@ def cmd_eval(args) -> int:
     if args.json:
         doc = {"rng_seed": cfg.rng_seed, "geo": geo.as_dict(),
                "topo": topo.as_dict() if topo is not None else None}
-        with open(args.out + ".report.json", "w") as fh:
+        with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("wrote %s.report.json", args.out)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .config import Checked, within
 from .geo import (
-    GpsPoint,
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
@@ -39,6 +38,7 @@ from .geo import (
     wrap_lon,
     wrap_lon_many,
 )
+from .ingest import PointArrays
 from .spatial import GridIndex, _QueryCells, scalar_margins
 
 log = logging.getLogger(__name__)
@@ -71,33 +71,6 @@ class ClusterCentroid:
     max_speed_kmh: float = 0.0
     last_seen: float = 0.0
     active: bool = True
-
-
-@dataclass
-class PointArrays:
-    """Column layout of a point set; the working format of this module."""
-
-    lat: np.ndarray
-    lon: np.ndarray
-    heading: np.ndarray
-    speed: np.ndarray     # nan where unknown
-    ts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lat.size
-
-    @classmethod
-    def from_points(cls, points: list[GpsPoint]) -> "PointArrays":
-        n = len(points)
-        lat = np.empty(n); lon = np.empty(n); hdg = np.empty(n)
-        spd = np.empty(n); ts = np.empty(n)
-        for i, p in enumerate(points):
-            lat[i] = p.lat; lon[i] = p.lon
-            hdg[i] = p.heading_deg if p.heading_deg is not None else 0.0
-            spd[i] = p.speed_kmh if p.speed_kmh is not None else np.nan
-            ts[i] = p.timestamp
-        return cls(lat, lon, hdg, spd, ts)
 
 
 def distinct_points(pts: PointArrays) -> tuple[PointArrays, np.ndarray]:

@@ -25,7 +25,6 @@ import numpy as np
 from .clustering import ClusterCentroid
 from .config import Checked, check, within
 from .geo import (
-    GpsPoint,
     M_PER_DEG_LAT,
     angle_diff_deg_many,
     initial_bearing_deg,
@@ -35,7 +34,7 @@ from .geo import (
     wrap_lon_many,
 )
 from .graphs import RoadGraph
-from .ingest import Trajectory
+from .ingest import PointArrays, Trajectory
 from .spatial import nearest_within, segments, threshold_pairs
 
 log = logging.getLogger(__name__)
@@ -172,11 +171,12 @@ def prune_unvisited_edges(truth: RoadGraph, trajectories: list,
     out = truth.copy_nodes()
     if not s.keys:
         return out
-    tlat = np.array([p.lat for tr in trajectories for p in tr.points])
-    tlon = np.array([p.lon for tr in trajectories for p in tr.points])
     visited = np.zeros(len(s.keys), dtype=bool)
-    if tlat.size:
-        d, _ = nearest_within(s.lat, s.lon, tlat, tlon, cfg.visit_distance_m)
+    if any(len(tr) for tr in trajectories):
+        d, _ = nearest_within(s.lat, s.lon,
+                              np.concatenate([tr.cols.lat for tr in trajectories]),
+                              np.concatenate([tr.cols.lon for tr in trajectories]),
+                              cfg.visit_distance_m)
         visited[s.edge_id[d <= cfg.visit_distance_m]] = True
     for j, key in enumerate(s.keys):
         if visited[j]:
@@ -448,9 +448,9 @@ def generate_synthetic(spec: GridSpec, noise_sigma_m: float = 3.0,
             continue
         spacing = spacing_lo if spacing_hi == spacing_lo \
             else float(rng.uniform(spacing_lo, spacing_hi))
-        pts = _drive(graph, edges, path, f"veh{t:03d}", t * 10000.0,
-                     noise_sigma_m, spacing, heading_noise_deg, rng)
-        trajectories.append(Trajectory(pts[0].vehicle_id, pts))
+        trajectories.append(Trajectory(f"veh{t:03d}", cols=_drive(
+            graph, edges, path, t * 10000.0, noise_sigma_m, spacing,
+            heading_noise_deg, rng)))
     return graph, trajectories
 
 
@@ -486,11 +486,14 @@ def _insert_roundabout(spec: GridSpec, nodes: list, edges: dict,
             edges[(a, ring[side_of[a]])] = limit
 
 
-def _drive(graph: RoadGraph, limits: dict, path: list, vehicle: str,
-           t0: float, sigma_m: float, spacing_m: float,
-           heading_sigma_deg: float, rng) -> list:
+def _drive(graph: RoadGraph, limits: dict, path: list, t0: float,
+           sigma_m: float, spacing_m: float, heading_sigma_deg: float,
+           rng) -> PointArrays:
     """Fixes every spacing_m along the node path, with position and
-    heading noise; per-point speed is a draw under the street limit."""
+    heading noise; per-point speed is a draw under the street limit.
+    Each fix draws its position noise, heading noise and speed in that
+    order from the shared rng, so the draws cannot be batched without
+    changing the drives a seed gives."""
     legs = []
     for a, b in zip(path, path[1:]):
         na, nb = graph.nodes[a], graph.nodes[b]
@@ -502,11 +505,13 @@ def _drive(graph: RoadGraph, limits: dict, path: list, vehicle: str,
     marks = np.arange(0.0, total, spacing_m)
     marks = np.append(marks, total)
 
-    pts = []
+    n = marks.size
+    cols = PointArrays(np.empty(n), np.empty(n), np.empty(n), np.empty(n),
+                       np.empty(n))
     t = t0
     prev_mark = 0.0
     li, acc = 0, 0.0
-    for mark in marks:
+    for k, mark in enumerate(marks.tolist()):
         while li < len(legs) - 1 and mark > acc + legs[li][2]:
             acc += legs[li][2]
             li += 1
@@ -518,12 +523,11 @@ def _drive(graph: RoadGraph, limits: dict, path: list, vehicle: str,
             lat += rng.normal(0.0, sigma_m) / M_PER_DEG_LAT
             lon += rng.normal(0.0, sigma_m) / (
                 M_PER_DEG_LAT * math.cos(math.radians(lat)))
-        lon = wrap_lon(lon)
         heading = (bearing + rng.normal(0.0, heading_sigma_deg)) % 360.0
         speed = limit * float(rng.uniform(0.7, 1.0))
-        if pts:
+        if k:
             t += (mark - prev_mark) / (speed / 3.6)
-        pts.append(GpsPoint(vehicle, float(t), float(lat), float(lon),
-                            float(speed), float(heading)))
+        cols.lat[k], cols.lon[k], cols.heading[k] = lat, wrap_lon(lon), heading
+        cols.speed[k], cols.ts[k] = speed, t
         prev_mark = mark
-    return pts
+    return cols

@@ -17,7 +17,6 @@ import numpy as np
 from .clustering import (
     ClusterCentroid,
     ClusterConfig,
-    PointArrays,
     distinct_points,
     finalize_centroids,
     kmeans_arrays,
@@ -26,7 +25,13 @@ from .clustering import (
 )
 from .config import Checked, within
 from .geo import vincenty_m
-from .ingest import EmptyInputError, IngestConfig, Trajectory, prepare_trajectories
+from .ingest import (
+    EmptyInputError,
+    IngestConfig,
+    PointArrays,
+    Trajectory,
+    prepare_trajectories,
+)
 
 log = logging.getLogger(__name__)
 
@@ -259,11 +264,11 @@ def run_offline_pipeline(trajectories: list[Trajectory],
         return out
 
     prepared, _ = stage("densify", lambda: prepare_trajectories(trajectories, ingest_cfg))
-    flat = [p for tr in prepared for p in tr.points]
-    if not flat:
+    if not prepared:
         raise EmptyInputError("no usable points after preparation")
-    lengths = [len(tr.points) for tr in prepared]
-    pts = PointArrays.from_points(flat)
+    lengths = [len(tr) for tr in prepared]
+    pts = PointArrays.concat([tr.cols for tr in prepared])
+    del prepared
     st.counts["points"] = pts.n
 
     dpts, inverse = stage("distinct", lambda: distinct_points(pts))

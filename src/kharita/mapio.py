@@ -44,7 +44,7 @@ def save_map(graph: RoadGraph, path: str) -> None:
     trajectory count, last seen and the active flag. Cluster heading
     variability is not part of the format.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(MAP_HEADER + "\n")
         for i, n in enumerate(graph.nodes):
             fh.write(f"N {i} {n.lat:.9f} {n.lon:.9f} {n.heading_deg:.9f} "
@@ -76,7 +76,7 @@ def load_map(path: str) -> RoadGraph:
     trajectory count.
     """
     graph = RoadGraph()
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline()
         if first.rstrip("\n") != MAP_HEADER:
             raise MapFormatError(path, 1, f"expected header {MAP_HEADER!r}")
@@ -160,7 +160,7 @@ def save_geojson(graph: RoadGraph, path: str) -> None:
     Map values are finite, so every float is its repr.
     """
     num = float.__repr__
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "features": [')
         sep = "\n"
         for key in sorted(graph.edges):
@@ -228,7 +228,7 @@ def write_manifest(path: str, command: str, config: dict,
         "rng_seed": rng_seed,
         "inputs": {p: f"sha256:{file_sha256(p)}" for p in sorted(inputs)},
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -237,16 +237,19 @@ def save_trajectories_csv(trajectories: list[Trajectory], path: str) -> None:
     """Write trajectories in the same CSV shape parse_trajectories reads.
 
     Floats use repr so a round trip reproduces values exactly; absent
-    speed or heading becomes an empty field.
+    speed or heading (NaN) becomes an empty field.
     """
-    with open(path, "w", newline="") as fh:
+    def field(x: float) -> str:
+        return "" if x != x else repr(x)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EXPECTED_COLUMNS)
         for tr in trajectories:
-            for p in tr.points:
-                writer.writerow([
-                    p.vehicle_id, repr(float(p.timestamp)),
-                    repr(float(p.lat)), repr(float(p.lon)),
-                    "" if p.speed_kmh is None else repr(float(p.speed_kmh)),
-                    "" if p.heading_deg is None
-                    else repr(float(p.heading_deg))])
+            c = tr.cols
+            vid = tr.vehicle_id
+            writer.writerows(
+                (vid, repr(ts), repr(lat), repr(lon), field(spd), field(hdg))
+                for ts, lat, lon, spd, hdg in zip(
+                    c.ts.tolist(), c.lat.tolist(), c.lon.tolist(),
+                    c.speed.tolist(), c.heading.tolist()))

@@ -94,7 +94,8 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     latitude needs Vincenty.
     """
     reach = 2.0 * sr
-    l2, u2 = pair_bounds(x_i, x_next, bound_scales(x_i.lat, reach))
+    l2, u2 = pair_bounds(x_next.lat - x_i.lat, lon_delta(x_i.lon, x_next.lon),
+                         bound_scales(x_i.lat, reach))
     if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(1e-9)[1]:
         moved, k = True, 1
     else:

@@ -5,6 +5,8 @@ Each test guards one release requirement and prints a single
 regression pins in AC-05 were calibrated once from an oracle run and
 hold with a 0.02 tolerance.
 """
+import csv
+import hashlib
 import math
 import time
 
@@ -373,6 +375,41 @@ def test_10_every_command_is_byte_deterministic(tmp_path, monkeypatch):
         assert b1 == b2, f"{name} differs between identical runs"
     report("AC-10", f"synth, offline, online, eval reran byte-identically "
                     f"({len(products['r1'])} files compared)")
+
+
+# sha256 of the files of the AC-10 synth run, of its offline map, and of
+# the offline map of the same CSV with every speed and heading blanked
+# (so that inference fills them all); see CHANGES.md for how they were
+# derived
+PINNED_SHA256 = {
+    "w.trajectories.csv": "cab2a17532f3d31659256e25f4cb3e699df59f44bfd3ad80c6e599b2c9930bff",
+    "w.truth.edges": "9574c9aed5246822498d8f238db23abb7476b2467982c7836ae27f69793d6575",
+    "w.off.edges": "9731d5643f8f069a162de9eace8e1a290d248918a9fd23b3b81428ae5bf6886b",
+    "w.off.geojson": "80c3923c5e04a7239a812295f354a5d88f1cddcf64d072aeed105a7482283dd6",
+    "h.off.edges": "133fae17544a910a157181a5f987a3c9eb908c1f0ccda4668bd4b051acedf514",
+    "h.off.geojson": "5e04d3ff88822d78bf16d4ea3c5328eaec0b380523d019b8c1e6b7c40d00a68b",
+}
+
+
+def test_10_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
+    # AC-10 compares two runs of one build; these digests hold the bytes
+    # from one build to the next
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "w", "--rows", "4", "--cols", "4",
+                 "--traj", "30", "--noise", "3", "--seed", "9"]) == EXIT_OK
+    assert main(["offline", "--input", "w.trajectories.csv",
+                 "--out", "w.off"]) == EXIT_OK
+    with open("w.trajectories.csv", newline="") as fh, \
+            open("h.csv", "w", newline="") as out:
+        rows = csv.reader(fh)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(next(rows))
+        writer.writerows(row[:4] + ["", ""] for row in rows)
+    assert main(["offline", "--input", "h.csv", "--out", "h.off"]) == EXIT_OK
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
+    report("AC-10", f"{len(got)} files match their pinned sha256")
 
 
 def _seam_city(tmp_path, origin_lon):

@@ -95,6 +95,19 @@ class TestOffline:
         assert doc["config"]["clustering"]["seed_radius_cr"] == 20.0
         assert list(doc["inputs"].values())[0].startswith("sha256:")
 
+    def test_csv_with_a_byte_order_mark_gives_the_same_map(self, dataset,
+                                                          tmp_path):
+        # spreadsheet exports often start a UTF-8 file with a BOM
+        bom = tmp_path / "bom.csv"
+        with open(dataset["csv"], "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        for name, path in (("plain", dataset["csv"]), ("bom", str(bom))):
+            assert main(["offline", "--input", path,
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+        for suffix in (".edges", ".geojson"):
+            assert (tmp_path / ("bom" + suffix)).read_bytes() == \
+                (tmp_path / ("plain" + suffix)).read_bytes()
+
     def test_missing_input_names_path(self, tmp_path, caplog):
         rc = main(["offline", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "x")])

@@ -26,6 +26,7 @@ from kharita.ingest import (
     infer_speed_heading,
     parse_trajectories,
     prepare_trajectories,
+    stream_points,
 )
 
 CFG = IngestConfig()
@@ -106,6 +107,17 @@ class TestParse:
         path = write_csv(tmp_path, "a,bad,25.0,51.0,,\n", name="allbad.csv")
         with pytest.raises(EmptyInputError):
             parse_trajectories(path, CFG)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        body = ("a,100,25.0,51.0,30,0\n"
+                "b,100,25.1,51.1,,\n"
+                "a,110,25.001,51.0,30,0\n")
+        plain = write_csv(tmp_path, body)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (HEADER + body).encode("utf-8"))
+        assert [(t.vehicle_id, t.points) for t in parse_trajectories(str(bom), CFG)] \
+            == [(t.vehicle_id, t.points) for t in parse_trajectories(plain, CFG)]
+        assert list(stream_points(str(bom))) == list(stream_points(plain))
 
     def test_wrong_header_raises(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -200,8 +212,8 @@ class TestDensify:
 
     def test_missing_speed_takes_the_known_one(self):
         # the online rule; inference leaves no speed missing in the pipeline
-        tr = self.make_pair(100.0)
-        tr.points[1].speed_kmh = None
+        a, b = self.make_pair(100.0).points
+        tr = Trajectory("a", [a, replace(b, speed_kmh=None)])
         got = densify(tr, CFG)
         assert len(got) > 2
         assert all(p.speed_kmh == 40.0 for p in got.points[1:-1])
@@ -311,6 +323,26 @@ def test_densify_across_latitudes_matches_every_pair_measured(first, second):
     gap = replace(b.points[0], heading_deg=None)
     tr = Trajectory("v", a.points + [gap] + b.points)
     assert densify(tr, cfg).points == _measured_densify(tr, cfg).points
+
+
+@settings(max_examples=100)
+@given(drives=st.lists(_drives(), min_size=1, max_size=4),
+       cut=st.integers(1, 4), lone=st.lists(st.integers(0, 4), max_size=2))
+def test_densify_of_a_batch_matches_each_trajectory_alone(drives, cut, lone):
+    # prepare_trajectories densifies all trajectories at once on their
+    # joined columns; no pair may span two of them, even where one
+    # drive goes straight on into the next, and each keeps the bound
+    # scales of its own latitudes. Trajectories of one fix and of none
+    # ride along at their places
+    cfg = drives[0][1]
+    trs = [tr for tr, _ in drives]
+    first = trs[0].points
+    trs[:1] = [Trajectory("v", first[:cut]), Trajectory("v", first[cut:])]
+    for k in lone:
+        trs.insert(min(k, len(trs)), Trajectory("v", trs[0].points[:k % 2]))
+    got = ingest._densify_all(trs, cfg)
+    assert [t.points for t in got] == [_measured_densify(t, cfg).points
+                                       if len(t) >= 2 else t.points for t in trs]
 
 
 def test_densify_measures_only_the_pairs_the_bounds_leave_open(monkeypatch):

@@ -78,18 +78,33 @@ def distinct_points(pts: PointArrays) -> tuple[PointArrays, np.ndarray]:
     order preserved. Speed and last-seen keep the group maximum.
 
     Returns (distinct arrays, inverse) with inverse mapping each input
-    row to its distinct row.
+    row to its distinct row. Two rows repeat when each of the three
+    values has the same bits, so -0.0 and 0.0 differ and a NaN repeats
+    only a NaN of the same bits. One stable lexsort of the bit patterns
+    puts repeats next to each other, each group's first row first. When
+    no row repeats, pts itself comes back with an identity inverse: the
+    only temporaries are the sort's order and one sorted key at a time.
     """
-    stacked = np.stack([pts.lat, pts.lon, pts.heading], axis=1)
-    view = np.ascontiguousarray(stacked).view(
-        np.dtype((np.void, stacked.dtype.itemsize * 3))).ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    # np.unique sorts by value; re-rank groups by first appearance
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    inverse = rank[inverse]
-    first = first[order]
+    n = pts.n
+    keys = [np.asarray(a, dtype=np.float64).view(np.uint64)
+            for a in (pts.heading, pts.lon, pts.lat)]
+    order = np.lexsort(keys)
+    # repeat[j]: sorted row j + 1 repeats sorted row j
+    repeat = np.ones(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        s = key[order]
+        repeat &= s[1:] == s[:-1]
+        del s
+    if not repeat.any():
+        return pts, np.arange(n)
+    starts = np.flatnonzero(np.append(True, ~repeat))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[order[starts]] = True
+    first = np.flatnonzero(is_first)
+    # groups are ranked by first appearance
+    rank = np.cumsum(is_first) - 1
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.repeat(rank[order[starts]], np.diff(starts, append=n))
     k = first.size
     speed = np.full(k, -np.inf)
     has_speed = ~np.isnan(pts.speed)
@@ -300,6 +315,11 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int, terms):
 # It is taken of the cell size at least: the bound sums distances and
 # drifts whose rounding is absolute, about a nanometer each
 _BOUND_MARGIN = 1e-6
+# points whose centroid moved that kmeans_arrays measures again at a
+# time. A block makes about 36 float64 temporaries per point, 2 MB at
+# 2^13: under the peak of a search chunk. Measured at once, the moved
+# points of an offline city set the peak of k-means (20 MB traced)
+_MOVED_BLOCK = 1 << 13
 
 
 def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
@@ -323,7 +343,10 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
     are searched again; the bound of a point spared by the second is
     raised to s - dist less the margin (_Assigner.spare), so the first
     test settles it while the centroids stay put. The per-point terms
-    of the centroid update are taken once (_point_terms).
+    of the centroid update are taken once (_point_terms), and the
+    distances of the points whose centroid moved are measured
+    _MOVED_BLOCK points at a time, so an iteration's temporaries do not
+    grow with the points.
     """
     assigner = _Assigner(pts, cfg)
     cells = assigner.cells
@@ -348,11 +371,13 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
             lower = np.minimum(lower - cells.max_around(olat, olon, drift),
                                cells.cell_m - drift.max())
             dist = dist.copy()
-            stale = np.nonzero(moved[assign])[0]
-            own = assign[stale]
-            dist[stale] = combined_distance_m_many(
-                pts.lat[stale], pts.lon[stale], pts.heading[stale],
-                clat[own], clon[own], chdg[own], cfg.theta)
+            stale = np.flatnonzero(moved[assign])
+            for at in range(0, stale.size, _MOVED_BLOCK):
+                i = stale[at:at + _MOVED_BLOCK]
+                own = assign[i]
+                dist[i] = combined_distance_m_many(
+                    pts.lat[i], pts.lon[i], pts.heading[i],
+                    clat[own], clon[own], chdg[own], cfg.theta)
             slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
             redo = np.nonzero(dist >= lower - slack)[0]
             if redo.size:

@@ -173,7 +173,12 @@ def vincenty_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 # keeps about 27 temporaries as long as its input alive: 7 MB at 2^15
 # pairs, about 108 MB for 500k. In blocks of 2^15, 500k short pairs
 # took half the time of one block (130 vs 250 ms, best of 5, 2 vCPU
-# Xeon, numpy 2.4.6); 2^13 to 2^15 ran alike, 2^16 and up slower
+# Xeon, numpy 2.4.6); 2^13 to 2^15 ran alike, 2^16 and up slower. The
+# batch searches hand it the pairs of one chunk, about 2^15, and k-means
+# its moved points 2^13 at a time, so blocks of 2^13 and 2^15 peaked
+# alike: offline_city at 67.2-67.5 and 67.1-67.2 MB RSS, eval_topo at
+# 51.7 and 51.6-51.8 MB; k-means on city 0 took 0.840 and 0.827 s
+# (least of 10 interleaved passes)
 _VINCENTY_BLOCK = 1 << 15
 
 

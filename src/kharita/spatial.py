@@ -38,12 +38,16 @@ only when a threshold lies between its L and U.
 
 Chunks. A batch search screens its pairs _PAIR_BUDGET at a time, so its
 temporaries stay small however many pairs a call has: the first
-k-means assignment of an offline city has a few million. The chunk
-size changes no result, as each query's pairs are kept in one chunk.
-Budgets of 2^16, 2^17, 2^18 and 2M pairs, run interleaved on the
-k-means of two offline cities (2 vCPU Xeon, numpy 2.4.6), peaked at
-59, 59, 67 and 142 MB RSS, and their times differed by less than the
-host's noise. 2^17 is the largest budget at the floor.
+k-means assignment of an offline city has a few million. A chunk's
+per-query arrays are built with the chunk, not for every query at once.
+The chunk size changes no result, as each query's pairs are kept in one
+chunk. With k-means measuring its moved points in blocks, budgets of
+2^14, 2^15, 2^16 and 2^17 pairs peaked at 66.1-66.2, 66.9-67.9,
+69.0-69.1 and 72.0-72.4 MB RSS on offline_city (two seeds each, 2 vCPU
+Xeon, numpy 2.4.6); eval_topo peaked at 51.8 MB at 2^15 and 53.9 at
+2^17. k-means on city 0 took a median 1.14, 1.03 and 1.07 s at 2^14,
+2^15 and 2^17 pairs (16 interleaved passes). 2^15 is the smallest
+budget that does not slow k-means; 2^14 saves about 1 MB more.
 """
 from __future__ import annotations
 
@@ -69,10 +73,11 @@ from .geo import (
 # so no degree of latitude, nor of longitude on the equator, is longer
 M_PER_DEG_MAX = EARTH_A * EARTH_A / EARTH_B * math.pi / 180.0
 # query/reference pairs screened at a time by the batch searches. A
-# chunk makes about ten int64/float64 temporaries of its length: 10 MB
-# at 2^17 pairs. At 2M pairs they took 160 MB and set the peak RSS of
-# an offline pass, at no gain in speed (see Chunks in the docstring)
-_PAIR_BUDGET = 1 << 17
+# chunk makes about ten int64/float64 temporaries of its length: 2.6 MB
+# at 2^15 pairs. At 2^17 pairs they set the peak of k-means and of an
+# offline pass (72 MB RSS, against 67), and at 2M pairs they took
+# 160 MB, at no gain in speed (see Chunks in the docstring)
+_PAIR_BUDGET = 1 << 15
 _INT_MAX = np.iinfo(np.int64).max
 
 
@@ -217,26 +222,23 @@ class _QueryCells:
         cand = order[segments(np.append(heads, 0)[at].ravel(), size.ravel())]
         size = size.sum(axis=1)
         first = np.cumsum(size) - size
-        members = np.diff(self.starts)
-        # the cells with candidates, and per query of theirs its
-        # candidates' first position in cand and their number
+        # the cells with candidates, their queries, and the pairs before
+        # each of them
         busy = np.flatnonzero(size)
-        members = members[busy]
-        queries = self.order[segments(self.starts[busy], members)]
-        first = np.repeat(first[busy], members)
-        lens = np.repeat(size[busy], members)
-        row = np.repeat(self.cell_row[busy], members)
-        # pairs and queries before each busy cell
+        members = np.diff(self.starts)[busy]
         pairs = np.append(0, np.cumsum(members * size[busy]))
-        ends = np.append(0, np.cumsum(members))
         done = 0
         while done < busy.size:
             stop = min(int(np.searchsorted(pairs, pairs[done] + _PAIR_BUDGET)),
                        busy.size)
-            a, b = ends[done], ends[stop]
-            n = lens[a:b]
-            yield (np.repeat(queries[a:b], n), cand[segments(first[a:b], n)],
-                   n, self.lon_hi[row[a:b]], self.inv_rho2[row[a:b]])
+            # per query of the chunk's cells, its candidates' first
+            # position in cand and their number
+            cells, m = busy[done:stop], members[done:stop]
+            n = np.repeat(size[cells], m)
+            row = np.repeat(self.cell_row[cells], m)
+            yield (np.repeat(self.order[segments(self.starts[cells], m)], n),
+                   cand[segments(np.repeat(first[cells], m), n)],
+                   n, self.lon_hi[row], self.inv_rho2[row])
             done = stop
 
     def _upper(self, rlat, rlon, heading=None):

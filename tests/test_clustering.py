@@ -4,7 +4,6 @@ Brute-force O(n^2) reimplementations of the distance logic act as
 oracles for the grid-accelerated code paths.
 """
 import math
-import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -611,10 +610,37 @@ class TestKmeans:
         assert raised[0][0] == 50
         assert min(gap for _, gap in raised) < 1e-4
 
-    def test_working_set_stays_chunk_sized(self):
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_moved_point_blocks_change_no_result(self, block, monkeypatch):
+        # the moved points' distances are measured _MOVED_BLOCK at a
+        # time; these clouds have a few hundred, one block by default.
+        # Mid-latitude, across the antimeridian and near the pole, with
+        # greedy and random seeds
+        rng = np.random.default_rng(47)
+        cfg = ClusterConfig()
+        default = clustering._MOVED_BLOCK
+        sites = [random_points(rng, 300, span=0.002),
+                 seam_points(rng, 300, 25.0, 180.0),
+                 seam_points(rng, 300, 89.99, 180.0)]
+        for pts in sites:
+            for sid in (select_seed_indices(pts, cfg),
+                        rng.integers(0, pts.n, 30)):
+                args = (pts, pts.lat[sid], pts.lon[sid], pts.heading[sid], cfg)
+                want = kmeans_arrays(*args)
+                monkeypatch.setattr(clustering, "_MOVED_BLOCK", block)
+                got = kmeans_arrays(*args)
+                monkeypatch.setattr(clustering, "_MOVED_BLOCK", default)
+                assert len(want[2]) > 1
+                for key in ("lat", "lon", "heading"):
+                    np.testing.assert_array_equal(got[0][key], want[0][key])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
+
+    def test_working_set_stays_chunk_sized(self, traced):
         # numpy reports its buffers to tracemalloc. The first assignment
-        # of this cloud has 1.17M pairs, nine chunks of the batch
-        # search; k-means peaked at 9.2 MB traced over its whole run,
+        # of this cloud has 1.17M pairs, 24 chunks of the batch search;
+        # k-means peaked at 4.1 MB traced over its whole run, at 9.2 MB
+        # with 2^17-pair chunks and the moved points measured at once,
         # and at 58 MB with all the pairs in one chunk (2M budget)
         rng = np.random.default_rng(61)
         pts = random_points(rng, 10_000, span=0.004)
@@ -622,14 +648,10 @@ class TestKmeans:
         cfg = ClusterConfig()
         cells = _QueryCells(pts.lat, pts.lon, cfg.seed_radius_cr + cfg.theta)
         assert sum(1 for _ in cells._chunks(pts.lat[sid], pts.lon[sid])) >= 8
-        tracemalloc.start()
-        try:
+        with traced() as mem:
             kmeans_arrays(pts, pts.lat[sid], pts.lon[sid], pts.heading[sid],
                           cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert mem.peak < 20e6
 
     def test_cost_never_increases(self):
         rng = np.random.default_rng(41)
@@ -795,7 +817,90 @@ class TestSplit:
             assert lon == pytest.approx(mean, abs=1e-9)
 
 
+def void_view_distinct(pts: PointArrays):
+    """distinct_points as it was before it sorted bit patterns: np.unique
+    over a 24-byte void view of (lat, lon, heading), the groups re-ranked
+    by first appearance, every column copied."""
+    stacked = np.stack([pts.lat, pts.lon, pts.heading], axis=1)
+    view = np.ascontiguousarray(stacked).view(
+        np.dtype((np.void, stacked.dtype.itemsize * 3))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inverse = rank[inverse]
+    first = first[order]
+    k = first.size
+    speed = np.full(k, -np.inf)
+    has_speed = ~np.isnan(pts.speed)
+    np.maximum.at(speed, inverse[has_speed], pts.speed[has_speed])
+    speed[speed == -np.inf] = np.nan
+    ts = np.full(k, -np.inf)
+    np.maximum.at(ts, inverse, pts.ts)
+    out = PointArrays(pts.lat[first], pts.lon[first], pts.heading[first], speed, ts)
+    return out, inverse
+
+
+# rows of (lat, lon, heading, speed, ts) from few values, so that rows
+# repeat: -0.0 beside 0.0, and NaN among the positions and the speeds
+POSITION = st.sampled_from([0.0, -0.0, 1.5, 25.0, 359.0, math.nan])
+ROW = st.tuples(POSITION, POSITION, POSITION,
+                st.sampled_from([math.nan, 0.0, -0.0, 5.0, 30.5, 90.0]),
+                st.sampled_from([0.0, -0.0, 1.0, 100.0, 1e9]))
+
+
+def rows_to_points(rows) -> PointArrays:
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), 5).T
+    return PointArrays(*(np.ascontiguousarray(c) for c in cols))
+
+
+def position_bits(row) -> bytes:
+    return np.array(row[:3], dtype=np.float64).tobytes()
+
+
+def assert_matches_void_view(pts: PointArrays):
+    """distinct_points(pts) gives the bits of void_view_distinct(pts),
+    and pts itself when no row repeats; returns the distinct count."""
+    (got, got_inv), (want, want_inv) = distinct_points(pts), void_view_distinct(pts)
+    assert got_inv.dtype == want_inv.dtype
+    np.testing.assert_array_equal(got_inv, want_inv)
+    for name in ("lat", "lon", "heading", "speed", "ts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64
+        assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        if want.n == pts.n:
+            assert a.size == 0 or np.shares_memory(a, getattr(pts, name))
+    return want.n
+
+
 class TestDistinctPoints:
+    @settings(max_examples=300)
+    @given(rows=st.lists(ROW, max_size=40), repeat_first=st.booleans())
+    def test_matches_the_void_view_version(self, rows, repeat_first):
+        # repeat_first puts a repeat at the first and the last index
+        if repeat_first and rows:
+            rows = rows + [rows[0]]
+        assert_matches_void_view(rows_to_points(rows))
+
+    @settings(max_examples=100)
+    @given(rows=st.lists(ROW, max_size=40, unique_by=position_bits))
+    def test_without_repeats_the_input_comes_back(self, rows):
+        pts = rows_to_points(rows)
+        assert assert_matches_void_view(pts) == pts.n
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1.0, 2.0, 3.0, math.nan, 4.0)],
+        [(0.0, 1.0, 2.0, 5.0, 1.0), (-0.0, 1.0, 2.0, 6.0, 2.0)],
+        [(math.nan, 1.0, 2.0, 5.0, 1.0), (1.0, 1.0, 2.0, 5.0, 1.0),
+         (math.nan, 1.0, 2.0, math.nan, 3.0)],
+        [(1.0, 1.0, 2.0, 5.0, 1.0), (2.0, 1.0, 2.0, 5.0, 1.0),
+         (1.0, 1.0, 2.0, 7.0, 0.0)]])
+    def test_edge_cases_match_the_void_view_version(self, rows):
+        # none, one, -0.0 against 0.0, NaN positions and a NaN speed, and
+        # a repeat at the first and the last index
+        assert_matches_void_view(rows_to_points(rows))
+
     def test_dedupe_keeps_first_occurrence_order(self):
         pts = PointArrays(
             np.array([1.0, 2.0, 1.0, 3.0, 2.0]),

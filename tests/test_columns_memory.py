@@ -1,5 +1,5 @@
-"""Bytes per fix of the batch pass's trajectories, traced with
-tracemalloc on a synthetic city.
+"""Bytes per fix of the batch pass's trajectories, and bytes per point
+of its stages' temporaries, traced with tracemalloc on a synthetic city.
 
 A trajectory holds five float64 columns, 40 bytes per fix, plus a few
 hundred bytes of objects per trajectory. A GpsPoint per fix held about
@@ -7,36 +7,31 @@ hundred bytes of objects per trajectory. A GpsPoint per fix held about
 them peaks above 270; both fail these bounds.
 
 Measured on an 8x8-block city of 400 drives (23,997 fixes, 400
-trajectories, 30,914 points after densify), Python 3.11, numpy 2.4:
+trajectories, 30,914 points after densify, none repeated), Python 3.11,
+numpy 2.4:
 
     generate_synthetic   held  86.7, peak  88.2 B/fix (GpsPoints: 246)
     parse_trajectories   held  54.1, peak 129.0 B/fix (GpsPoints: 266)
     prepare_trajectories added 63.9 B/fix             (GpsPoints: 71.5)
 
-The generator's share includes the truth graph. Each bound sits about a
-quarter over the measured value.
-"""
-import gc
-import tracemalloc
+The generator's share includes the truth graph. In the offline pipeline,
+each stage's traced peak rose this far above what was live when it
+began, in bytes per point after densify:
 
+    prepare_trajectories 112.9
+    distinct_points       18.0 (129.1 when it copied every point)
+    kmeans_arrays        171.1 (385.2 with moved points measured at
+                                once and pair chunks of 2^17)
+
+Each bound sits about a quarter over the measured value.
+"""
 import pytest
 
+from kharita import graphs
+from kharita.clustering import ClusterConfig
 from kharita.evaluate import GridSpec, generate_synthetic
 from kharita.ingest import IngestConfig, parse_trajectories, prepare_trajectories
 from kharita.mapio import save_trajectories_csv
-
-
-def traced(fn):
-    """(result, bytes still held, peak bytes) of one call."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = fn()
-        gc.collect()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, held, peak
 
 
 @pytest.fixture(scope="module")
@@ -46,20 +41,59 @@ def city():
                                       sampling_spacing_m=20.0, rng_seed=0)
 
 
-def test_columns_bound_the_bytes_per_fix(city, tmp_path):
-    (truth, trajectories), held, peak = traced(city)
+def test_columns_bound_the_bytes_per_fix(city, tmp_path, traced):
+    with traced() as mem:
+        truth, trajectories = city()
     fixes = sum(len(t) for t in trajectories)
     assert fixes > 20_000
-    assert held / fixes < 110 and peak / fixes < 110
+    assert mem.held / fixes < 110 and mem.peak / fixes < 110
 
     path = str(tmp_path / "city.csv")
     save_trajectories_csv(trajectories, path)
     del truth, trajectories
     cfg = IngestConfig()
-    parsed, held, peak = traced(lambda: parse_trajectories(path, cfg))
+    with traced() as mem:
+        parsed = parse_trajectories(path, cfg)
     assert sum(len(t) for t in parsed) == fixes
-    assert held / fixes < 70 and peak / fixes < 165
+    assert mem.held / fixes < 70 and mem.peak / fixes < 165
 
-    (prepared, _), held, _ = traced(lambda: prepare_trajectories(parsed, cfg))
+    with traced() as mem:
+        prepared, _ = prepare_trajectories(parsed, cfg)
     assert sum(len(t) for t in prepared) > fixes
-    assert held / fixes < 80
+    assert mem.held / fixes < 80
+
+
+# the stages of run_offline_pipeline whose temporaries are bounded, by
+# their names in graphs
+STAGES = ("prepare_trajectories", "distinct_points", "kmeans_arrays")
+
+
+def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
+    # how far each stage's traced peak rises above what was live when it
+    # began, per point after densify
+    _, trajectories = city()
+    path = str(tmp_path / "city.csv")
+    save_trajectories_csv(trajectories, path)
+    del trajectories
+    rise = {}
+
+    def traced_stage(name, fn):
+        def stage(*args, **kwargs):
+            with traced() as mem:
+                out = fn(*args, **kwargs)
+            rise[name] = mem.peak
+            return out
+        return stage
+
+    for name in STAGES:
+        monkeypatch.setattr(graphs, name,
+                            traced_stage(name, getattr(graphs, name)))
+    cfg = IngestConfig()
+    stats = graphs.PipelineStats()
+    graphs.run_offline_pipeline(parse_trajectories(path, cfg), cfg,
+                                ClusterConfig(), graphs.SpannerConfig(), stats)
+    points = stats.counts["points"]
+    assert stats.counts["distinct_points"] == points > 30_000
+    assert rise["prepare_trajectories"] / points < 140
+    assert rise["distinct_points"] / points < 23
+    assert rise["kmeans_arrays"] / points < 215

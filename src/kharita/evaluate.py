@@ -87,6 +87,13 @@ def _f(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
 
 
+def _zeros(ts: list, **kw) -> EvalReport:
+    """The report of an empty tested map: zeros at every threshold."""
+    log.warning("tested map is empty: scoring zeros")
+    zeros = [0.0] * len(ts)
+    return EvalReport(ts, zeros, zeros, zeros, **kw)
+
+
 @dataclass
 class _Samples:
     """Points laid every few meters along a graph's active edges,
@@ -151,9 +158,7 @@ def geo_score(inferred: RoadGraph, truth: RoadGraph, cfg: EvalConfig) -> EvalRep
     marbles = _sample_edges(inferred, cfg.sample_spacing_m)
     ts = sorted(float(t) for t in cfg.matching_thresholds_m)
     if marbles.lat.size == 0:
-        log.warning("tested map is empty: scoring zeros")
-        zeros = [0.0] * len(ts)
-        return EvalReport(ts, zeros, zeros, zeros)
+        return _zeros(ts)
     rmax = ts[-1]
     md, _ = nearest_within(marbles.lat, marbles.lon, holes.lat, holes.lon, rmax)
     hd, _ = nearest_within(holes.lat, holes.lon, marbles.lat, marbles.lon, rmax)
@@ -266,16 +271,17 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     Starting pairs must sit within the start matching distance of each
     other on roads running the same direction; draws that find no
     partner are retried a bounded number of times, then the sample is
-    skipped. Scores are means over valid samples.
+    skipped. Scores are means over valid samples; an empty tested map
+    scores zeros with none valid, as in geo_score.
     """
     pruned = prune_unvisited_edges(truth, trajectories, cfg)
     holes = _sample_edges(pruned, cfg.sample_spacing_m)
     if holes.lat.size == 0:
         raise ValueError("no trajectory-visited reference edges to sample")
     marbles = _sample_edges(inferred, cfg.sample_spacing_m)
-    if marbles.lat.size == 0:
-        raise ValueError("tested map has no active edges to sample")
     ts = sorted(float(t) for t in cfg.matching_thresholds_m)
+    if marbles.lat.size == 0:
+        return _zeros(ts, samples_total=cfg.topo_samples, seed=cfg.rng_seed)
 
     # resolve every marble's start partner up front: nearest hole, kept
     # when close enough and pointing the same way

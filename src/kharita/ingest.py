@@ -94,15 +94,10 @@ class PointArrays:
         return PointArrays(*(getattr(self, name)[which] for name in _FIELDS))
 
 
-def _fix(vehicle_id: str, ts: float, lat: float, lon: float,
-         speed: float, heading: float) -> GpsPoint:
-    return GpsPoint(vehicle_id, ts, lat, lon,
-                    None if speed != speed else speed,
-                    None if heading != heading else heading)
-
-
 class _Fixes(Sequence):
-    """A trajectory's fixes as GpsPoints, each built when read."""
+    """A trajectory's fixes as a read-only sequence of GpsPoints, each
+    built when read, with None where a column holds NaN; its length
+    builds none."""
 
     __slots__ = ("_vid", "_cols")
 
@@ -113,48 +108,24 @@ class _Fixes(Sequence):
     def __len__(self) -> int:
         return self._cols.n
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> GpsPoint:
         c = self._cols
-        return _fix(self._vid, float(c.ts[i]), float(c.lat[i]),
-                    float(c.lon[i]), float(c.speed[i]), float(c.heading[i]))
-
-    def __iter__(self):
-        c = self._cols
-        for row in zip(c.ts.tolist(), c.lat.tolist(), c.lon.tolist(),
-                       c.speed.tolist(), c.heading.tolist()):
-            yield _fix(self._vid, *row)
-
-    def __eq__(self, other):
-        if isinstance(other, (_Fixes, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+        speed, heading = float(c.speed[i]), float(c.heading[i])
+        return GpsPoint(self._vid, float(c.ts[i]), float(c.lat[i]),
+                        float(c.lon[i]), None if speed != speed else speed,
+                        None if heading != heading else heading)
 
 
 class Trajectory:
     """Time-ordered fixes of one vehicle between long gaps, as columns.
-
-    Trajectory(vehicle_id, [GpsPoint, ...]) takes the columns from the
-    points; Trajectory(vehicle_id, cols=PointArrays(...)) takes them as
-    given. points is a read-only sequence of GpsPoints built on access.
-    """
+    points is a read-only sequence of GpsPoints built on access;
+    PointArrays.from_points makes the columns of a list of them."""
 
     __slots__ = ("vehicle_id", "cols")
 
-    def __init__(self, vehicle_id: str, points=(),
-                 cols: PointArrays | None = None):
+    def __init__(self, vehicle_id: str, cols: PointArrays):
         self.vehicle_id = vehicle_id
-        self.cols = PointArrays.from_points(points) if cols is None else cols
+        self.cols = cols
 
     def __len__(self) -> int:
         return self.cols.n

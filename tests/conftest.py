@@ -1,6 +1,7 @@
 """Hypothesis settings shared by every property test: the examples are
 derived from the test, so runs repeat exactly, with no deadline and no
-example database. Also the `traced` fixture of the memory tests."""
+example database. Also the `traced` fixture of the memory tests, and
+trajectory_of, which tests import to build a trajectory from points."""
 import contextlib
 import gc
 import tracemalloc
@@ -9,9 +10,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
+from kharita.ingest import PointArrays, Trajectory
+
 settings.register_profile("kharita", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("kharita")
+
+
+def trajectory_of(vehicle_id, points):
+    """The trajectory of vehicle_id whose fixes are the GpsPoints points."""
+    return Trajectory(vehicle_id, cols=PointArrays.from_points(points))
 
 
 @contextlib.contextmanager

@@ -37,12 +37,13 @@ from kharita.graphs import (
 )
 from kharita.ingest import (
     IngestConfig,
-    Trajectory,
     parse_trajectories,
     stream_points,
 )
 from kharita.mapio import save_trajectories_csv
 from kharita.online import OnlineConfig, consume_stream
+
+from conftest import trajectory_of
 
 LAT0, LON0 = 25.0, 51.0
 COS0 = math.cos(math.radians(LAT0))
@@ -92,7 +93,7 @@ def coverage_drives(graph: RoadGraph, spacing_m=10.0) -> list:
                         nu.lon + s / (k - 1) * (nv.lon - nu.lon),
                         30.0, 0.0)
                for s in range(k)]
-        out.append(Trajectory(f"cov{j}", pts))
+        out.append(trajectory_of(f"cov{j}", pts))
     return out
 
 
@@ -261,7 +262,7 @@ def _assert_simple_directed_path(graph: RoadGraph):
 def test_06_online_offline_agree_on_straight_road():
     fixes = line_fixes("c6", 51, 20.0, heading=0.0, speed_kmh=70.0)
 
-    offline = run_offline_pipeline([Trajectory("c6", fixes)], IngestConfig(),
+    offline = run_offline_pipeline([trajectory_of("c6", fixes)], IngestConfig(),
                                    ClusterConfig(), SpannerConfig())
     cfg = OnlineConfig()
     online = consume_stream(iter(fixes), cfg).graph
@@ -377,15 +378,18 @@ def test_10_every_command_is_byte_deterministic(tmp_path, monkeypatch):
                     f"({len(products['r1'])} files compared)")
 
 
-# sha256 of the files of the AC-10 synth run, of its offline map, and of
-# the offline map of the same CSV with every speed and heading blanked
-# (so that inference fills them all); see CHANGES.md for how they were
-# derived
+# sha256 of the files of the AC-10 synth run, of its offline and online
+# maps and eval report, and of the offline map of the same CSV with every
+# speed and heading blanked (so that inference fills them all); see
+# CHANGES.md for how they were derived
 PINNED_SHA256 = {
     "w.trajectories.csv": "cab2a17532f3d31659256e25f4cb3e699df59f44bfd3ad80c6e599b2c9930bff",
     "w.truth.edges": "9574c9aed5246822498d8f238db23abb7476b2467982c7836ae27f69793d6575",
     "w.off.edges": "9731d5643f8f069a162de9eace8e1a290d248918a9fd23b3b81428ae5bf6886b",
     "w.off.geojson": "80c3923c5e04a7239a812295f354a5d88f1cddcf64d072aeed105a7482283dd6",
+    "w.on.edges": "0821f439ab8ff0f7f9f44b2cacb317b7b66f6a65616550297e85041289664d64",
+    "w.on.geojson": "6349d71974899daae85377f120bc6373ed7c591f9d769da15b50d5c1aa63190e",
+    "w.ev.report.json": "adf2fba04c47df36c7ba9366eab477b7e3a9d89140d7b967005940ec7a1c48b7",
     "h.off.edges": "133fae17544a910a157181a5f987a3c9eb908c1f0ccda4668bd4b051acedf514",
     "h.off.geojson": "5e04d3ff88822d78bf16d4ea3c5328eaec0b380523d019b8c1e6b7c40d00a68b",
 }
@@ -399,6 +403,13 @@ def test_10_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
                  "--traj", "30", "--noise", "3", "--seed", "9"]) == EXIT_OK
     assert main(["offline", "--input", "w.trajectories.csv",
                  "--out", "w.off"]) == EXIT_OK
+    assert main(["online", "--input", "w.trajectories.csv",
+                 "--out", "w.on"]) == EXIT_OK
+    assert main(["eval", "--inferred", "w.off.edges",
+                 "--truth", "w.truth.edges",
+                 "--trajectories", "w.trajectories.csv",
+                 "--topo-samples", "20", "--seed", "4", "--json",
+                 "--out", "w.ev"]) == EXIT_OK
     with open("w.trajectories.csv", newline="") as fh, \
             open("h.csv", "w", newline="") as out:
         rows = csv.reader(fh)

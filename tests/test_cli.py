@@ -223,6 +223,25 @@ class TestEval:
         assert doc["geo"]["f_score"] == [1.0] * 6
         assert doc["topo"] is None
 
+    def test_empty_online_map_scores_zeros(self, dataset, tmp_path, caplog):
+        # a stream with no usable pair gives an empty map; GEO and TOPO
+        # both score it zeros rather than fail
+        src = tmp_path / "empty.csv"
+        src.write_text(CSV_HEADER)
+        em = str(tmp_path / "em")
+        assert main(["online", "--input", str(src), "--out", em]) == EXIT_OK
+        out = str(tmp_path / "ev")
+        rc = main(["eval", "--inferred", em + ".edges",
+                   "--truth", dataset["truth"],
+                   "--trajectories", dataset["csv"], "--json", "--out", out])
+        assert rc == EXIT_OK
+        doc = json.load(open(out + ".report.json"))
+        for kind in ("geo", "topo"):
+            for name in ("precision", "recall", "f_score"):
+                assert doc[kind][name] == [0.0] * 6
+        assert doc["topo"]["samples_valid"] == 0
+        assert "tested map is empty" in caplog.text
+
     def test_malformed_map_is_runtime_error(self, dataset, tmp_path, caplog):
         bad = tmp_path / "bad.edges"
         bad.write_text("not a map\n")

@@ -24,7 +24,8 @@ from kharita.geo import (
     wrap_lon_many,
 )
 from kharita.graphs import RoadGraph
-from kharita.ingest import Trajectory
+
+from conftest import trajectory_of
 
 LAT0, LON0 = 25.0, 51.0
 
@@ -63,7 +64,7 @@ def trace_edges(graph, spacing=10.0):
             pts.append(GpsPoint(f"t{j}", s * 2.0,
                                 nu.lat + f * (nv.lat - nu.lat),
                                 nu.lon + f * (nv.lon - nu.lon), 30.0, 0.0))
-        out.append(Trajectory(f"t{j}", pts))
+        out.append(trajectory_of(f"t{j}", pts))
     return out
 
 
@@ -147,7 +148,7 @@ class TestPruning:
         pts = [GpsPoint("v", i * 2.0, LAT0,
                         LON0 + offset_deg(0, 10 * i)[1], 30.0, 90.0)
                for i in range(21)]
-        pruned = prune_unvisited_edges(truth, [Trajectory("v", pts)],
+        pruned = prune_unvisited_edges(truth, [trajectory_of("v", pts)],
                                        EvalConfig())
         kept = set(pruned.edges)
         assert (0, 1) in kept and (1, 2) in kept    # the driven street
@@ -215,6 +216,24 @@ class TestTopoScore:
         trs = trace_edges(truth)
         with pytest.raises(ValueError):
             topo_score(inferred, truth, trs, EvalConfig(topo_samples=5))
+
+    def test_empty_inferred_scores_zero(self, caplog):
+        # GEO's rule: an empty tested map warns and scores zeros
+        truth = street([(0, 0), (200, 0)])
+        cfg = EvalConfig(topo_samples=5, rng_seed=3)
+        rep = topo_score(RoadGraph(), truth, trace_edges(truth), cfg)
+        assert rep.precision == rep.recall == rep.f_score == [0.0] * 6
+        assert rep.thresholds == sorted(cfg.matching_thresholds_m)
+        assert (rep.samples_total, rep.samples_valid, rep.seed) == (5, 0, 3)
+        assert "tested map is empty" in caplog.text
+
+    def test_empty_or_unvisited_truth_rejected(self):
+        truth = street([(0, 0), (200, 0)])
+        for inferred in (truth, RoadGraph()):
+            with pytest.raises(ValueError, match="reference edges"):
+                topo_score(inferred, RoadGraph(), trace_edges(truth), EvalConfig())
+            with pytest.raises(ValueError, match="reference edges"):
+                topo_score(inferred, truth, [], EvalConfig())
 
 
 class TestSampleEdges:

@@ -23,7 +23,9 @@ from kharita.graphs import (
     run_offline_pipeline,
     spurious_edge_threshold,
 )
-from kharita.ingest import EmptyInputError, IngestConfig, Trajectory
+from kharita.ingest import EmptyInputError, IngestConfig
+
+from conftest import trajectory_of
 
 
 def node(lat=25.0, lon=51.0, heading=0.0, support=1, max_speed=40.0):
@@ -328,7 +330,7 @@ class TestOfflinePipeline:
         for i, m in enumerate(np.arange(0.0, 1000.1, spacing)):
             pts.append(GpsPoint(vehicle, t0 + i * 3.0,
                                 25.0 + m / 111319.49, 51.0, 36.0, 0.0))
-        return Trajectory(vehicle, pts)
+        return trajectory_of(vehicle, pts)
 
     def test_straight_line_becomes_path(self):
         g = run_offline_pipeline([self.straight_line()], IngestConfig(),
@@ -360,8 +362,8 @@ class TestOfflinePipeline:
         assert c2 == [2 * c for c in c1]
 
     def test_empty_after_filtering_raises(self):
-        slow = Trajectory("v", [GpsPoint("v", float(i), 25.0, 51.0, 2.0, 0.0)
-                                for i in range(5)])
+        slow = trajectory_of("v", [GpsPoint("v", float(i), 25.0, 51.0, 2.0, 0.0)
+                                   for i in range(5)])
         with pytest.raises(EmptyInputError):
             run_offline_pipeline([slow], IngestConfig(), ClusterConfig(), SpannerConfig())
 

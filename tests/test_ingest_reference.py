@@ -34,11 +34,13 @@ from kharita.ingest import (
     EXPECTED_COLUMNS,
     EmptyInputError,
     IngestConfig,
-    Trajectory,
     infer_speed_heading,
     parse_trajectories,
     stream_points,
 )
+
+from conftest import trajectory_of
+
 
 # -- the object-based reference --------------------------------------------
 
@@ -302,7 +304,7 @@ def _fixes(draw):
 @given(points=_fixes())
 def test_inference_matches_the_object_version(points):
     expected = ref_infer("v", points)
-    got = infer_speed_heading(Trajectory("v", points))
+    got = infer_speed_heading(trajectory_of("v", points))
     if expected is None:
         assert got is None
     else:

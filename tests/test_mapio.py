@@ -20,6 +20,8 @@ from kharita.mapio import (
     write_manifest,
 )
 
+from conftest import trajectory_of
+
 
 def messy_graph():
     """Graph exercising every stored field, including inactive parts."""
@@ -326,9 +328,8 @@ class TestTrajectoryCsv:
 
     def test_absent_fields_stay_absent(self, tmp_path):
         from kharita.geo import GpsPoint
-        from kharita.ingest import Trajectory
-        tr = Trajectory("v", [GpsPoint("v", 0.0, 25.0, 51.0, None, None),
-                              GpsPoint("v", 5.0, 25.001, 51.0, None, None)])
+        tr = trajectory_of("v", [GpsPoint("v", 0.0, 25.0, 51.0, None, None),
+                                 GpsPoint("v", 5.0, 25.001, 51.0, None, None)])
         p = str(tmp_path / "n.csv")
         save_trajectories_csv([tr], p)
         back = parse_trajectories(p, IngestConfig())

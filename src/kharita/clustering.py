@@ -5,6 +5,11 @@ the clustering radius of each other under the combined distance; k-means
 then refines them with arithmetic-mean position updates and circular-mean
 heading updates; clusters mixing distinct travel directions are split.
 
+Seed selection asks one question, whether two points lie within the
+radius, of one batch screen (_near) on the grid of spatial: block by
+block, first against the seeds chosen before the block, then within it.
+The greedy then runs over the pairs it lists.
+
 k-means searches again, each iteration, only the points whose centroid
 can change. Every point keeps a lower bound on its distance to all other
 centroids (Hamerly, SDM 2010), lowered by the drift of the centroids
@@ -39,7 +44,7 @@ from .geo import (
     wrap_lon_many,
 )
 from .ingest import PointArrays
-from .spatial import GridIndex, _QueryCells, scalar_margins
+from .spatial import _QueryCells, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -116,77 +121,68 @@ def distinct_points(pts: PointArrays) -> tuple[PointArrays, np.ndarray]:
     return out, inverse
 
 
-# points screened at a time against the seeds chosen before them, in
-# select_seed_indices
+# points screened at a time in select_seed_indices, against the seeds
+# chosen before them and then against each other: the block also bounds
+# the pair lists of _near
 _SEED_BLOCK = 4096
 
 
-def _covered(pts: PointArrays, block: slice, seeds: np.ndarray,
-             cr: float, theta: float) -> np.ndarray:
-    """Whether each point of the block lies within cr of one of the
-    seeds in combined distance, by one batch screen: a pair is a hit
-    when its U is under the hit margin of threshold_margins and a miss
-    when its L >= rho * U is over the miss margin; the combined distance
-    settles the rest."""
+def _near(pts: PointArrays, qi: np.ndarray, ri: np.ndarray, cr: float,
+          theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (q, r) of positions in qi and ri whose points lie within
+    cr of each other in combined distance, by one batch screen: a pair
+    is a hit when its U is under the hit margin of threshold_margins and
+    a miss when its L >= rho * U is over the miss margin; the scalar
+    combined distance, query point first, settles the rest."""
     hit2, miss2 = scalar_margins(cr)
-    qlat, qlon, qh = pts.lat[block], pts.lon[block], pts.heading[block]
-    slat, slon, sh = pts.lat[seeds], pts.lon[seeds], pts.heading[seeds]
-    cells = _QueryCells(qlat, qlon, cr)
-    out = np.zeros(qlat.size, dtype=bool)
-    for pq, pr, lens, u, inv_rho2 in cells._upper(slat, slon, (qh, sh, theta)):
-        out[pq[u < hit2]] = True
+    qlat, qlon, qh = pts.lat[qi], pts.lon[qi], pts.heading[qi]
+    rlat, rlon, rh = pts.lat[ri], pts.lon[ri], pts.heading[ri]
+    out = [(np.empty(0, dtype=np.int64),) * 2]
+    for pq, pr, lens, u, inv_rho2 in _QueryCells(qlat, qlon, cr)._upper(
+            rlat, rlon, (qh, rh, theta)):
+        near = u < hit2
         # the pairs neither bound decides
-        open_ = (u >= hit2) & (u <= miss2 * np.repeat(inv_rho2, lens))
-        for q, r in zip(pq[open_].tolist(), pr[open_].tolist()):
-            if not out[q] and combined_distance_m(
-                    qlat[q], qlon[q], qh[q], slat[r], slon[r], sh[r],
-                    theta) < cr:
-                out[q] = True
-    return out
+        at = np.flatnonzero(~near & (u <= miss2 * np.repeat(inv_rho2, lens)))
+        q, r = pq[at], pr[at]
+        near[at] = [combined_distance_m(*pair, theta) < cr for pair in zip(
+            qlat[q].tolist(), qlon[q].tolist(), qh[q].tolist(),
+            rlat[r].tolist(), rlon[r].tolist(), rh[r].tolist())]
+        out.append((pq[near], pr[near]))
+        # freed before the next chunk is built, which cuts the peak by a
+        # quarter
+        del pq, pr, u, near
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """Greedy scan in input order; a point becomes a seed only if every
     existing seed is at least seed_radius_cr away in combined distance.
 
-    The points go in blocks of _SEED_BLOCK. One batch screen (_covered)
-    finds the points of a block within cr of a seed chosen before the
-    block began. The others go through the scalar greedy in input order,
-    against a GridIndex of cell cr that holds the block's own seeds:
-    its screen yields the seeds that can lie within cr with planar
-    bounds L <= dg <= U, and hypot(L, ha) over the miss margin is no
-    hit, hypot(U, ha) under the hit margin is one. The exact combined
-    distance runs only in between. Both screens take the margins of
-    spatial.threshold_margins, so every decision is that of exact
-    distances and the seeds do not depend on the block size.
+    The points go in blocks of _SEED_BLOCK, and each block takes two
+    batch screens (_near). The first drops the points within cr of a
+    seed chosen before the block. The second pairs the points left with
+    each other, and the greedy runs in input order over each point's
+    earlier neighbours: a point seeds unless one of them did. The screen
+    takes the margins of spatial.threshold_margins, so every decision is
+    that of exact distances and the seeds do not depend on the block
+    size.
     """
-    cr = cfg.seed_radius_cr
-    theta = cfg.theta
-    hit2, miss2 = scalar_margins(cr)
-    # views index to plain floats, without copying the columns to lists
-    lat, lon, hdg = (memoryview(np.ascontiguousarray(a, dtype=np.float64))
-                     for a in (pts.lat, pts.lon, pts.heading))
-    seeds: list[int] = []
+    cr, theta = cfg.seed_radius_cr, cfg.theta
+    seeds = np.empty(0, dtype=np.int64)
     for start in range(0, pts.n, _SEED_BLOCK):
-        block = slice(start, min(start + _SEED_BLOCK, pts.n))
-        todo = np.arange(block.start, block.stop)
-        if seeds:
-            todo = todo[~_covered(pts, block, np.asarray(seeds), cr, theta)]
-        index = GridIndex(cr)
-        for i in todo.tolist():
-            la = lat[i]; lo = lon[i]; h = hdg[i]
-            for lo2, hi2, j, plat, plon in index.screened(la, lo, cr):
-                ha = theta * angle_diff_deg(hdg[j], h) / 180.0
-                ha2 = ha * ha
-                if lo2 + ha2 > miss2:
-                    continue
-                if (hi2 + ha2 < hit2 or combined_distance_m(
-                        la, lo, h, plat, plon, hdg[j], theta) < cr):
-                    break
-            else:
-                seeds.append(i)
-                index.insert(i, la, lo)
-    return np.asarray(seeds, dtype=np.int64)
+        todo = np.arange(start, min(start + _SEED_BLOCK, pts.n))
+        if seeds.size:
+            todo = np.delete(todo, _near(pts, todo, seeds, cr, theta)[0])
+        q, r = _near(pts, todo, todo, cr, theta)
+        earlier = np.flatnonzero(r < q)
+        earlier = earlier[np.argsort(q[earlier])]
+        # by ascending q, every r < q is settled when q's pairs come
+        seed = [True] * todo.size
+        for a, b in zip(q[earlier].tolist(), r[earlier].tolist()):
+            if seed[b]:
+                seed[a] = False
+        seeds = np.concatenate([seeds, todo[seed]])
+    return seeds
 
 
 class _Assigner:

@@ -25,9 +25,12 @@ M_PER_DEG_LAT_MIN = 110500.0
 
 _VINCENTY_TOL = 1e-12
 _VINCENTY_MAX_ITER = 100
+# two fixes measured at or under this many meters apart count as one
+# place: they give no bearing of their own
+COINCIDENT_M = 1e-9
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class GpsPoint:
     """One GPS fix. heading/speed may be absent until inferred."""
 

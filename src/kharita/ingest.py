@@ -28,6 +28,7 @@ import numpy as np
 
 from .config import Checked, within
 from .geo import (
+    COINCIDENT_M,
     GpsPoint,
     angle_diff_deg_many,
     initial_bearing_deg,
@@ -276,10 +277,10 @@ def infer_speed_heading(tr: Trajectory) -> Trajectory | None:
     too short to infer from (fewer than 2 points) are dropped (None).
 
     A missing heading takes the bearing to the next fix; where the fixes
-    coincide, or at the last fix, it takes the heading before it, and a
-    stationary prefix takes the first bearing ahead (0 when there is
-    none). A missing speed is the speed implied to the next fix, and the
-    last fix's the one before it.
+    coincide (geo.COINCIDENT_M), or at the last fix, it takes the
+    heading before it, and a stationary prefix takes the first bearing
+    ahead (0 when there is none). A missing speed is the speed implied
+    to the next fix, and the last fix's the one before it.
     """
     c = tr.cols
     if not (np.isnan(c.speed).any() or np.isnan(c.heading).any()):
@@ -300,7 +301,7 @@ def infer_speed_heading(tr: Trajectory) -> Trajectory | None:
     # the bearing of each fix to the next; NaN where they coincide and
     # at the last fix
     bearing = np.full(n, np.nan)
-    for i in np.flatnonzero(dists > 1e-9).tolist():
+    for i in np.flatnonzero(dists > COINCIDENT_M).tolist():
         bearing[i] = initial_bearing_deg(lat[i], lon[i], lat[i + 1], lon[i + 1])
 
     heading = c.heading.copy()
@@ -426,10 +427,11 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
     trajectory that gets no point is returned as is.
 
     The count needs the pair's length d only through n = floor(d/sr)
-    and the test d > 1e-9. The bounds L <= d <= U of pair_bounds, at a
-    reach of _REACH_SR * sr, settle both when L and U fall in one band
-    [n * sr, (n + 1) * sr) inside the margins of
-    spatial.threshold_margins, and L is over the miss margin of 1e-9 m.
+    and the test d > geo.COINCIDENT_M. The bounds L <= d <= U of
+    pair_bounds, at a reach of _REACH_SR * sr, settle both when L and U
+    fall in one band [n * sr, (n + 1) * sr) inside the margins of
+    spatial.threshold_margins, and L is over the miss margin of
+    COINCIDENT_M.
     Vincenty runs on the other pairs, the longer ones among them, and
     the bearing only on the pairs that get a point.
 
@@ -464,9 +466,11 @@ def _densify_all(trajectories: list[Trajectory],
                        for x in np.minimum.reduceat(abs_lat, starts).tolist()])
     del abs_lat
     # squared margins of the band edges k * sr, k = 0.._REACH_SR; the
-    # miss margins are taken at 1e-9 m at least, for the test d > 1e-9
+    # miss margins are taken at COINCIDENT_M at least, for the test
+    # d > COINCIDENT_M
     hit2 = np.array([scalar_margins(k * sr)[0] for k in range(_REACH_SR + 1)])
-    miss2 = np.array([scalar_margins(max(k * sr, 1e-9))[1] for k in range(_REACH_SR)])
+    miss2 = np.array([scalar_margins(max(k * sr, COINCIDENT_M))[1]
+                      for k in range(_REACH_SR)])
 
     # the pairs within one trajectory that the gate passes (a missing
     # heading fails it)
@@ -494,7 +498,7 @@ def _densify_all(trajectories: list[Trajectory],
     measured = np.flatnonzero(~settled)
     for j, args in zip(measured.tolist(), ends(measured)):
         d = vincenty_m(*args)
-        count[j] = int(d // sr) if d > 1e-9 else 0
+        count[j] = int(d // sr) if d > COINCIDENT_M else 0
     filled = np.flatnonzero(count)
     if not filled.size:
         return list(trajectories)

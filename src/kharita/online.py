@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .clustering import ClusterCentroid
 from .config import Checked, within
 from .geo import (
+    COINCIDENT_M,
     GpsPoint,
     angle_diff_deg,
     initial_bearing_deg,
@@ -82,25 +83,25 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
     is d/k with k = max(1, floor(d/sr)), at least sr once d reaches sr,
     where batch spacing d/(floor(d/sr)+1) stays at or below sr.
 
-    The pair's length d is needed only through k and the test d > 1e-9
-    for a bearing of its own. The planar bounds L <= d <= U of
-    ingest.pair_bounds, at a reach of 2 * sr, settle both for
-    most pairs: U under the hit margin of 2 * sr gives k = 1, and L over
-    the miss margin of 1e-9 m gives d > 1e-9. That margin's 1e-6 m floor
-    puts it a thousand times over 1e-9 m, far beyond Vincenty's
-    nanometre rounding and its short reading (up to 0.34%) of pairs
-    under 2 mm. Vincenty runs on the other pairs. With sr = inf, L has
-    no longitude term, so a pair less than a micrometre apart in
-    latitude needs Vincenty.
+    The pair's length d is needed only through k and the test
+    d > geo.COINCIDENT_M for a bearing of its own. The planar bounds
+    L <= d <= U of ingest.pair_bounds, at a reach of 2 * sr, settle both
+    for most pairs: U under the hit margin of 2 * sr gives k = 1, and L
+    over the miss margin of COINCIDENT_M gives d > COINCIDENT_M. That
+    margin's 1e-6 m floor puts it a thousand times over COINCIDENT_M,
+    far beyond Vincenty's nanometre rounding and its short reading (up
+    to 0.34%) of pairs under 2 mm. Vincenty runs on the other pairs.
+    With sr = inf, L has no longitude term, so a pair less than a
+    micrometre apart in latitude needs Vincenty.
     """
     reach = 2.0 * sr
     l2, u2 = pair_bounds(x_next.lat - x_i.lat, lon_delta(x_i.lon, x_next.lon),
                          bound_scales(x_i.lat, reach))
-    if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(1e-9)[1]:
+    if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(COINCIDENT_M)[1]:
         moved, k = True, 1
     else:
         d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
-        moved, k = d > 1e-9, max(1, int(d // sr))
+        moved, k = d > COINCIDENT_M, max(1, int(d // sr))
     if moved:
         bearing = initial_bearing_deg(x_i.lat, x_i.lon, x_next.lat, x_next.lon)
     elif x_i.heading_deg is not None:

@@ -1,22 +1,22 @@
 """Lat/lon grids for radius-bounded neighbor queries: one grid rule and
 one screen, shared by every search.
 
-Grid rule. Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude
-high. A row splits the circle of longitude into a whole number of
-columns, each at least 1.001 * cell_m wide at the most poleward latitude
-of the row and its two neighbours (_column_count). A 3x3 neighborhood
-then holds every point within cell_m at any latitude. Columns wrap at
-the antimeridian, and a row of fewer than three columns is scanned
-whole. GridIndex, the incremental index, gives each row its own count.
-The batch searches (nearest_within, threshold_pairs and k-means
-assignment, all through _QueryCells) give every row the count of the
-most poleward row their queries reach, so the columns of neighbouring
-rows line up and a 3x3 neighborhood is 9 cells. There a cell's key is
-row * ncols + col, and _QueryCells keeps its queries as sorted keys over
-a stable argsort: one searchsorted of the nine neighbour keys of every
-query cell into the sorted keys of the references finds all the
-candidates, and np.repeat plus a ramp (segments) lays out the pairs,
-with no loop over cells.
+Grid rule. Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude high.
+A row splits the circle of longitude into a whole number of columns,
+each at least 1.001 * cell_m wide at the most poleward latitude of the
+row and its two neighbours (_column_count). A 3x3 neighborhood then
+holds every point within cell_m at any latitude. Columns wrap at the
+antimeridian, and a row of fewer than three columns is scanned whole.
+GridIndex, the incremental index of the online mode, gives each row its
+own count. The batch searches (nearest_within, threshold_pairs, seed
+selection and k-means assignment, all through _QueryCells) give every
+row the count of the most poleward row their queries reach, so the
+columns of neighbouring rows line up and a 3x3 neighborhood is 9 cells.
+There a cell's key is row * ncols + col, and _QueryCells keeps its
+queries as sorted keys over a stable argsort: one searchsorted of the
+nine neighbour keys of every query cell into the sorted keys of the
+references finds all the candidates, and np.repeat plus a ramp
+(segments) lays out the pairs, with no loop over cells.
 
 Screen. bound_scales gives planar bounds L <= d <= U on the geodesic
 distance d. A candidate is kept only if its L is within the radius. A
@@ -30,11 +30,12 @@ GridIndex.nearest needs the nearest alone: one pass over the candidates
 keeps those whose L is within the least U seen so far, and when one is
 left its bounds against the margins of threshold_margins settle
 whether it is within the radius; Vincenty runs only when several are
-left or the one left straddles the radius. GridIndex.screened yields
-every candidate's bounds for seed selection, whose heading term keeps
-it from pruning on a running minimum. threshold_pairs asks only which
-of several thresholds each pair meets, so a pair gets an exact distance
-only when a threshold lies between its L and U.
+left or the one left straddles the radius. Seed selection lists every
+pair within its radius: a pair whose U is under the hit margin is in,
+one whose L is over the miss margin is out, and the exact distance
+settles the rest. threshold_pairs asks only which of several thresholds
+each pair meets, so a pair gets an exact distance only when a threshold
+lies between its L and U.
 
 Chunks. A batch search screens its pairs _PAIR_BUDGET at a time, so its
 temporaries stay small however many pairs a call has: the first
@@ -403,11 +404,11 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
 
 
 class GridIndex:
-    """Incremental point index for within-radius nearest queries, on the
-    grid rule of the module docstring with each row's own column count.
-    The index keeps each item's position, set by insert and move. A
-    cell's key is row * stride + col, with stride the column count of
-    row 0, which no row exceeds.
+    """The online index: incremental, for within-radius nearest
+    queries, on the grid rule of the module docstring with each row's
+    own column count. The index keeps each item's position, set by
+    insert and move. A cell's key is row * stride + col, with stride the
+    column count of row 0, which no row exceeds.
     """
 
     def __init__(self, cell_m: float):
@@ -481,34 +482,15 @@ class GridIndex:
                 out += got
         return out
 
-    def screened(self, lat: float, lon: float, radius_m: float):
-        """Yield (L^2, U^2, item, item lat, item lon) for each candidate
-        whose lower bound L of bound_scales is within 1.001 * radius_m:
-        the slack keeps rounding from dropping a point at the radius.
-        U bounds the distance from above, and a candidate whose L
-        exceeds another's U is strictly farther. Requires radius_m <=
-        cell_m."""
-        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
-        gate = (1.001 * radius_m) ** 2
-        pos = self._pos
-        for item in self.candidates(lat, lon):
-            plat, plon = pos[item]
-            dlat = plat - lat
-            dlon = lon_delta(lon, plon)
-            a, b = dlat * lat_lo, dlon * lon_lo
-            lo = a * a + b * b
-            if lo <= gate:
-                a, b = dlat * lat_hi, dlon * lon_hi
-                yield lo, a * a + b * b, item, plat, plon
-
     def nearest(self, lat: float, lon: float, radius_m: float) -> int:
         """The nearest item within radius_m, or -1; ties go to the lowest
         item. Requires radius_m <= cell_m.
 
         One pass over the candidates keeps a candidate while its L is
-        within 1.001 * radius_m (as in screened) and the least U seen so
-        far: one whose L exceeds another's U cannot win. When one
-        candidate is left, the margins of threshold_margins settle it: U
+        within 1.001 * radius_m, a slack that keeps rounding from
+        dropping a point at the radius, and the least U seen so far: one
+        whose L exceeds another's U cannot win. When one candidate is
+        left, the margins of threshold_margins settle it: U
         under the hit margin is inside, L over the miss margin outside.
         Vincenty runs only when several candidates are left, or the one
         left straddles the radius.

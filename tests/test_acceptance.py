@@ -40,7 +40,7 @@ from kharita.ingest import (
     parse_trajectories,
     stream_points,
 )
-from kharita.mapio import save_trajectories_csv
+from kharita.mapio import save_map, save_trajectories_csv
 from kharita.online import OnlineConfig, consume_stream
 
 from conftest import trajectory_of
@@ -321,7 +321,16 @@ def test_08_self_evaluation_scores_one_on_distinct_maps():
                     "two-way, one-way, and roundabout grids")
 
 
-def test_09_pipeline_scales_subquadratically():
+# sha256 of the two AC-09 offline maps, a quarter of the drives and all
+# of them: 65k and 263k points, in 16 and 65 seed blocks, where the AC-10
+# city fits in one; see CHANGES.md for how they were derived
+AC09_SHA256 = {
+    "quarter": "b3a71dc9c9f3e4db4d0abefad50ac4f0e0662e4fd9c538b58bdc6d7a2969eeba",
+    "full": "d014933ac8381cd6d95fbdf16051659c606097bb047346f8bce80c061c38ef90",
+}
+
+
+def test_09_pipeline_scales_subquadratically(tmp_path):
     truth, trajectories = generate_synthetic(
         GridSpec(rows=10, cols=10, block_m=200.0), noise_sigma_m=5.0,
         n_trajectories=2900, sampling_spacing_m=20.0, rng_seed=11)
@@ -332,18 +341,24 @@ def test_09_pipeline_scales_subquadratically():
     n_small = sum(len(t.points) for t in small)
 
     t0 = time.perf_counter()
-    run_offline_pipeline(small, IngestConfig(), ClusterConfig(),
-                         SpannerConfig())
+    maps = {"quarter": run_offline_pipeline(small, IngestConfig(),
+                                            ClusterConfig(), SpannerConfig())}
     t_small = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    run_offline_pipeline(trajectories, IngestConfig(), ClusterConfig(),
-                         SpannerConfig())
+    maps["full"] = run_offline_pipeline(trajectories, IngestConfig(),
+                                        ClusterConfig(), SpannerConfig())
     t_big = time.perf_counter() - t1
 
     size_ratio = n_big / n_small
     assert t_big < 180.0
     assert t_big / t_small < size_ratio ** 2
+    got = {}
+    for name, graph in maps.items():
+        save_map(graph, str(tmp_path / f"{name}.edges"))
+        got[name] = hashlib.sha256(
+            (tmp_path / f"{name}.edges").read_bytes()).hexdigest()
+    assert got == AC09_SHA256
     report("AC-09", f"{n_big} points in {t_big:.1f} s; {n_small} points in "
                     f"{t_small:.1f} s; time ratio {t_big / t_small:.2f} < "
                     f"{size_ratio:.2f}^2")

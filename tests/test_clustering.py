@@ -27,6 +27,7 @@ from kharita.clustering import (
 from kharita.geo import (
     GpsPoint,
     angle_diff_deg_many,
+    combined_distance_m,
     heading_variability_deg,
     vincenty_m,
     vincenty_m_many,
@@ -272,6 +273,40 @@ class TestSeedSelection:
             for block in (1, 7, 4096):
                 with patch.object(clustering, "_SEED_BLOCK", block):
                     assert list(select_seed_indices(pts, cfg)) == want
+
+
+class TestNear:
+    @pytest.mark.parametrize("theta", [None, 0.0, 1e6])
+    def test_lists_exactly_the_pairs_within_cr(self, theta):
+        # the clouds of TestSeedSelection with their copies, queries and
+        # references apart and the same. The seed tests cannot see a
+        # missing pair whose point another pair covers, so every pair is
+        # checked here
+        rng = np.random.default_rng(61)
+        cfg = ClusterConfig(seed_radius_cr=20.0, heading_weight_theta=theta)
+        cr = cfg.seed_radius_cr
+        sites = [random_points(rng, 300, span=0.002)] + [
+            seam_points(rng, 300, lat0, lon0) for lat0, lon0 in POLAR_SEAM]
+        for pts in sites:
+            pts = pts.take(np.concatenate([np.arange(pts.n),
+                                           rng.integers(0, pts.n, 60)]))
+            every = np.arange(pts.n)
+            for qi, ri in ((every[::2], every[1::2]), (every, every)):
+                # the array form, whose bits differ, only picks the pairs
+                # that the exact scalar distance, query first, decides
+                near = np.argwhere(combined_matrix(
+                    pts.take(qi), pts.lat[ri], pts.lon[ri], pts.heading[ri],
+                    cfg.theta) < 2.0 * cr)
+                want = {(q, r) for q, r in near.tolist()
+                        if combined_distance_m(
+                            pts.lat[qi[q]], pts.lon[qi[q]], pts.heading[qi[q]],
+                            pts.lat[ri[r]], pts.lon[ri[r]], pts.heading[ri[r]],
+                            cfg.theta) < cr}
+                q, r = clustering._near(pts, qi, ri, cr, cfg.theta)
+                got = list(zip(q.tolist(), r.tolist()))
+                assert len(got) == len(set(got))
+                assert set(got) == want
+                assert want
 
 
 class TestAssignment:

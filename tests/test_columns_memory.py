@@ -20,6 +20,10 @@ began, in bytes per point after densify:
 
     prepare_trajectories 112.9
     distinct_points       18.0 (129.1 when it copied every point)
+    select_seed_indices   82.7 (64.4 when the points of a block went
+                                through a scalar greedy on a GridIndex;
+                                109.4 when a chunk's arrays were kept
+                                while the next was built)
     kmeans_arrays        171.1 (385.2 with moved points measured at
                                 once and pair chunks of 2^17)
 
@@ -65,7 +69,8 @@ def test_columns_bound_the_bytes_per_fix(city, tmp_path, traced):
 
 # the stages of run_offline_pipeline whose temporaries are bounded, by
 # their names in graphs
-STAGES = ("prepare_trajectories", "distinct_points", "kmeans_arrays")
+STAGES = ("prepare_trajectories", "distinct_points", "select_seed_indices",
+          "kmeans_arrays")
 
 
 def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
@@ -96,4 +101,5 @@ def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
     assert stats.counts["distinct_points"] == points > 30_000
     assert rise["prepare_trajectories"] / points < 140
     assert rise["distinct_points"] / points < 23
+    assert rise["select_seed_indices"] / points < 103
     assert rise["kmeans_arrays"] / points < 215

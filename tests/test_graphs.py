@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kharita import spatial
 from kharita.clustering import ClusterCentroid, ClusterConfig
+from kharita.evaluate import GridSpec, generate_synthetic
 from kharita.geo import GpsPoint
 from kharita.graphs import (
     RoadGraph,
@@ -350,6 +352,20 @@ class TestOfflinePipeline:
         for d in deg.values():
             hist[d] = hist.get(d, 0) + 1
         assert hist == {4: n - 2, 2: 2}
+
+    def test_builds_no_grid_index(self, monkeypatch):
+        # every batch search runs on spatial._QueryCells; GridIndex is
+        # the online index
+        def refuse(self, cell_m):
+            raise AssertionError("the offline pass built a GridIndex")
+
+        monkeypatch.setattr(spatial.GridIndex, "__init__", refuse)
+        _, drives = generate_synthetic(GridSpec(rows=3, cols=3),
+                                       noise_sigma_m=3.0, n_trajectories=30,
+                                       rng_seed=1)
+        g = run_offline_pipeline(drives, IngestConfig(), ClusterConfig(),
+                                 SpannerConfig())
+        assert g.edges
 
     def test_identical_trajectories_double_counts(self):
         t1 = self.straight_line("a")

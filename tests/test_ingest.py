@@ -1,6 +1,6 @@
 """CSV parsing, inference, filtering, and densification tests."""
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -177,6 +177,18 @@ class TestPointView:
         assert not hasattr(view, "__add__")
         assert type(view).__eq__ is object.__eq__
         assert view != list(view)
+
+    def test_points_are_frozen(self, tmp_path):
+        # a point read from the view is built afresh, and so is a fix
+        # streamed from a file: a write to either would be lost
+        with pytest.raises(FrozenInstanceError):
+            self.two_fixes().points[0].speed_kmh = None
+        path = tmp_path / "one.csv"
+        path.write_text("vehicle_id,timestamp,lat,lon,speed_kmh,heading_deg\n"
+                        "a,0,25.0,51.0,30,90\n")
+        fix = next(stream_points(str(path)))
+        with pytest.raises(FrozenInstanceError):
+            fix.heading_deg = None
 
 
 class TestInferSpeedHeading:

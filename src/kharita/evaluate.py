@@ -225,8 +225,11 @@ class _Owned:
 
 
 def _owned(owner, other, band, n: int, none: int) -> _Owned:
-    """_Owned of pairs whose owners come grouped."""
-    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    """_Owned of pairs whose owners come grouped. A group's head is a
+    pair whose owner differs from the one before, found with a boolean
+    mask, so no widened copy of the owners is made; with no pairs there
+    is no head."""
+    heads = np.flatnonzero(np.append(owner.size > 0, owner[1:] != owner[:-1]))
     start = np.zeros(n, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     least = np.full(n, none, dtype=band.dtype)
@@ -273,6 +276,10 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     partner are retried a bounded number of times, then the sample is
     skipped. Scores are means over valid samples; an empty tested map
     scores zeros with none valid, as in geo_score.
+
+    The pairs stay in threshold_pairs' compact types. The hole
+    permutation, a stable sort (a radix sort on 16-bit keys), is built
+    after the marble table and freed once the hole table exists.
     """
     pruned = prune_unvisited_edges(truth, trajectories, cfg)
     holes = _sample_edges(pruned, cfg.sample_spacing_m)
@@ -301,11 +308,11 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
     pm, ph, band = threshold_pairs(marbles.lat, marbles.lon,
                                    holes.lat, holes.lon, ts)
     none = len(ts)
-    band = band.astype(np.min_scalar_type(none))
-    by_hole = np.argsort(ph, kind="stable")
     marble_pairs = _owned(pm, ph, band, marbles.lat.size, none)
+    by_hole = np.argsort(ph, kind="stable")
     hole_pairs = _owned(ph[by_hole], pm[by_hole], band[by_hole],
                         holes.lat.size, none)
+    del by_hole
 
     p_sum = np.zeros(len(ts))
     r_sum = np.zeros(len(ts))

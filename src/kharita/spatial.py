@@ -35,7 +35,9 @@ pair within its radius: a pair whose U is under the hit margin is in,
 one whose L is over the miss margin is out, and the exact distance
 settles the rest. threshold_pairs asks only which of several thresholds
 each pair meets, so a pair gets an exact distance only when a threshold
-lies between its L and U.
+lies between its L and U. It keeps every pair it finds, so it returns
+them in the smallest unsigned types that hold them: an index in that of
+the larger point count, a band in that of the threshold count.
 
 Chunks. A batch search screens its pairs _PAIR_BUDGET at a time, so its
 temporaries stay small however many pairs a call has: the first
@@ -378,7 +380,9 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
     its distance among the sorted thresholds (searchsorted "left"), so
     a pair meets sorted threshold k exactly when its band is <= k.
 
-    Returns (q, r, band) arrays with the pairs of each query contiguous.
+    Returns (q, r, band) arrays with the pairs of each query contiguous:
+    q and r in np.min_scalar_type of the larger point count, band in
+    that of the threshold count, each chunk cast as it is kept.
     A pair whose bounds L and U fall in the same band, with the margins
     of threshold_margins, takes that band; exact Vincenty runs only on
     the pairs that straddle a threshold.
@@ -388,7 +392,9 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
     rlat = np.asarray(rlat, dtype=np.float64)
     rlon = np.asarray(rlon, dtype=np.float64)
     hi2, lo2 = threshold_margins(ts)
-    out = [(np.empty(0, dtype=np.int64),) * 3]
+    itype = np.min_scalar_type(max(cells.lat.size, rlat.size))
+    btype = np.min_scalar_type(ts.size)
+    out = [(np.empty(0, itype), np.empty(0, itype), np.empty(0, btype))]
     for pq, pr, lens, u, inv_rho2 in cells._upper(rlat, rlon):
         l2 = u / np.repeat(inv_rho2, lens)
         keep = l2 <= lo2[-1]
@@ -399,7 +405,8 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
         band[exact] = np.searchsorted(ts, vincenty_m_many(
             cells.lat[e_q], cells.lon[e_q], rlat[e_r], rlon[e_r]))
         keep = band < ts.size
-        out.append((pq[keep], pr[keep], band[keep]))
+        out.append((pq[keep].astype(itype), pr[keep].astype(itype),
+                    band[keep].astype(btype)))
     return tuple(np.concatenate(x) for x in zip(*out))
 
 

@@ -27,13 +27,22 @@ began, in bytes per point after densify:
     kmeans_arrays        171.1 (385.2 with moved points measured at
                                 once and pair chunks of 2^17)
 
+TOPO on the offline map of the same city (539,329 marble-hole pairs
+within 30 m, 4 samples) peaks this far above what was live when it
+began, in bytes per pair:
+
+    topo_score            24.3 (62.3 with int64 pair columns, their
+                                concatenated copy, an int64 np.diff of
+                                the owners and the hole permutation
+                                built before the marble table)
+
 Each bound sits about a quarter over the measured value.
 """
 import pytest
 
-from kharita import graphs
+from kharita import evaluate, graphs
 from kharita.clustering import ClusterConfig
-from kharita.evaluate import GridSpec, generate_synthetic
+from kharita.evaluate import EvalConfig, GridSpec, generate_synthetic, topo_score
 from kharita.ingest import IngestConfig, parse_trajectories, prepare_trajectories
 from kharita.mapio import save_trajectories_csv
 
@@ -103,3 +112,24 @@ def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
     assert rise["distinct_points"] / points < 23
     assert rise["select_seed_indices"] / points < 103
     assert rise["kmeans_arrays"] / points < 215
+
+
+def test_topo_peak_per_pair_is_bounded(city, traced, monkeypatch):
+    # the pairs far outweigh the screen's chunk temporaries (about 3 MB)
+    truth, trajectories = city()
+    inferred = graphs.run_offline_pipeline(trajectories, IngestConfig(),
+                                           ClusterConfig(),
+                                           graphs.SpannerConfig())
+    pairs = []
+    threshold_pairs = evaluate.threshold_pairs
+
+    def counted(*args):
+        out = threshold_pairs(*args)
+        pairs.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(evaluate, "threshold_pairs", counted)
+    with traced() as mem:
+        topo_score(inferred, truth, trajectories, EvalConfig(topo_samples=4))
+    assert len(pairs) == 1 and pairs[0] > 400_000
+    assert mem.peak / pairs[0] < 30

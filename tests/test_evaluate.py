@@ -9,6 +9,7 @@ from kharita.clustering import ClusterCentroid
 from kharita.evaluate import (
     EvalConfig,
     GridSpec,
+    _owned,
     _sample_edges,
     generate_synthetic,
     geo_score,
@@ -234,6 +235,49 @@ class TestTopoScore:
                 topo_score(inferred, RoadGraph(), trace_edges(truth), EvalConfig())
             with pytest.raises(ValueError, match="reference edges"):
                 topo_score(inferred, truth, [], EvalConfig())
+
+
+def _owned_int64(owner, band, n, none):
+    """(start, count, least) of _owned as they were built before the pairs
+    came in their smallest types: the group heads from an int64
+    np.diff of the owners."""
+    owner = owner.astype(np.int64)
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    start = np.zeros(n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    least = np.full(n, none, dtype=band.dtype)
+    start[owner[heads]] = heads
+    count[owner[heads]] = np.diff(heads, append=owner.size)
+    if band.size:
+        least[owner[heads]] = np.minimum.reduceat(band, heads)
+    return start, count, least
+
+
+class TestOwned:
+    def test_matches_the_int64_tables(self):
+        # owners up to the top of a uint16, their groups of 1-5 pairs in
+        # a random order, as threshold_pairs gives the marbles; no pair
+        # at all must give no group
+        n, none = 1 << 16, 6
+        rng = np.random.default_rng(23)
+        top = n - 1
+        cases = [np.empty(0, np.int64), np.array([0]), np.array([top]),
+                 np.array([0, top])]
+        cases += [np.union1d(rng.choice(n, k, replace=False), [top])
+                  for k in (3, 200, 5000)]
+        for ids in cases:
+            sizes = rng.integers(1, 6, ids.size)
+            owner = np.repeat(rng.permutation(ids), sizes).astype(np.uint16)
+            other = rng.integers(0, n, owner.size).astype(np.uint16)
+            band = rng.integers(0, none, owner.size).astype(np.uint8)
+            got = _owned(owner, other, band, n, none)
+            start, count, least = _owned_int64(owner, band, n, none)
+            np.testing.assert_array_equal(got.start, start)
+            np.testing.assert_array_equal(got.count, count)
+            np.testing.assert_array_equal(got.least, least)
+            assert got.least.dtype == np.uint8
+            assert got.band is band and got.other is other
+            assert int(count.sum()) == owner.size
 
 
 class TestSampleEdges:

@@ -126,7 +126,32 @@ def test_empty_inputs():
     for args in ((one, one, e, e), (e, e, one, one), (e, e, e, e)):
         q, r, band = threshold_pairs(*args, [5.0, 10.0])
         assert q.size == r.size == band.size == 0
-        assert q.dtype == r.dtype == band.dtype == np.int64
+        # indices in the smallest type of the larger point count, bands
+        # in that of the threshold count: here 1 point and 2 thresholds
+        assert q.dtype == r.dtype == band.dtype == np.uint8
+
+
+@pytest.mark.parametrize("refs, index_type", [(255, np.uint8), (256, np.uint16),
+                                              (65_535, np.uint16),
+                                              (65_536, np.uint32)])
+def test_index_types_at_their_boundaries(refs, index_type):
+    # 16 references near the queries, half at each end of the index
+    # range, and one on a query, so the largest index is paired. The
+    # rest lie about 5.5 km north, beyond every threshold, and are left
+    # out of the brute-force matrix, whose columns for them read inf
+    rng = np.random.default_rng(refs)
+    qlat, qlon = _cloud(rng, 25.3, 51.0, 12, 40.0)
+    rlat, rlon = _cloud(rng, 25.35, 51.0, refs, 40.0)
+    near = np.r_[0:8, refs - 8:refs]
+    rlat[near], rlon[near] = _cloud(rng, 25.3, 51.0, near.size, 40.0)
+    rlat[-1], rlon[-1] = qlat[0], qlon[0]
+    full = np.full((qlat.size, refs), np.inf)
+    full[:, near] = _brute(qlat, qlon, rlat[near], rlon[near])
+    thresholds = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    q, r, band = threshold_pairs(qlat, qlon, rlat, rlon, thresholds)
+    assert q.dtype == r.dtype == index_type and band.dtype == np.uint8
+    assert r.max() == refs - 1
+    _check_bands(q, r, band, full, thresholds)
 
 
 def _columns_around(col, n):

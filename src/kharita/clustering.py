@@ -64,7 +64,7 @@ class ClusterConfig(Checked):
             else self.heading_weight_theta
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterCentroid:
     """A road-node candidate: mean position, mean direction, and the
     bookkeeping carried through graph construction."""

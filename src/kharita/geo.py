@@ -124,6 +124,18 @@ def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_R * math.asin(min(math.sqrt(s), 1.0))
 
 
+def _series(sin_sigma, cos_sigma, sigma, cos_sq_alpha, cos_2sm):
+    """Vincenty's closing series on the converged state, floats or arrays."""
+    u_sq = cos_sq_alpha * (EARTH_A ** 2 - EARTH_B ** 2) / EARTH_B ** 2
+    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
+    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
+    delta_sigma = big_b * sin_sigma * (
+        cos_2sm + big_b / 4.0 * (
+            cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)
+            - big_b / 6.0 * cos_2sm * (-3.0 + 4.0 * sin_sigma ** 2) * (-3.0 + 4.0 * cos_2sm ** 2)))
+    return EARTH_B * big_a * (sigma - delta_sigma)
+
+
 def vincenty_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Inverse geodesic distance in meters (Vincenty, WGS-84).
 
@@ -162,14 +174,7 @@ def vincenty_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     else:
         return _haversine_m(lat1, lon1, lat2, lon2)
 
-    u_sq = cos_sq_alpha * (EARTH_A ** 2 - EARTH_B ** 2) / EARTH_B ** 2
-    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
-    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-    delta_sigma = big_b * sin_sigma * (
-        cos_2sm + big_b / 4.0 * (
-            cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)
-            - big_b / 6.0 * cos_2sm * (-3.0 + 4.0 * sin_sigma ** 2) * (-3.0 + 4.0 * cos_2sm ** 2)))
-    return EARTH_B * big_a * (sigma - delta_sigma)
+    return _series(sin_sigma, cos_sigma, sigma, cos_sq_alpha, cos_2sm)
 
 
 # pairs that vincenty_m_many hands its kernel at a time. The kernel
@@ -257,14 +262,7 @@ def _vincenty_kernel(lat1, lon1, lat2, lon2) -> np.ndarray:
         failed = np.zeros(lat1.shape, dtype=bool)
         failed[at[live]] = True
 
-    u_sq = cos_sq_alpha * (EARTH_A ** 2 - EARTH_B ** 2) / EARTH_B ** 2
-    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
-    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-    delta_sigma = big_b * sin_sigma * (
-        cos_2sm + big_b / 4.0 * (
-            cos_sigma * (-1.0 + 2.0 * cos_2sm ** 2)
-            - big_b / 6.0 * cos_2sm * (-3.0 + 4.0 * sin_sigma ** 2) * (-3.0 + 4.0 * cos_2sm ** 2)))
-    out = EARTH_B * big_a * (sigma - delta_sigma)
+    out = _series(sin_sigma, cos_sigma, sigma, cos_sq_alpha, cos_2sm)
     out[sin_sigma == 0.0] = 0.0
 
     if failed.any():

@@ -48,7 +48,7 @@ class SpannerConfig(Checked):
     duplex_speed_kmh: float = within("[0, inf]", 60.0)    # inf: every road two-way
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     src: int
     dst: int

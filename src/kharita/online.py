@@ -45,6 +45,8 @@ class OnlineConfig(Checked):
 class StreamState:
     """Mutable state of one online map build.
 
+    graph's nodes are the map: the index reads their positions, and
+    _hsum[node] sums cos + i*sin of the headings the node absorbed.
     Single writer: process_pair, mark_stale and resparsify must be
     serialized per state. Read-only snapshots between calls are safe.
     Use the same config instance (or an equal one) for every call on a
@@ -56,8 +58,8 @@ class StreamState:
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
         self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
         self.pairs_processed = 0
-        self._index = GridIndex(cfg.clustering_radius_cr)
-        self._hsum: dict[int, tuple[float, float]] = {}  # node -> (sum sin, sum cos)
+        self._index = GridIndex(cfg.clustering_radius_cr, self.graph.nodes)
+        self._hsum: list[complex] = []
 
     def forget_vehicle(self, vehicle_id: str) -> None:
         """Drop the pairing anchor and last fix so no edge spans a gap
@@ -120,18 +122,17 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
     k = n.support + 1
     n.lat += (p.lat - n.lat) / k
     n.lon = wrap_lon(n.lon + lon_delta(n.lon, p.lon) / k)
-    s, c = state._hsum[item]
     r = math.radians(p.heading_deg)
-    s, c = s + math.sin(r), c + math.cos(r)
-    state._hsum[item] = (s, c)
-    if abs(s) > 1e-12 or abs(c) > 1e-12:
-        n.heading_deg = normalize_heading(math.degrees(math.atan2(s, c)))
+    state._hsum[item] += complex(math.cos(r), math.sin(r))
+    h = state._hsum[item]
+    if abs(h.imag) > 1e-12 or abs(h.real) > 1e-12:
+        n.heading_deg = normalize_heading(math.degrees(math.atan2(h.imag, h.real)))
     n.support = k
     if p.speed_kmh is not None:
         n.max_speed_kmh = max(n.max_speed_kmh, p.speed_kmh)
     n.last_seen = max(n.last_seen, p.timestamp)
     n.active = True
-    state._index.move(item, n.lat, n.lon)
+    state._index.move(item)
 
 
 def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int:
@@ -147,9 +148,9 @@ def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int
                            max_speed_kmh=p.speed_kmh if p.speed_kmh is not None else 0.0,
                            last_seen=p.timestamp, active=True)
     nid = state.graph.add_node(node)
-    state._index.insert(nid, p.lat, p.lon)
+    state._index.insert(nid)
     r = math.radians(node.heading_deg)
-    state._hsum[nid] = (math.sin(r), math.cos(r))
+    state._hsum.append(complex(math.cos(r), math.sin(r)))
     return nid
 
 
@@ -204,8 +205,9 @@ def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
 
 def mark_stale(state: StreamState, now: float, cfg: OnlineConfig) -> StreamState:
     """Deactivate nodes and edges not visited within the staleness
-    horizon. Inactive elements drop out of exports and spanner distance
-    queries but stay in the graph; a later traversal reactivates them.
+    horizon. They stay in the graph, and save_map and save_geojson write
+    them flagged; routing (RoadGraph._search), the spanner and GEO/TOPO
+    sampling skip inactive edges. A later traversal reactivates them.
     """
     cutoff = now - cfg.staleness_horizon_s
     nodes = edges = 0

@@ -8,10 +8,11 @@ row and its two neighbours (_column_count). A 3x3 neighborhood then
 holds every point within cell_m at any latitude. Columns wrap at the
 antimeridian, and a row of fewer than three columns is scanned whole.
 GridIndex, the incremental index of the online mode, gives each row its
-own count. The batch searches (nearest_within, threshold_pairs, seed
-selection and k-means assignment, all through _QueryCells) give every
-row the count of the most poleward row their queries reach, so the
-columns of neighbouring rows line up and a 3x3 neighborhood is 9 cells.
+own count and reads each item's position from the record it indexes.
+The batch searches (nearest_within, threshold_pairs, seed selection and
+k-means assignment, all through _QueryCells) give every row the count
+of the most poleward row their queries reach, so the columns of
+neighbouring rows line up and a 3x3 neighborhood is 9 cells.
 There a cell's key is row * ncols + col, and _QueryCells keeps its
 queries as sorted keys over a stable argsort: one searchsorted of the
 nine neighbour keys of every query cell into the sorted keys of the
@@ -413,23 +414,21 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
 class GridIndex:
     """The online index: incremental, for within-radius nearest
     queries, on the grid rule of the module docstring with each row's
-    own column count. The index keeps each item's position, set by
-    insert and move. A cell's key is row * stride + col, with stride the
-    column count of row 0, which no row exceeds.
+    own column count. It holds no position: item i is records[i], at
+    that record's lat and lon, and items are inserted in order. A cell's
+    key is row * stride + col, with stride the column count of row 0,
+    which no row exceeds.
     """
 
-    def __init__(self, cell_m: float):
+    def __init__(self, cell_m: float, records: list):
         self.cell_m = float(cell_m)
         self._row_deg = self.cell_m / M_PER_DEG_LAT_MIN
         self._stride = _column_count(0, self._row_deg, self.cell_m)
         # row -> (columns, degrees each, key of its column 0)
         self._rows: dict[int, tuple[int, float, int]] = {}
         self._cells: dict[int, list[int]] = {}
-        self._keys: dict[int, int] = {}
-        self._pos: dict[int, tuple[float, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._pos)
+        self._records = records
+        self._keys: list[int] = []    # by item
 
     def _row(self, row: int) -> tuple[int, float, int]:
         got = self._rows.get(row)
@@ -442,24 +441,24 @@ class GridIndex:
         n, width, base = self._row(math.floor(lat / self._row_deg))
         return base + math.floor((lon + 180.0) / width) % n
 
-    def insert(self, item: int, lat: float, lon: float) -> None:
-        key = self._key(lat, lon)
+    def insert(self, item: int) -> None:
+        """Index records[item], the next item in order."""
+        r = self._records[item]
+        key = self._key(r.lat, r.lon)
         self._cells.setdefault(key, []).append(item)
-        self._keys[item] = key
-        self._pos[item] = (lat, lon)
+        self._keys.append(key)
 
-    def move(self, item: int, lat: float, lon: float) -> None:
-        """Record an item's new position, re-bucketing it if needed."""
-        self._pos[item] = (lat, lon)
-        old = self._keys.get(item)
-        key = self._key(lat, lon)
+    def move(self, item: int) -> None:
+        """Re-bucket an item after its record moved, if it changed cell."""
+        r = self._records[item]
+        key = self._key(r.lat, r.lon)
+        old = self._keys[item]
         if old == key:
             return
-        if old is not None:
-            cell = self._cells[old]
-            cell.remove(item)
-            if not cell:
-                del self._cells[old]
+        cell = self._cells[old]
+        cell.remove(item)
+        if not cell:
+            del self._cells[old]
         self._cells.setdefault(key, []).append(item)
         self._keys[item] = key
 
@@ -504,16 +503,16 @@ class GridIndex:
         """
         lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
         bound = (1.001 * radius_m) ** 2
-        pos = self._pos
+        records = self._records
         near = []
         for item in self.candidates(lat, lon):
-            plat, plon = pos[item]
-            dlat = plat - lat
+            r = records[item]
+            dlat = r.lat - lat
             a = dlat * lat_lo
             lo = a * a
             if lo > bound:
                 continue
-            dlon = lon_delta(lon, plon)
+            dlon = lon_delta(lon, r.lon)
             b = dlon * lon_lo
             lo += b * b
             if lo <= bound:
@@ -532,7 +531,7 @@ class GridIndex:
                 return -1
         best_d, best_i = math.inf, -1
         for lo, hi, item in near:
-            d = vincenty_m(lat, lon, *pos[item])
+            d = vincenty_m(lat, lon, records[item].lat, records[item].lon)
             if d < best_d or (d == best_d and item < best_i):
                 best_d, best_i = d, item
         return best_i if best_d <= radius_m else -1

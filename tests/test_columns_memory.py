@@ -1,5 +1,6 @@
-"""Bytes per fix of the batch pass's trajectories, and bytes per point
-of its stages' temporaries, traced with tracemalloc on a synthetic city.
+"""Bytes per fix of the batch pass's trajectories, bytes per point of
+its stages' temporaries, and bytes per node of the online map, traced
+with tracemalloc on a synthetic city.
 
 A trajectory holds five float64 columns, 40 bytes per fix, plus a few
 hundred bytes of objects per trajectory. A GpsPoint per fix held about
@@ -26,6 +27,10 @@ began, in bytes per point after densify:
                                 while the next was built)
     kmeans_arrays        171.1 (385.2 with moved points measured at
                                 once and pair chunks of 2^17)
+    candidate_edges_from_arrays
+                          95.0 (98.6 with unslotted centroids and edges)
+    greedy_spanner        33.1 (36.3 with unslotted edges)
+    duplexify             14.2 (17.2 with unslotted edges)
 
 TOPO on the offline map of the same city (539,329 marble-hole pairs
 within 30 m, 4 samples) peaks this far above what was live when it
@@ -36,6 +41,14 @@ began, in bytes per pair:
                                 the owners and the hole permutation
                                 built before the marble table)
 
+The online map of the same city's stream (12,414 nodes, 18,124 edges)
+holds this much per node after consume_stream:
+
+    consume_stream       924.6 (1295.9 when the spatial index kept each
+                                node's position and cell key in dicts,
+                                the heading sums were a dict of tuples,
+                                and centroids and edges had no slots)
+
 Each bound sits about a quarter over the measured value.
 """
 import pytest
@@ -43,8 +56,14 @@ import pytest
 from kharita import evaluate, graphs
 from kharita.clustering import ClusterConfig
 from kharita.evaluate import EvalConfig, GridSpec, generate_synthetic, topo_score
-from kharita.ingest import IngestConfig, parse_trajectories, prepare_trajectories
+from kharita.ingest import (
+    IngestConfig,
+    parse_trajectories,
+    prepare_trajectories,
+    stream_points,
+)
 from kharita.mapio import save_trajectories_csv
+from kharita.online import OnlineConfig, consume_stream
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +98,8 @@ def test_columns_bound_the_bytes_per_fix(city, tmp_path, traced):
 # the stages of run_offline_pipeline whose temporaries are bounded, by
 # their names in graphs
 STAGES = ("prepare_trajectories", "distinct_points", "select_seed_indices",
-          "kmeans_arrays")
+          "kmeans_arrays", "candidate_edges_from_arrays", "greedy_spanner",
+          "duplexify")
 
 
 def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
@@ -112,6 +132,22 @@ def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
     assert rise["distinct_points"] / points < 23
     assert rise["select_seed_indices"] / points < 103
     assert rise["kmeans_arrays"] / points < 215
+    assert rise["candidate_edges_from_arrays"] / points < 119
+    assert rise["greedy_spanner"] / points < 42
+    assert rise["duplexify"] / points < 18
+
+
+def test_online_map_bytes_per_node_are_bounded(city, tmp_path, traced):
+    # the node records are the map's only copy of each node's position
+    _, trajectories = city()
+    path = str(tmp_path / "city.csv")
+    save_trajectories_csv(trajectories, path)
+    del trajectories
+    with traced() as mem:
+        state = consume_stream(stream_points(path), OnlineConfig())
+    nodes = len(state.graph.nodes)
+    assert nodes > 10_000
+    assert mem.held / nodes < 1160
 
 
 def test_topo_peak_per_pair_is_bounded(city, traced, monkeypatch):

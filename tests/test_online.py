@@ -432,10 +432,10 @@ def _exact_nearest(index, lat, lon, radius_m):
     scalar Vincenty only the items that are surely beyond the radius: a
     degree of latitude is at least M_PER_DEG_LAT_MIN long, and the batch
     Vincenty agrees with the scalar one to a nanometre."""
-    if not index._pos:
+    if not index._records:
         return -1
-    items = np.array(list(index._pos))
-    plat, plon = np.array(list(index._pos.values())).T
+    items = np.arange(len(index._records))
+    plat, plon = np.array([(r.lat, r.lon) for r in index._records]).T
     near = np.abs(plat - lat) * M_PER_DEG_LAT_MIN <= 2.0 * radius_m
     items, plat, plon = items[near], plat[near], plon[near]
     d = vincenty_m_many(np.full(plat.size, lat), np.full(plat.size, lon),

@@ -372,6 +372,23 @@ def test_threshold_bands_next_to_the_pole():
                     assert band.tolist() == [int(np.searchsorted(ts, d))]
 
 
+def _record(lat, lon):
+    """A record GridIndex can index: a node of the online map."""
+    return clustering.ClusterCentroid(lat, lon, 0.0)
+
+
+def _move(record, lat, lon):
+    record.lat, record.lon = lat, lon
+
+
+def _grid(cell_m, positions):
+    """A GridIndex over records at positions, inserted in order."""
+    index = GridIndex(cell_m, [_record(*p) for p in positions])
+    for item in range(len(positions)):
+        index.insert(item)
+    return index
+
+
 class TestGridIndex:
     CELL_M = 20.0
 
@@ -388,16 +405,21 @@ class TestGridIndex:
                                          moves, queries):
         if south:
             lat0 = -lat0
-        index = GridIndex(self.CELL_M)
+        records = []
+        index = GridIndex(self.CELL_M, records)
         positions = {}
         for item, (n, e) in enumerate(inserts):
             positions[item] = _place(lat0, lon0, n, e)
-            index.insert(item, *positions[item])
+            records.append(_record(*positions[item]))
+            index.insert(item)
         for item, (n, e) in moves:
             if item in positions:
                 positions[item] = _place(lat0, lon0, n, e)
-                index.move(item, *positions[item])
-        assert len(index) == len(positions)
+                _move(records[item], *positions[item])
+                index.move(item)
+        # every item is in exactly one cell
+        assert sorted(i for cell in index._cells.values() for i in cell) == \
+            sorted(positions)
         for (n, e), radius_at in queries:
             lat, lon = _place(lat0, lon0, n, e)
             radius = self.CELL_M
@@ -415,29 +437,24 @@ class TestGridIndex:
     def test_found_far_from_the_first_inserted_latitude(self):
         # the first insert at the equator must not fix the longitude
         # scale: at 60 N a node 18 m east of the query is in the radius
-        index = GridIndex(self.CELL_M)
-        index.insert(0, 0.0, 0.0)
-        index.insert(1, 60.0, 10.0)
+        index = _grid(self.CELL_M, [(0.0, 0.0), (60.0, 10.0)])
         east = 18.0 / (111000.0 * math.cos(math.radians(60.0)))
         missed = 0
         for i in range(200):
             lon = 10.0 + i * 1.7e-5
-            index.move(1, 60.0, lon + east)
+            _move(index._records[1], 60.0, lon + east)
+            index.move(1)
             missed += index.nearest(60.0, lon, self.CELL_M) != 1
         assert missed == 0
 
     def test_columns_wrap_at_the_antimeridian(self):
-        index = GridIndex(self.CELL_M)
-        index.insert(0, 10.0, 179.99995)
-        index.insert(1, 10.0, 0.0)
+        index = _grid(self.CELL_M, [(10.0, 179.99995), (10.0, 0.0)])
         assert vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
         assert index.nearest(10.0, -179.99995, self.CELL_M) == 0
 
     def test_rows_near_the_pole(self):
         # whole-circle rows hold only a few columns; none is scanned twice
-        index = GridIndex(self.CELL_M)
-        index.insert(0, 89.99995, 0.0)
-        index.insert(1, 89.99995, 120.0)
+        index = _grid(self.CELL_M, [(89.99995, 0.0), (89.99995, 120.0)])
         assert sorted(index.candidates(89.99995, -120.0)) == [0, 1]
         assert index.nearest(89.99995, -120.0, self.CELL_M) == \
             _brute_nearest({0: (89.99995, 0.0), 1: (89.99995, 120.0)},
@@ -445,11 +462,11 @@ class TestGridIndex:
 
     def test_ties_go_to_the_lowest_item(self):
         # item 0 leaves and rejoins the cell, so it is scanned last
-        index = GridIndex(self.CELL_M)
-        for item in range(3):
-            index.insert(item, 25.0, 51.0)
-        index.move(0, 25.001, 51.0)
-        index.move(0, 25.0, 51.0)
+        index = _grid(self.CELL_M, [(25.0, 51.0)] * 3)
+        _move(index._records[0], 25.001, 51.0)
+        index.move(0)
+        _move(index._records[0], 25.0, 51.0)
+        index.move(0)
         assert index.candidates(25.0, 51.0) == [1, 2, 0]
         assert index.nearest(25.0, 51.00001, self.CELL_M) == 0
 
@@ -461,28 +478,30 @@ class TestGridIndex:
             return vincenty_m(*args)
 
         monkeypatch.setattr(spatial, "vincenty_m", counted)
-        index = GridIndex(self.CELL_M)
-        for item, (n, e) in enumerate([(5.0, 0.0), (0.0, 15.0), (-12.0, -9.0),
-                                       (40.0, 0.0), (0.0, -18.0)]):
-            index.insert(item, *_place(25.0, 51.0, n, e))
+        index = _grid(self.CELL_M, [
+            _place(25.0, 51.0, n, e) for n, e in
+            [(5.0, 0.0), (0.0, 15.0), (-12.0, -9.0), (40.0, 0.0), (0.0, -18.0)]])
+        pos = {i: (r.lat, r.lon) for i, r in enumerate(index._records)}
         lat, lon = 25.0, 51.0
         # one candidate is left, well inside: no exact distance
         assert index.nearest(lat, lon, self.CELL_M) == 0
         assert calls == []
         # the one left is outside by its lower bound: item 0 lies due
         # north, so L is its latitude step at M_PER_DEG_LAT_MIN
-        low = (index._pos[0][0] - lat) * spatial.M_PER_DEG_LAT_MIN
+        low = (pos[0][0] - lat) * spatial.M_PER_DEG_LAT_MIN
         radius = low / 1.0005
         assert low <= 1.001 * radius    # within the screen's slack
         assert index.nearest(lat, lon, radius) == -1
         assert calls == []
         # the one left sits at the radius
-        d = vincenty_m(lat, lon, *index._pos[0])
+        d = vincenty_m(lat, lon, *pos[0])
         assert index.nearest(lat, lon, d) == 0
         assert len(calls) == 1
         # two candidates whose bounds overlap
         calls.clear()
-        index.insert(5, *_place(25.0, 51.0, 0.0, 5.0))
+        pos[5] = _place(25.0, 51.0, 0.0, 5.0)
+        index._records.append(_record(*pos[5]))
+        index.insert(5)
         assert index.nearest(lat, lon, self.CELL_M) == \
-            _brute_nearest(index._pos, lat, lon, self.CELL_M)
+            _brute_nearest(pos, lat, lon, self.CELL_M)
         assert len(calls) == 2

@@ -9,10 +9,10 @@ where the geometry looks perfect. The reference map is first pruned to
 the edges that some trajectory actually passed, since roads no vehicle
 drove cannot be inferred from the data.
 
-A score asks of a match only which thresholds it meets: GEO reads each
-sample's nearest distance, and TOPO the band of each marble-hole pair,
-the least threshold it meets, found once for all samples
-(spatial.threshold_pairs).
+A score asks of a match only which thresholds it meets, so both scores
+read bands, a sample's band being the least threshold its match meets:
+GEO's from each sample's nearest distance, TOPO's from the bands of the
+marble-hole pairs, found once for all samples (spatial.threshold_pairs).
 """
 from __future__ import annotations
 
@@ -83,8 +83,14 @@ class EvalReport:
         }
 
 
-def _f(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+def _scores(least_m, least_h, none: int):
+    """Precision, recall and F per threshold, as arrays: the shares of
+    marbles and of holes whose least band (none where unmatched) is at
+    most the threshold's, and F, 0 where both shares are."""
+    p, r = (np.cumsum(np.bincount(b, minlength=none))[:none] / b.size
+            for b in (least_m, least_h))
+    s = p + r
+    return p, r, np.divide(2.0 * p * r, s, out=np.zeros(none), where=s > 0)
 
 
 def _zeros(ts: list, **kw) -> EvalReport:
@@ -142,8 +148,6 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
     f = offset / np.where(along > 0.0, along, 1.0)
     lat = lat0[edge_id] + f * dlat[edge_id]
     lon = lon0[edge_id] + f * dlon[edge_id]
-    node = along == 0.0
-    lat[node], lon[node] = lat0[edge_id[node]], lon0[edge_id[node]]
     return _Samples(lat, wrap_lon_many(lon), edge_id, offset, keys,
                     np.array([u for u, _ in keys], dtype=np.int64),
                     length, bearing)
@@ -162,10 +166,9 @@ def geo_score(inferred: RoadGraph, truth: RoadGraph, cfg: EvalConfig) -> EvalRep
     rmax = ts[-1]
     md, _ = nearest_within(marbles.lat, marbles.lon, holes.lat, holes.lon, rmax)
     hd, _ = nearest_within(holes.lat, holes.lon, marbles.lat, marbles.lon, rmax)
-    precision = [float(np.mean(md <= t)) for t in ts]
-    recall = [float(np.mean(hd <= t)) for t in ts]
-    return EvalReport(ts, precision, recall,
-                      [_f(p, r) for p, r in zip(precision, recall)])
+    # side "left": a band is at most k exactly when d <= ts[k]
+    return EvalReport(ts, *np.array(_scores(
+        np.searchsorted(ts, md), np.searchsorted(ts, hd), len(ts))).tolist())
 
 
 def prune_unvisited_edges(truth: RoadGraph, trajectories: list,
@@ -314,9 +317,7 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
                         holes.lat.size, none)
     del by_hole
 
-    p_sum = np.zeros(len(ts))
-    r_sum = np.zeros(len(ts))
-    f_sum = np.zeros(len(ts))
+    sums = np.zeros((3, len(ts)))    # precision, recall, F
     valid = 0
     for i in range(cfg.topo_samples):
         rng = np.random.default_rng([cfg.rng_seed, i])
@@ -334,23 +335,15 @@ def topo_score(inferred: RoadGraph, truth: RoadGraph, trajectories: list,
         floor_h = np.full(holes.lat.size, none, dtype=band.dtype)
         floor_m[rm] = 0
         floor_h[rh] = 0
-        md = _least_reached(marble_pairs, rm, hole_pairs, floor_h)
-        hd = _least_reached(hole_pairs, rh, marble_pairs, floor_m)
-        # the share of reached points matched within each threshold
-        precision = np.cumsum(np.bincount(md, minlength=none))[:none] / md.size
-        recall = np.cumsum(np.bincount(hd, minlength=none))[:none] / hd.size
-        for k in range(len(ts)):
-            p, r = float(precision[k]), float(recall[k])
-            p_sum[k] += p
-            r_sum[k] += r
-            f_sum[k] += _f(p, r)
+        sums += _scores(_least_reached(marble_pairs, rm, hole_pairs, floor_h),
+                        _least_reached(hole_pairs, rh, marble_pairs, floor_m),
+                        none)
         valid += 1
     if valid == 0:
         raise ValueError("no valid starting pair in any sample; "
                          "the maps never align within the start distance")
-    return EvalReport(ts, list(p_sum / valid), list(r_sum / valid),
-                      list(f_sum / valid), samples_total=cfg.topo_samples,
-                      samples_valid=valid, seed=cfg.rng_seed)
+    return EvalReport(ts, *(sums / valid).tolist(), samples_valid=valid,
+                      samples_total=cfg.topo_samples, seed=cfg.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -412,34 +405,25 @@ def generate_synthetic(spec: GridSpec, noise_sigma_m: float = 3.0,
             nodes.append(ClusterCentroid(
                 spec.origin_lat + r * lat_step,
                 wrap_lon(spec.origin_lon + c * lon_step), 0.0, support=1))
-    nid = lambda r, c: r * spec.cols + c
 
-    # one speed class and direction regime per whole street
+    # one speed class and direction regime per whole street, a street
+    # being its node ids: the west-east streets, then the south-north
+    streets = ([range(r * spec.cols, (r + 1) * spec.cols) for r in range(spec.rows)]
+               + [range(c, len(nodes), spec.cols) for c in range(spec.cols)])
     edges: dict[tuple[int, int], float] = {}    # key -> speed limit
-    for r in range(spec.rows):                  # west-east streets
+    for street in streets:
         limit = float(rng.choice(SPEED_CLASSES_KMH))
         both = bool(rng.random() < spec.two_way_fraction)
-        eastward = bool(rng.integers(0, 2))
-        for c in range(spec.cols - 1):
-            a, b = nid(r, c), nid(r, c + 1)
-            if both or eastward:
+        forward = bool(rng.integers(0, 2))      # eastward or northward
+        for a, b in zip(street, street[1:]):
+            if both or forward:
                 edges[(a, b)] = limit
-            if both or not eastward:
-                edges[(b, a)] = limit
-    for c in range(spec.cols):                  # south-north streets
-        limit = float(rng.choice(SPEED_CLASSES_KMH))
-        both = bool(rng.random() < spec.two_way_fraction)
-        northward = bool(rng.integers(0, 2))
-        for r in range(spec.rows - 1):
-            a, b = nid(r, c), nid(r + 1, c)
-            if both or northward:
-                edges[(a, b)] = limit
-            if both or not northward:
+            if both or not forward:
                 edges[(b, a)] = limit
 
     if spec.roundabout:
         _insert_roundabout(spec, nodes, edges,
-                           nid(spec.rows // 2, spec.cols // 2))
+                           (spec.rows // 2) * spec.cols + spec.cols // 2)
 
     graph = RoadGraph(nodes)
     for (a, b) in sorted(edges):

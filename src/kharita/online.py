@@ -49,8 +49,8 @@ class StreamState:
     _hsum[node] sums cos + i*sin of the headings the node absorbed.
     Single writer: process_pair, mark_stale and resparsify must be
     serialized per state. Read-only snapshots between calls are safe.
-    Use the same config instance (or an equal one) for every call on a
-    given state; the spatial index is sized from it at construction.
+    The spatial index is sized from the config's clustering radius at
+    construction, and process_pair refuses a config with another one.
     """
 
     def __init__(self, cfg: OnlineConfig):
@@ -188,6 +188,9 @@ def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
     the vehicle already has an anchor node, because that fix was the
     previous pair's tail and is already folded in.
     """
+    if cfg.clustering_radius_cr != state._index.cell_m:
+        raise ValueError(f"clustering_radius_cr {cfg.clustering_radius_cr} m on "
+                         f"a state built for {state._index.cell_m} m")
     vid = x_i.vehicle_id
     pts, bearing = _densify_pair(x_i, x_next, cfg.sampling_rate_sr)
     start = 1 if vid in state.prev_node else 0

@@ -155,6 +155,17 @@ class TestProcessPair:
         process_pair(state, pt("c", 10.0, 25.0), pt("c", 30.0, 200.0), cfg)
         assert state.graph.shortest_dist(0, 3) < math.inf
 
+    def test_config_of_another_radius_refused(self):
+        # the state's index is sized for its own 20 m radius, and a
+        # nearest search of 40 m on it would miss nodes
+        state = StreamState(OnlineConfig())
+        a, b = line_points("v", 25.0, 2)
+        with pytest.raises(ValueError, match=r"40\.0 m .* 20\.0 m"):
+            process_pair(state, a, b, OnlineConfig(clustering_radius_cr=40.0))
+        assert not state.graph.nodes and not state.prev_node
+        process_pair(state, a, b, OnlineConfig(clustering_radius_cr=20))
+        assert len(state.graph.nodes) == 2
+
     def test_replay_never_rechecks_first_point(self):
         cfg = OnlineConfig()
         state = StreamState(cfg)

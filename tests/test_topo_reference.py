@@ -16,7 +16,6 @@ from kharita.evaluate import (
     EvalConfig,
     EvalReport,
     GridSpec,
-    _f,
     _reachable,
     _sample_edges,
     generate_synthetic,
@@ -28,6 +27,10 @@ from kharita.geo import angle_diff_deg_many, lon_delta_many, vincenty_m_many
 from kharita.graphs import SpannerConfig, run_offline_pipeline
 from kharita.ingest import IngestConfig
 from kharita.spatial import nearest_within
+
+
+def _f(p, r):
+    return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
 
 
 def _pairs_by_distance(qlat, qlon, rlat, rlon, radius):

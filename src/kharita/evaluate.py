@@ -16,6 +16,7 @@ marble-hole pairs, found once for all samples (spatial.threshold_pairs).
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -108,9 +109,9 @@ class _Samples:
 
     lat: np.ndarray
     lon: np.ndarray
-    edge_id: np.ndarray     # index into keys, per sample
+    edge_id: np.ndarray     # index into edges, per sample
     offset: np.ndarray      # meters from the edge source, per sample
-    keys: list              # (src, dst) per edge
+    edges: list             # Edge record per edge
     src: np.ndarray         # source node, per edge
     length: np.ndarray      # geometric meters, per edge
     bearing: np.ndarray     # degrees, per edge
@@ -122,10 +123,10 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
     one at the middle of an edge shorter than half a spacing; an edge of
     length 0 has one sample on its source node. The offsets are those of
     np.arange(0.5 * spacing, length, spacing), bit for bit."""
-    keys = [k for k in sorted(graph.edges) if graph.edges[k].active]
-    ends = np.empty((len(keys), 6))
-    for j, (u, v) in enumerate(keys):
-        nu, nv = graph.nodes[u], graph.nodes[v]
+    edges = [e for e in graph.sorted_edges() if e.active]
+    ends = np.empty((len(edges), 6))
+    for j, e in enumerate(edges):
+        nu, nv = graph.nodes[e.src], graph.nodes[e.dst]
         L = vincenty_m(nu.lat, nu.lon, nv.lat, nv.lon)
         ends[j] = (nu.lat, nu.lon, nv.lat - nu.lat, lon_delta(nu.lon, nv.lon),
                    L if L > 0.0 else 0.0,
@@ -138,7 +139,7 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
     count = np.maximum(np.ceil((length - start) / spacing), 0.0).astype(np.int64)
     short = count == 0
     count[short] = 1
-    edge_id = np.repeat(np.arange(len(keys)), count)
+    edge_id = np.repeat(np.arange(len(edges)), count)
     i = segments(np.zeros_like(count), count)
     offset = start + i * ((start + spacing) - start)
     offset[i == 1] = start + spacing
@@ -148,8 +149,8 @@ def _sample_edges(graph: RoadGraph, spacing: float) -> _Samples:
     f = offset / np.where(along > 0.0, along, 1.0)
     lat = lat0[edge_id] + f * dlat[edge_id]
     lon = lon0[edge_id] + f * dlon[edge_id]
-    return _Samples(lat, wrap_lon_many(lon), edge_id, offset, keys,
-                    np.array([u for u, _ in keys], dtype=np.int64),
+    return _Samples(lat, wrap_lon_many(lon), edge_id, offset, edges,
+                    np.array([e.src for e in edges], dtype=np.int64),
                     length, bearing)
 
 
@@ -176,21 +177,19 @@ def prune_unvisited_edges(truth: RoadGraph, trajectories: list,
     """Copy of the reference map keeping only edges that some
     trajectory point passes within the visit distance."""
     s = _sample_edges(truth, cfg.sample_spacing_m)
-    out = truth.copy_nodes()
-    if not s.keys:
+    out = RoadGraph(list(truth.nodes))
+    if not s.edges:
         return out
-    visited = np.zeros(len(s.keys), dtype=bool)
+    visited = np.zeros(len(s.edges), dtype=bool)
     if any(len(tr) for tr in trajectories):
         d, _ = nearest_within(s.lat, s.lon,
                               np.concatenate([tr.cols.lat for tr in trajectories]),
                               np.concatenate([tr.cols.lon for tr in trajectories]),
                               cfg.visit_distance_m)
         visited[s.edge_id[d <= cfg.visit_distance_m]] = True
-    for j, key in enumerate(s.keys):
-        if visited[j]:
-            e = truth.edges[key]
-            out.add_edge(e.src, e.dst, e.weight_m, e.traj_count,
-                         e.last_seen, e.active)
+    for e in itertools.compress(s.edges, visited):
+        out.add_edge(e.src, e.dst, e.weight_m, e.traj_count, e.last_seen,
+                     e.active)
     return out
 
 
@@ -201,7 +200,7 @@ def _reachable(graph: RoadGraph, s: _Samples, start: int,
     its edge's source node plus the sample's offset; samples further
     along the start's own edge are reached directly."""
     e0 = int(s.edge_id[start])
-    v0 = s.keys[e0][1]
+    v0 = s.edges[e0].dst
     o0 = float(s.offset[start])
     into = graph.dists_within(v0, radius, start_cost=s.length[e0] - o0)
     node_dist = np.full(len(graph.nodes), math.inf)

@@ -10,6 +10,7 @@ import heapq
 import logging
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,19 +59,45 @@ class Edge:
     active: bool = True
 
 
+class EdgeView(Mapping):
+    """Read-only (src, dst) -> Edge view of a graph's out-dicts, in
+    their order: by source as first given an edge, then by destination
+    as added."""
+
+    def __init__(self, out: dict[int, dict[int, Edge]]):
+        self._out = out
+
+    def __getitem__(self, key: tuple[int, int]) -> Edge:
+        return self._out.get(key[0], _NO_EDGES)[key[1]]
+
+    def __iter__(self):
+        return ((u, v) for u, row in self._out.items() for v in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._out.values()))
+
+    def values(self):
+        return (e for row in self._out.values() for e in row.values())
+
+
 class RoadGraph:
     """Directed graph over ClusterCentroid nodes with weighted edges.
 
     Node ids are list positions and never change; removal is expressed
     by the active flags, except inside resparsification which may drop
     edges outright.
+
+    Each edge is stored once, in _out: src -> {dst: edge}, the dicts
+    _search walks, whose insertion order breaks ties between routes.
+    edges is a read-only view of them keyed by (src, dst); only
+    add_edge and remove_edge write. sorted_edges gives the records in
+    (src, dst) order, the order of every file.
     """
 
     def __init__(self, nodes: list[ClusterCentroid] | None = None):
         self.nodes: list[ClusterCentroid] = nodes if nodes is not None else []
-        self.edges: dict[tuple[int, int], Edge] = {}
-        # src -> {dst: edge}; insertion order breaks ties between routes
         self._out: dict[int, dict[int, Edge]] = {}
+        self.edges = EdgeView(self._out)
 
     def __repr__(self) -> str:
         return f"RoadGraph(nodes={len(self.nodes)}, edges={len(self.edges)})"
@@ -84,20 +111,19 @@ class RoadGraph:
                  active: bool = True) -> Edge:
         if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
             raise KeyError(f"edge ({src}, {dst}) references a missing node")
-        if (src, dst) in self.edges:
+        row = self._out.setdefault(src, {})
+        if dst in row:
             raise KeyError(f"edge ({src}, {dst}) already present")
-        e = Edge(src, dst, max(weight_m, MIN_EDGE_WEIGHT_M), traj_count,
-                 last_seen, active)
-        self.edges[(src, dst)] = e
-        self._out.setdefault(src, {})[dst] = e
+        e = row[dst] = Edge(src, dst, max(weight_m, MIN_EDGE_WEIGHT_M),
+                            traj_count, last_seen, active)
         return e
 
     def remove_edge(self, src: int, dst: int) -> None:
-        del self.edges[(src, dst)]
         del self._out[src][dst]
 
-    def active_edges(self):
-        return (e for e in self.edges.values() if e.active)
+    def sorted_edges(self) -> list[Edge]:
+        """Edge records in (src, dst) order."""
+        return [row[v] for _, row in sorted(self._out.items()) for v in sorted(row)]
 
     def _search(self, src: int, target: int | None = None,
                 cutoff: float = math.inf, start_cost: float = 0.0,
@@ -150,10 +176,6 @@ class RoadGraph:
             path.append(prev[path[-1]])
         return path[::-1]
 
-    def copy_nodes(self) -> "RoadGraph":
-        """New graph sharing this graph's node records, no edges."""
-        return RoadGraph(list(self.nodes))
-
 
 def spurious_edge_threshold(support_u: int, support_v: int) -> float:
     """Minimum trajectory count for an edge between clusters of the
@@ -205,8 +227,8 @@ def greedy_spanner(graph: RoadGraph, cfg: SpannerConfig) -> RoadGraph:
     Every dropped edge is alpha-covered at drop time and stays covered,
     so all pairwise distances stretch by at most alpha.
     """
-    out = graph.copy_nodes()
-    pending = sorted(graph.active_edges(),
+    out = RoadGraph(list(graph.nodes))
+    pending = sorted((e for e in graph.edges.values() if e.active),
                      key=lambda e: (e.weight_m, e.src, e.dst))
     for e in pending:
         bound = cfg.alpha * e.weight_m
@@ -223,13 +245,11 @@ def duplexify(graph: RoadGraph, cfg: SpannerConfig) -> RoadGraph:
     stays at or below duplex_speed_kmh and the reversal is absent. The
     new edge carries no trajectory evidence of its own (traj_count 0).
     """
-    for (u, v) in sorted(graph.edges):
-        e = graph.edges[(u, v)]
-        if (v, u) in graph.edges:
-            continue
-        if max(graph.nodes[u].max_speed_kmh, graph.nodes[v].max_speed_kmh) \
-                <= cfg.duplex_speed_kmh:
-            graph.add_edge(v, u, e.weight_m, traj_count=0,
+    for e in graph.sorted_edges():
+        slow = max(graph.nodes[e.src].max_speed_kmh,
+                   graph.nodes[e.dst].max_speed_kmh) <= cfg.duplex_speed_kmh
+        if slow and (e.dst, e.src) not in graph.edges:
+            graph.add_edge(e.dst, e.src, e.weight_m, traj_count=0,
                            last_seen=e.last_seen, active=e.active)
     return graph
 

@@ -50,8 +50,7 @@ def save_map(graph: RoadGraph, path: str) -> None:
             fh.write(f"N {i} {n.lat:.9f} {n.lon:.9f} {n.heading_deg:.9f} "
                      f"{n.support} {n.max_speed_kmh:.9f} "
                      f"{n.last_seen:.9f} {int(n.active)}\n")
-        for key in sorted(graph.edges):
-            e = graph.edges[key]
+        for e in graph.sorted_edges():
             fh.write(f"E {e.src} {e.dst} {e.weight_m:.9f} {e.traj_count} "
                      f"{e.last_seen:.9f} {int(e.active)}\n")
 
@@ -163,8 +162,7 @@ def save_geojson(graph: RoadGraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "features": [')
         sep = "\n"
-        for key in sorted(graph.edges):
-            e = graph.edges[key]
+        for e in graph.sorted_edges():
             a, b = graph.nodes[e.src], graph.nodes[e.dst]
             if abs(b.lon - a.lon) > 180.0:
                 # two parts meeting at +-180, at the latitude interpolated

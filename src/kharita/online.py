@@ -50,7 +50,8 @@ class StreamState:
     Single writer: process_pair, mark_stale and resparsify must be
     serialized per state. Read-only snapshots between calls are safe.
     The spatial index is sized from the config's clustering radius at
-    construction, and process_pair refuses a config with another one.
+    construction; process_pair and consume_stream refuse a config with
+    another one before they change anything.
     """
 
     def __init__(self, cfg: OnlineConfig):
@@ -159,7 +160,7 @@ def _maybe_link(state: StreamState, u: int, v: int,
     """Record the transition u -> v: bump the edge when it exists,
     otherwise create it if the heading gates and spanner test allow."""
     nu, nv = state.graph.nodes[u], state.graph.nodes[v]
-    e = state.graph.edges.get((u, v))
+    e = state.graph._out.get(u, {}).get(v)
     if e is not None:
         e.traj_count += 1
         e.last_seen = max(e.last_seen, nv.last_seen)
@@ -177,6 +178,15 @@ def _maybe_link(state: StreamState, u: int, v: int,
     state.graph.add_edge(u, v, w, traj_count=1, last_seen=nv.last_seen)
 
 
+def _check_radius(state: StreamState, cfg: OnlineConfig) -> None:
+    """Refuse a config whose clustering radius is not the one the
+    state's index was sized for: GridIndex.nearest is only correct for a
+    radius up to its cell."""
+    if cfg.clustering_radius_cr != state._index.cell_m:
+        raise ValueError(f"clustering_radius_cr {cfg.clustering_radius_cr} m on "
+                         f"a state built for {state._index.cell_m} m")
+
+
 def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
                  cfg: OnlineConfig) -> StreamState:
     """Consume one consecutive pair of fixes from a single vehicle.
@@ -188,9 +198,7 @@ def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
     the vehicle already has an anchor node, because that fix was the
     previous pair's tail and is already folded in.
     """
-    if cfg.clustering_radius_cr != state._index.cell_m:
-        raise ValueError(f"clustering_radius_cr {cfg.clustering_radius_cr} m on "
-                         f"a state built for {state._index.cell_m} m")
+    _check_radius(state, cfg)
     vid = x_i.vehicle_id
     pts, bearing = _densify_pair(x_i, x_next, cfg.sampling_rate_sr)
     start = 1 if vid in state.prev_node else 0
@@ -233,10 +241,10 @@ def resparsify(state: StreamState, cfg: OnlineConfig) -> StreamState:
     A graph that is already a valid spanner passes through unchanged.
     """
     spanner = greedy_spanner(state.graph, SpannerConfig(alpha=cfg.alpha))
-    drop = [key for key, e in state.graph.edges.items()
-            if e.active and key not in spanner.edges]
-    for (u, v) in drop:
-        state.graph.remove_edge(u, v)
+    drop = [e for e in state.graph.edges.values()
+            if e.active and (e.src, e.dst) not in spanner.edges]
+    for e in drop:
+        state.graph.remove_edge(e.src, e.dst)
     if drop:
         log.info("resparsify removed %d of %d active edges",
                  len(drop), len(drop) + len(spanner.edges))
@@ -269,6 +277,7 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
     IngestConfig(min_speed_kmh=min_speed_kmh, new_trajectory_gap_s=gap_s)  # checks both
     if state is None:
         state = StreamState(cfg)
+    _check_radius(state, cfg)    # before any fix is recorded
     last = state.last_fix
     for p in points:
         if p.speed_kmh is not None and p.speed_kmh <= min_speed_kmh:

@@ -28,9 +28,13 @@ began, in bytes per point after densify:
     kmeans_arrays        171.1 (385.2 with moved points measured at
                                 once and pair chunks of 2^17)
     candidate_edges_from_arrays
-                          95.0 (98.6 with unslotted centroids and edges)
-    greedy_spanner        33.1 (36.3 with unslotted edges)
-    duplexify             14.2 (17.2 with unslotted edges)
+                          88.8 (94.4 with each edge also in a dict keyed
+                                by (src, dst); 98.6 with unslotted
+                                centroids and edges as well)
+    greedy_spanner        27.0 (33.1 with the (src, dst) dict; 36.3 with
+                                unslotted edges as well)
+    duplexify              9.3 (14.2 with the (src, dst) dict; 17.2 with
+                                unslotted edges as well)
 
 TOPO on the offline map of the same city (539,329 marble-hole pairs
 within 30 m, 4 samples) peaks this far above what was live when it
@@ -44,10 +48,12 @@ began, in bytes per pair:
 The online map of the same city's stream (12,414 nodes, 18,124 edges)
 holds this much per node after consume_stream:
 
-    consume_stream       924.6 (1295.9 when the spatial index kept each
-                                node's position and cell key in dicts,
-                                the heading sums were a dict of tuples,
-                                and centroids and edges had no slots)
+    consume_stream       795.3 (924.6 with each edge also in a dict keyed
+                                by (src, dst); 1295.9 when, as well, the
+                                spatial index kept each node's position
+                                and cell key in dicts, the heading sums
+                                were a dict of tuples, and centroids and
+                                edges had no slots)
 
 Each bound sits about a quarter over the measured value.
 """
@@ -132,9 +138,9 @@ def test_stage_transients_are_bounded(city, tmp_path, traced, monkeypatch):
     assert rise["distinct_points"] / points < 23
     assert rise["select_seed_indices"] / points < 103
     assert rise["kmeans_arrays"] / points < 215
-    assert rise["candidate_edges_from_arrays"] / points < 119
-    assert rise["greedy_spanner"] / points < 42
-    assert rise["duplexify"] / points < 18
+    assert rise["candidate_edges_from_arrays"] / points < 111
+    assert rise["greedy_spanner"] / points < 34
+    assert rise["duplexify"] / points < 12
 
 
 def test_online_map_bytes_per_node_are_bounded(city, tmp_path, traced):
@@ -147,7 +153,7 @@ def test_online_map_bytes_per_node_are_bounded(city, tmp_path, traced):
         state = consume_stream(stream_points(path), OnlineConfig())
     nodes = len(state.graph.nodes)
     assert nodes > 10_000
-    assert mem.held / nodes < 1160
+    assert mem.held / nodes < 995
 
 
 def test_topo_peak_per_pair_is_bounded(city, traced, monkeypatch):

@@ -319,7 +319,7 @@ class TestSampleEdges:
         want = self.reference(truth, spacing)
         for got, ref in zip((s.lat, s.lon, s.offset, s.bearing), want):
             assert got.tobytes() == ref.tobytes()
-        assert s.src.tolist() == [u for u, _ in s.keys]
+        assert s.src.tolist() == [e.src for e in s.edges]
 
 
 class TestSynthetic:

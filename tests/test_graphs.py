@@ -17,6 +17,7 @@ from kharita.clustering import ClusterCentroid, ClusterConfig
 from kharita.evaluate import GridSpec, generate_synthetic
 from kharita.geo import GpsPoint
 from kharita.graphs import (
+    Edge,
     RoadGraph,
     SpannerConfig,
     candidate_edges_from_arrays,
@@ -90,8 +91,9 @@ class TestRoadGraph:
 @st.composite
 def edited_graphs(draw):
     """A small digraph with integer weights (exact sums), some inactive
-    edges, and some edges removed then added back. Returns the graph and
-    each source's expected out-edge order."""
+    edges, some edges removed then added back and some removed for good.
+    Returns the graph, each source's expected out-edge order and a
+    reference dict of its edges kept beside the edits."""
     n = draw(st.integers(2, 8))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     specs = draw(st.lists(
@@ -99,27 +101,51 @@ def edited_graphs(draw):
         max_size=3 * n, unique_by=lambda t: t[0]))
     g = RoadGraph([node() for _ in range(n)])
     order: dict[int, list[int]] = {}
+    ref = {}
     for (u, v), w, active in specs:
-        g.add_edge(u, v, float(w), active=active)
+        ref[(u, v)] = g.add_edge(u, v, float(w), active=active)
         order.setdefault(u, []).append(v)
     if specs:
         for i in draw(st.lists(st.integers(0, len(specs) - 1), max_size=4)):
             (u, v), _, _ = specs[i]
             e = g.edges[(u, v)]
             g.remove_edge(u, v)
-            g.add_edge(u, v, e.weight_m, active=e.active)
+            ref[(u, v)] = g.add_edge(u, v, e.weight_m, active=e.active)
             order[u].remove(v)
             order[u].append(v)
-    return g, order
+        for i in draw(st.lists(st.integers(0, len(specs) - 1), max_size=4,
+                               unique=True)):
+            (u, v), _, _ = specs[i]
+            g.remove_edge(u, v)
+            del ref[(u, v)]
+            order[u].remove(v)
+    return g, order, ref
 
 
 class TestShortestPathProperties:
     @given(edited_graphs(), st.integers(0, 60), st.integers(1, 40))
     def test_queries_match_networkx(self, graph_and_order, cutoff, half_start):
-        g, order = graph_and_order
+        g, order, ref = graph_and_order
         n = len(g.nodes)
         for u in range(n):
             assert [e.dst for e in g._out.get(u, {}).values()] == order.get(u, [])
+        # the edge view reads as the reference dict: removed and
+        # never-added keys, and node n has no out-dict at all
+        assert dict(g.edges.items()) == ref and len(g.edges) == len(ref)
+        keys = list(g.edges)    # sources in the order of their first edge
+        assert keys == [(u, v) for u, vs in order.items() for v in vs]
+        assert list(map(id, g.edges.values())) == [id(ref[k]) for k in keys]
+        assert [(e.src, e.dst) for e in g.sorted_edges()] == sorted(ref)
+        for key in ((u, v) for u in range(n + 1) for v in range(n)):
+            assert (key in g.edges) == (key in ref)
+            assert g.edges.get(key) is ref.get(key)
+            if key in ref:
+                assert g.edges[key] is ref[key]
+            else:
+                with pytest.raises(KeyError):
+                    g.edges[key]
+        with pytest.raises(TypeError):
+            g.edges[(0, 1)] = Edge(0, 1, 1.0)
         start = half_start / 2.0
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))

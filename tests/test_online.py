@@ -337,6 +337,23 @@ class TestConsumeStream:
                  str(resumed))
         assert resumed.read_bytes() == whole.read_bytes()
 
+    def test_refused_radius_leaves_the_state_alone(self, tmp_path):
+        # the refusal comes before the first fix is recorded, so a retry
+        # with the state's own radius builds the map of a fresh state
+        pts = line_points("v", 30.0, 6, dt=1.0)
+        fresh, retried = tmp_path / "fresh.edges", tmp_path / "retried.edges"
+        save_map(consume_stream(pts, OnlineConfig()).graph, str(fresh))
+        state = StreamState(OnlineConfig())
+        with pytest.raises(ValueError, match=r"40\.0 m .* 20\.0 m"):
+            consume_stream(pts, OnlineConfig(clustering_radius_cr=40.0),
+                           state=state)
+        assert not state.last_fix and not state.prev_node
+        assert not state.graph.nodes and not state.graph.edges
+        graph = consume_stream(pts, OnlineConfig(), state=state).graph
+        assert (len(graph.nodes), len(graph.edges)) == (6, 5)
+        save_map(graph, str(retried))
+        assert retried.read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize("recorded", [True, False])
     def test_late_fix_is_dropped(self, recorded, tmp_path):
         # a northbound drive with fix 20 delivered after fix 24, with and

@@ -45,6 +45,10 @@ def test_hooks_install_and_see_every_pipeline_stage(layers):
         tracer.uninstall()
     assert set(stats.timings) == set(layers.PIPELINE_STAGES)
     assert set(layers.PIPELINE_STAGES.values()) <= {s.name for s in tracer.spans}
+    # graphs.spanner_keep_ratio reads these through the graphs' edge views
+    assert stats.counts["spanner_edges"] > 0
+    assert tracer.counts["spanner_in"] == stats.counts["candidate_edges"]
+    assert tracer.counts["spanner_out"] == stats.counts["spanner_edges"]
 
 
 def test_online_hooks_see_one_candidate_scan_per_query(layers):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import Checked, within
 from .geo import (
+    NULL_RESULTANT,
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
@@ -299,7 +300,8 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int, terms):
     s = np.bincount(assign, weights=sin, minlength=k) / safe
     c = np.bincount(assign, weights=cos, minlength=k) / safe
     hdg = np.degrees(np.arctan2(s, c)) % 360.0
-    degenerate = (np.abs(s) < 1e-12) & (np.abs(c) < 1e-12) & (counts > 0)
+    degenerate = ((np.abs(s) < NULL_RESULTANT) & (np.abs(c) < NULL_RESULTANT)
+                  & (counts > 0))
     if degenerate.any():
         first = np.full(k, pts.n, dtype=np.int64)
         np.minimum.at(first, assign, np.arange(assign.size))
@@ -424,26 +426,21 @@ def finalize_centroids(pts: PointArrays, assign: np.ndarray,
 
 
 def _farthest_heading_pair(h: np.ndarray) -> tuple[int, int]:
-    """Pair of indices whose circular separation is largest, found by
-    probing each value's circle-opposite in a sorted copy. Deterministic
-    tie handling. O(m log m)."""
+    """Pair of indices i < j whose circular separation is largest, found
+    by probing each value's circle-opposite and its two neighbours in a
+    sorted copy; ties go to the smallest i, then j. (m, m) when there is
+    no pair. O(m log m)."""
     m = h.size
     order = np.lexsort((np.arange(m), h))   # by value, then original index
-    sv = h[order]
-    best = (-1.0, m, m)
-    for a in range(m):
-        target = (h[a] + 180.0) % 360.0
-        pos = int(np.searchsorted(sv, target))
-        for q in (pos - 1, pos % m, (pos + 1) % m):
-            b = int(order[q % m])
-            if b == a:
-                continue
-            d = angle_diff_deg(h[a], h[b])
-            i, j = (a, b) if a < b else (b, a)
-            cand = (d, -i, -j)
-            if cand > (best[0], -best[1], -best[2]):
-                best = (d, i, j)
-    return best[1], best[2]
+    pos = np.searchsorted(h[order], (h + 180.0) % 360.0)
+    a = np.repeat(np.arange(m), 3)
+    b = order[(np.repeat(pos, 3) + np.tile([-1, 0, 1], m)) % m]
+    a, b = a[a != b], b[a != b]
+    if not a.size:
+        return m, m
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    best = np.lexsort((-j, -i, angle_diff_deg_many(h[a], h[b])))[-1]
+    return int(i[best]), int(j[best])
 
 
 def _two_means_headings(h: np.ndarray) -> np.ndarray | None:

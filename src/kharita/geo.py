@@ -28,6 +28,9 @@ _VINCENTY_MAX_ITER = 100
 # two fixes measured at or under this many meters apart count as one
 # place: they give no bearing of their own
 COINCIDENT_M = 1e-9
+# a sum or mean of unit heading vectors whose two components both lie
+# under this has no direction: the headings cancel
+NULL_RESULTANT = 1e-12
 
 
 @dataclass(slots=True, frozen=True)
@@ -306,7 +309,7 @@ def circular_mean_deg(headings) -> float:
     r = np.radians(h)
     s = float(np.mean(np.sin(r)))
     c = float(np.mean(np.cos(r)))
-    if abs(s) < 1e-12 and abs(c) < 1e-12:
+    if abs(s) < NULL_RESULTANT and abs(c) < NULL_RESULTANT:
         warnings.warn("degenerate heading set: mean resultant is zero, "
                       "falling back to first heading", RuntimeWarning, stacklevel=2)
         return normalize_heading(float(h.flat[0]))

@@ -17,6 +17,7 @@ from .clustering import ClusterCentroid
 from .config import Checked, within
 from .geo import (
     COINCIDENT_M,
+    NULL_RESULTANT,
     GpsPoint,
     angle_diff_deg,
     initial_bearing_deg,
@@ -45,16 +46,17 @@ class OnlineConfig(Checked):
 class StreamState:
     """Mutable state of one online map build.
 
-    graph's nodes are the map: the index reads their positions, and
-    _hsum[node] sums cos + i*sin of the headings the node absorbed.
-    Single writer: process_pair, mark_stale and resparsify must be
-    serialized per state. Read-only snapshots between calls are safe.
-    The spatial index is sized from the config's clustering radius at
-    construction; process_pair and consume_stream refuse a config with
-    another one before they change anything.
+    cfg is the one config of the build: every call on the state reads
+    it, and consume_stream refuses a state built from another before it
+    changes anything. graph's nodes are the map: the index, sized from
+    cfg's clustering radius, reads their positions, and _hsum[node] sums
+    cos + i*sin of the headings the node absorbed. Single writer:
+    process_pair, mark_stale and resparsify must be serialized per
+    state. Read-only snapshots between calls are safe.
     """
 
     def __init__(self, cfg: OnlineConfig):
+        self.cfg = cfg
         self.graph = RoadGraph()
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
         self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
@@ -126,7 +128,7 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
     r = math.radians(p.heading_deg)
     state._hsum[item] += complex(math.cos(r), math.sin(r))
     h = state._hsum[item]
-    if abs(h.imag) > 1e-12 or abs(h.real) > 1e-12:
+    if abs(h.imag) > NULL_RESULTANT or abs(h.real) > NULL_RESULTANT:
         n.heading_deg = normalize_heading(math.degrees(math.atan2(h.imag, h.real)))
     n.support = k
     if p.speed_kmh is not None:
@@ -136,9 +138,10 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
     state._index.move(item)
 
 
-def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int:
+def _assign_or_create(state: StreamState, p: GpsPoint) -> int:
     """Node id the point lands on: the nearest node when it is within
     the clustering radius and heading tolerance, else a fresh node."""
+    cfg = state.cfg
     item = state._index.nearest(p.lat, p.lon, cfg.clustering_radius_cr)
     if item >= 0 and angle_diff_deg(state.graph.nodes[item].heading_deg,
                                     p.heading_deg) <= cfg.heading_tolerance_ha:
@@ -156,7 +159,7 @@ def _assign_or_create(state: StreamState, p: GpsPoint, cfg: OnlineConfig) -> int
 
 
 def _maybe_link(state: StreamState, u: int, v: int,
-                bearing: float | None, cfg: OnlineConfig) -> None:
+                bearing: float | None) -> None:
     """Record the transition u -> v: bump the edge when it exists,
     otherwise create it if the heading gates and spanner test allow."""
     nu, nv = state.graph.nodes[u], state.graph.nodes[v]
@@ -166,30 +169,22 @@ def _maybe_link(state: StreamState, u: int, v: int,
         e.last_seen = max(e.last_seen, nv.last_seen)
         e.active = True
         return
-    ha = cfg.heading_tolerance_ha
+    ha = state.cfg.heading_tolerance_ha
     if angle_diff_deg(nu.heading_deg, nv.heading_deg) > ha:
         return
     if bearing is not None and angle_diff_deg(nu.heading_deg, bearing) > ha:
         return
     w = max(vincenty_m(nu.lat, nu.lon, nv.lat, nv.lon), MIN_EDGE_WEIGHT_M)
-    bound = cfg.alpha * w
+    bound = state.cfg.alpha * w
     if state.graph.shortest_dist(u, v, cutoff=bound) <= bound:
         return
     state.graph.add_edge(u, v, w, traj_count=1, last_seen=nv.last_seen)
 
 
-def _check_radius(state: StreamState, cfg: OnlineConfig) -> None:
-    """Refuse a config whose clustering radius is not the one the
-    state's index was sized for: GridIndex.nearest is only correct for a
-    radius up to its cell."""
-    if cfg.clustering_radius_cr != state._index.cell_m:
-        raise ValueError(f"clustering_radius_cr {cfg.clustering_radius_cr} m on "
-                         f"a state built for {state._index.cell_m} m")
-
-
-def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
-                 cfg: OnlineConfig) -> StreamState:
-    """Consume one consecutive pair of fixes from a single vehicle.
+def process_pair(state: StreamState, x_i: GpsPoint,
+                 x_next: GpsPoint) -> StreamState:
+    """Consume one consecutive pair of fixes from a single vehicle,
+    under the state's config.
 
     The pair is densified to the sampling rate; each densified point is
     assigned to a node or becomes one, and each node-to-node transition
@@ -198,29 +193,29 @@ def process_pair(state: StreamState, x_i: GpsPoint, x_next: GpsPoint,
     the vehicle already has an anchor node, because that fix was the
     previous pair's tail and is already folded in.
     """
-    _check_radius(state, cfg)
     vid = x_i.vehicle_id
-    pts, bearing = _densify_pair(x_i, x_next, cfg.sampling_rate_sr)
+    pts, bearing = _densify_pair(x_i, x_next, state.cfg.sampling_rate_sr)
     start = 1 if vid in state.prev_node else 0
     for p in pts[start:]:
         if p.heading_deg is None:
             continue    # coincident headingless fixes: nothing to orient by
-        v_star = _assign_or_create(state, p, cfg)
+        v_star = _assign_or_create(state, p)
         u = state.prev_node.get(vid)
         if u is not None and u != v_star:
-            _maybe_link(state, u, v_star, bearing, cfg)
+            _maybe_link(state, u, v_star, bearing)
         state.prev_node[vid] = v_star
     state.pairs_processed += 1
     return state
 
 
-def mark_stale(state: StreamState, now: float, cfg: OnlineConfig) -> StreamState:
-    """Deactivate nodes and edges not visited within the staleness
-    horizon. They stay in the graph, and save_map and save_geojson write
-    them flagged; routing (RoadGraph._search), the spanner and GEO/TOPO
-    sampling skip inactive edges. A later traversal reactivates them.
+def mark_stale(state: StreamState, now: float) -> StreamState:
+    """Deactivate nodes and edges not visited within the state's
+    staleness horizon of now. They stay in the graph, and save_map and
+    save_geojson write them flagged; routing (RoadGraph._search), the
+    spanner and GEO/TOPO sampling skip inactive edges. A later traversal
+    reactivates them.
     """
-    cutoff = now - cfg.staleness_horizon_s
+    cutoff = now - state.cfg.staleness_horizon_s
     nodes = edges = 0
     for n in state.graph.nodes:
         if n.active and n.last_seen < cutoff:
@@ -235,12 +230,13 @@ def mark_stale(state: StreamState, now: float, cfg: OnlineConfig) -> StreamState
     return state
 
 
-def resparsify(state: StreamState, cfg: OnlineConfig) -> StreamState:
-    """Re-run the greedy spanner over the active edges and delete the
-    active edges it rejects. Inactive edges are kept for reactivation.
-    A graph that is already a valid spanner passes through unchanged.
+def resparsify(state: StreamState) -> StreamState:
+    """Re-run the greedy spanner, at the state's alpha, over the active
+    edges and delete the active edges it rejects. Inactive edges are
+    kept for reactivation. A graph that is already a valid spanner
+    passes through unchanged.
     """
-    spanner = greedy_spanner(state.graph, SpannerConfig(alpha=cfg.alpha))
+    spanner = greedy_spanner(state.graph, SpannerConfig(alpha=state.cfg.alpha))
     drop = [e for e in state.graph.edges.values()
             if e.active and (e.src, e.dst) not in spanner.edges]
     for e in drop:
@@ -270,14 +266,17 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
     IngestConfig. A fix older than its vehicle's previous fix came late:
     a stream cannot re-sort, so it is dropped and the anchor stays.
     Each vehicle's previous fix is kept in the state, so a stream fed
-    in several calls on one state builds the map of one call.
-    Resparsifies every cfg.resparsify_interval pairs; on_pair, when
-    given, is called with the state after every processed pair.
+    in several calls on one state builds the map of one call: a state
+    given is refused, before any fix is recorded, unless its config
+    equals cfg. Resparsifies every cfg.resparsify_interval pairs;
+    on_pair, when given, is called with the state after every processed
+    pair.
     """
     IngestConfig(min_speed_kmh=min_speed_kmh, new_trajectory_gap_s=gap_s)  # checks both
     if state is None:
         state = StreamState(cfg)
-    _check_radius(state, cfg)    # before any fix is recorded
+    elif state.cfg != cfg:
+        raise ValueError(f"{cfg!r} on a state built from {state.cfg!r}")
     last = state.last_fix
     for p in points:
         if p.speed_kmh is not None and p.speed_kmh <= min_speed_kmh:
@@ -299,9 +298,9 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
             implied = 3.6 * vincenty_m(q.lat, q.lon, p.lat, p.lon) / dt
             if implied <= min_speed_kmh:
                 continue
-        process_pair(state, q, p, cfg)
+        process_pair(state, q, p)
         if on_pair is not None:
             on_pair(state)
         if state.pairs_processed % cfg.resparsify_interval == 0:
-            resparsify(state, cfg)
+            resparsify(state)
     return state

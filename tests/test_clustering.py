@@ -26,6 +26,7 @@ from kharita.clustering import (
 )
 from kharita.geo import (
     GpsPoint,
+    angle_diff_deg,
     angle_diff_deg_many,
     combined_distance_m,
     heading_variability_deg,
@@ -850,6 +851,45 @@ class TestSplit:
         for lon, mean in zip(clon, (-179.999995, 179.999995)):
             assert -180.0 <= lon < 180.0
             assert lon == pytest.approx(mean, abs=1e-9)
+
+
+def loop_farthest_heading_pair(h: np.ndarray) -> tuple[int, int]:
+    """_farthest_heading_pair as it was before it became one array pass:
+    each value in turn probes its circle-opposite and the two
+    neighbours in a sorted copy, keeping the largest separation, then
+    the smallest i, then the smallest j."""
+    m = h.size
+    order = np.lexsort((np.arange(m), h))
+    sv = h[order]
+    best = (-1.0, m, m)
+    for a in range(m):
+        target = (h[a] + 180.0) % 360.0
+        pos = int(np.searchsorted(sv, target))
+        for q in (pos - 1, pos % m, (pos + 1) % m):
+            b = int(order[q % m])
+            if b == a:
+                continue
+            d = angle_diff_deg(h[a], h[b])
+            i, j = (a, b) if a < b else (b, a)
+            if (d, -i, -j) > (best[0], -best[1], -best[2]):
+                best = (d, i, j)
+    return best[1], best[2]
+
+
+# headings in [0, 360): spread out, repeated, exactly opposite, and at
+# either side of north
+HEADING = st.one_of(
+    st.floats(0.0, 360.0, exclude_max=True),
+    st.sampled_from([0.0, 90.0, 180.0, 270.0, 359.9999999, 1e-9, 45.0, 225.0]))
+
+
+@settings(max_examples=500)
+@given(headings=st.lists(HEADING, max_size=40))
+def test_farthest_heading_pair_matches_the_loop(headings):
+    h = np.array(headings, dtype=np.float64)
+    got = clustering._farthest_heading_pair(h)
+    assert got == loop_farthest_heading_pair(h)
+    assert all(type(x) is int for x in got)
 
 
 def void_view_distinct(pts: PointArrays):

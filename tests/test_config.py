@@ -100,7 +100,7 @@ def test_inf_fields_still_run(cls, name, city):
         return
     if cls is OnlineConfig:
         state = consume_stream(stream_points(csv), cfg)
-        graph = mark_stale(state, 1e12, cfg).graph
+        graph = mark_stale(state, 1e12).graph
         if name == "staleness_horizon_s":
             assert all(e.active for e in graph.edges.values())
     else:

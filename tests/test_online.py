@@ -1,6 +1,9 @@
 """Streaming construction tests: incremental assignment, online edge
 admission, staleness, re-sparsification, and the stream driver."""
+import inspect
 import math
+import re
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -46,15 +49,39 @@ def line_points(vehicle, spacing, count, t0=0.0, dt=3.0):
     return [pt(vehicle, t0 + i * dt, i * spacing) for i in range(count)]
 
 
-def feed_pairs(state, points, cfg):
+def feed_pairs(state, points):
     for a, b in zip(points, points[1:]):
-        process_pair(state, a, b, cfg)
+        process_pair(state, a, b)
     return state
 
 
 class TestConfig:
     def test_defaults_valid(self):
         OnlineConfig()
+
+    def test_only_the_state_and_the_stream_driver_take_a_config(self):
+        # a build has one config, kept by its state: every other call
+        # reads it there, so no call can pass a second one
+        def takes_config(f):
+            params = inspect.signature(f, eval_str=True).parameters.values()
+            return any(p.name == "cfg" or p.annotation is OnlineConfig
+                       or OnlineConfig in typing.get_args(p.annotation)
+                       for p in params)
+
+        functions = {}
+        for name, obj in vars(online).items():
+            if getattr(obj, "__module__", None) != online.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions[name] = obj
+            elif inspect.isclass(obj):
+                functions.update((f"{name}.{k}", v)
+                                 for k, v in vars(obj).items()
+                                 if inspect.isfunction(v))
+        assert {"process_pair", "resparsify", "mark_stale", "_maybe_link",
+                "StreamState.__init__"} <= functions.keys()
+        assert {name for name, f in functions.items() if takes_config(f)} \
+            == {"consume_stream", "StreamState.__init__"}
 
     def test_bad_values_rejected(self):
         for kw in ({"clustering_radius_cr": 0.0}, {"sampling_rate_sr": -1.0},
@@ -69,16 +96,16 @@ class TestProcessPair:
     def test_first_trajectory_all_points_become_nodes(self):
         # 25 m fixes: each densified point clears the 20 m radius
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 8), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 8))
         assert len(state.graph.nodes) == 8
         assert set(state.graph.edges) == {(i, i + 1) for i in range(7)}
         assert all(n.support == 1 for n in state.graph.nodes)
 
     def test_second_identical_trajectory_adds_nothing(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 8), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 8))
         nodes, edges = len(state.graph.nodes), set(state.graph.edges)
-        feed_pairs(state, line_points("v2", 25.0, 8, t0=100.0), cfg)
+        feed_pairs(state, line_points("v2", 25.0, 8, t0=100.0))
         assert len(state.graph.nodes) == nodes
         assert set(state.graph.edges) == edges
         assert all(n.support == 2 for n in state.graph.nodes)
@@ -87,7 +114,7 @@ class TestProcessPair:
     def test_close_point_with_crossing_heading_makes_new_node(self):
         cfg = OnlineConfig()
         state = StreamState(cfg)
-        process_pair(state, pt("v", 0.0, 0.0), pt("v", 3.0, 10.0, heading=90.0), cfg)
+        process_pair(state, pt("v", 0.0, 0.0), pt("v", 3.0, 10.0, heading=90.0))
         assert len(state.graph.nodes) == 2      # 10 m away but 90 deg off
         assert state.graph.edges == {}          # edge gates fail too
 
@@ -95,7 +122,7 @@ class TestProcessPair:
         cfg = OnlineConfig()
         state = StreamState(cfg)
         a, b = pt("v", 0.0, 0.0, speed=30.0), pt("v", 3.0, 12.0, speed=50.0)
-        process_pair(state, a, b, cfg)
+        process_pair(state, a, b)
         assert len(state.graph.nodes) == 1
         n = state.graph.nodes[0]
         assert n.support == 2
@@ -108,7 +135,7 @@ class TestProcessPair:
         state = StreamState(cfg)
         # 100 m hop densifies to ~20 m steps; alternate steps get
         # absorbed by the previous node, leaving nodes every ~2 sr
-        process_pair(state, pt("v", 0.0, 0.0), pt("v", 10.0, 100.0), cfg)
+        process_pair(state, pt("v", 0.0, 0.0), pt("v", 10.0, 100.0))
         assert 3 <= len(state.graph.nodes) <= 6
         ordered = sorted(state.graph.nodes, key=lambda n: n.lat)
         for u, v in zip(ordered, ordered[1:]):
@@ -117,11 +144,11 @@ class TestProcessPair:
 
     def test_unknown_vehicle_never_links_backward(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 4), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 4))
         edges = set(state.graph.edges)
         # v2 starts 50 km away: first pair must not connect to v1's chain
         far = [pt("v2", 0.0, 50000.0), pt("v2", 3.0, 50025.0)]
-        process_pair(state, far[0], far[1], cfg)
+        process_pair(state, far[0], far[1])
         assert set(state.graph.edges) - edges == {(4, 5)}
         assert state.prev_node["v2"] == 5
 
@@ -129,18 +156,18 @@ class TestProcessPair:
         cfg = OnlineConfig()
         state = StreamState(cfg)
         # both fixes head north but the hop moves east: bearing gate fails
-        process_pair(state, pt("v", 0.0, 0.0, 0.0), pt("v", 3.0, 0.0, 30.0), cfg)
+        process_pair(state, pt("v", 0.0, 0.0, 0.0), pt("v", 3.0, 0.0, 30.0))
         assert len(state.graph.nodes) == 2
         assert state.graph.edges == {}
 
     def test_covered_shortcut_not_added(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 3), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v1", 25.0, 3))
         assert set(state.graph.edges) == {(0, 1), (1, 2)}
         # a vehicle anchored at node 0 lands on node 2: the direct edge
         # is covered by the existing path (50 <= alpha*50), so rejected
         state.prev_node["z"] = 0
-        process_pair(state, pt("z", 50.0, 25.0), pt("z", 53.0, 50.0), cfg)
+        process_pair(state, pt("z", 50.0, 25.0), pt("z", 53.0, 50.0))
         assert len(state.graph.nodes) == 3
         assert set(state.graph.edges) == {(0, 1), (1, 2)}
         assert state.prev_node["z"] == 2
@@ -148,29 +175,18 @@ class TestProcessPair:
     def test_disconnected_jump_adds_edges(self):
         cfg = OnlineConfig()
         state = StreamState(cfg)
-        feed_pairs(state, line_points("a", 25.0, 2), cfg)
-        feed_pairs(state, [pt("b", 0.0, 200.0), pt("b", 3.0, 225.0)], cfg)
+        feed_pairs(state, line_points("a", 25.0, 2))
+        feed_pairs(state, [pt("b", 0.0, 200.0), pt("b", 3.0, 225.0)])
         assert state.graph.shortest_dist(0, 3) == math.inf
         # one long hop from a's chain to b's: densified points stitch it
-        process_pair(state, pt("c", 10.0, 25.0), pt("c", 30.0, 200.0), cfg)
+        process_pair(state, pt("c", 10.0, 25.0), pt("c", 30.0, 200.0))
         assert state.graph.shortest_dist(0, 3) < math.inf
-
-    def test_config_of_another_radius_refused(self):
-        # the state's index is sized for its own 20 m radius, and a
-        # nearest search of 40 m on it would miss nodes
-        state = StreamState(OnlineConfig())
-        a, b = line_points("v", 25.0, 2)
-        with pytest.raises(ValueError, match=r"40\.0 m .* 20\.0 m"):
-            process_pair(state, a, b, OnlineConfig(clustering_radius_cr=40.0))
-        assert not state.graph.nodes and not state.prev_node
-        process_pair(state, a, b, OnlineConfig(clustering_radius_cr=20))
-        assert len(state.graph.nodes) == 2
 
     def test_replay_never_rechecks_first_point(self):
         cfg = OnlineConfig()
         state = StreamState(cfg)
         points = line_points("v", 25.0, 5)
-        feed_pairs(state, points, cfg)
+        feed_pairs(state, points)
         # interior fixes appear in two pairs but count once
         assert all(n.support == 1 for n in state.graph.nodes)
         assert state.pairs_processed == 4
@@ -201,7 +217,7 @@ class TestInsertionInvariant:
         for pts in streams:
             for a, b in zip(pts, pts[1:]):
                 before = set(state.graph.edges)
-                process_pair(state, a, b, cfg)
+                process_pair(state, a, b)
                 pair_no += 1
                 for key in set(state.graph.edges) - before:
                     birth[key] = pair_no
@@ -219,38 +235,38 @@ class TestInsertionInvariant:
 class TestMarkStale:
     def test_fresh_graph_untouched(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4), cfg)
-        mark_stale(state, now=9.0, cfg=cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4))
+        mark_stale(state, now=9.0)
         assert all(n.active for n in state.graph.nodes)
         assert all(e.active for e in state.graph.edges.values())
 
     def test_old_edge_inactive_fresh_endpoints_active(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 3), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 3))
         eight_days = 8 * 86400.0
         state.graph.edges[(0, 1)].last_seen = 0.0      # one cold edge
         state.graph.edges[(1, 2)].last_seen = eight_days
         for n in state.graph.nodes:
             n.last_seen = eight_days
-        mark_stale(state, now=eight_days + 60.0, cfg=cfg)
+        mark_stale(state, now=eight_days + 60.0)
         assert not state.graph.edges[(0, 1)].active
         assert state.graph.edges[(1, 2)].active
         assert all(n.active for n in state.graph.nodes)
 
     def test_stale_elements_excluded_from_routing(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 3), cfg)
-        mark_stale(state, now=1e9, cfg=cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 3))
+        mark_stale(state, now=1e9)
         assert all(not e.active for e in state.graph.edges.values())
         assert state.graph.shortest_dist(0, 2) == math.inf
 
     def test_new_traversal_reactivates(self):
         cfg = OnlineConfig()
         pts = line_points("v", 25.0, 4)
-        state = feed_pairs(StreamState(cfg), pts, cfg)
-        mark_stale(state, now=1e9, cfg=cfg)
+        state = feed_pairs(StreamState(cfg), pts)
+        mark_stale(state, now=1e9)
         replay = line_points("w", 25.0, 4, t0=1e9)
-        feed_pairs(state, replay, cfg)
+        feed_pairs(state, replay)
         assert all(n.active for n in state.graph.nodes)
         assert all(e.active for e in state.graph.edges.values())
         assert state.graph.shortest_dist(0, 3) < math.inf
@@ -259,27 +275,27 @@ class TestMarkStale:
 class TestResparsify:
     def test_valid_spanner_is_fixed_point(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 6), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 6))
         edges = dict(state.graph.edges)
-        resparsify(state, cfg)
+        resparsify(state)
         assert state.graph.edges == edges
 
     def test_redundant_chord_removed(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4))
         state.graph.add_edge(0, 3, 75.0, traj_count=1)   # covered: path is 75
-        resparsify(state, cfg)
+        resparsify(state)
         assert (0, 3) not in state.graph.edges
         assert set(state.graph.edges) == {(0, 1), (1, 2), (2, 3)}
 
     def test_inactive_edges_survive(self):
         cfg = OnlineConfig()
-        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4), cfg)
+        state = feed_pairs(StreamState(cfg), line_points("v", 25.0, 4))
         chord = state.graph.add_edge(0, 3, 75.0)
         chord.active = False
-        resparsify(state, cfg)
+        resparsify(state)
         assert (0, 3) in state.graph.edges
-        resparsify(state, cfg)                            # fixed point again
+        resparsify(state)                      # fixed point again
         assert (0, 3) in state.graph.edges
         assert set(state.graph.edges) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
@@ -337,19 +353,33 @@ class TestConsumeStream:
                  str(resumed))
         assert resumed.read_bytes() == whole.read_bytes()
 
-    def test_refused_radius_leaves_the_state_alone(self, tmp_path):
+    # a state built with defaults, fed under a config that differs in
+    # one field; the int radius 20 equals the state's 20.0 m and runs
+    @pytest.mark.parametrize("name, value, refused", [
+        ("clustering_radius_cr", 40.0, True),
+        ("heading_tolerance_ha", 90.0, True),
+        ("sampling_rate_sr", 5.0, True), ("alpha", 2.0, True),
+        ("clustering_radius_cr", 20, False)],
+        ids=["cr", "ha", "sr", "alpha", "cr-int"])
+    def test_refused_config_leaves_the_state_alone(self, name, value, refused,
+                                                   tmp_path):
         # the refusal comes before the first fix is recorded, so a retry
-        # with the state's own radius builds the map of a fresh state
+        # with the state's own config builds the map of a fresh state
         pts = line_points("v", 30.0, 6, dt=1.0)
         fresh, retried = tmp_path / "fresh.edges", tmp_path / "retried.edges"
         save_map(consume_stream(pts, OnlineConfig()).graph, str(fresh))
         state = StreamState(OnlineConfig())
-        with pytest.raises(ValueError, match=r"40\.0 m .* 20\.0 m"):
-            consume_stream(pts, OnlineConfig(clustering_radius_cr=40.0),
-                           state=state)
-        assert not state.last_fix and not state.prev_node
-        assert not state.graph.nodes and not state.graph.edges
-        graph = consume_stream(pts, OnlineConfig(), state=state).graph
+        other = OnlineConfig(**{name: value})
+        if not refused:
+            graph = consume_stream(pts, other, state=state).graph
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name}={value!r}") + ".* on a state built from "
+                    + re.escape(repr(state.cfg))):
+                consume_stream(pts, other, state=state)
+            assert not state.last_fix and not state.prev_node
+            assert not state.graph.nodes and not state.graph.edges
+            graph = consume_stream(pts, OnlineConfig(), state=state).graph
         assert (len(graph.nodes), len(graph.edges)) == (6, 5)
         save_map(graph, str(retried))
         assert retried.read_bytes() == fresh.read_bytes()

@@ -75,25 +75,29 @@ def _config_file_args(path: str, parser: argparse.ArgumentParser) -> list[str]:
     The tokens are inserted before the explicit command line, so flags
     given on the command line override the file.
     """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     out: list[str] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (s.strip() for s in line.partition("="))
-            if not sep or not key or not value:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            flag = "--" + key.replace("_", "-")
-            action = parser._option_string_actions.get(flag)
-            if action is not None and action.nargs == 0:
-                if value.lower() in TRUE_WORDS:
-                    out.append(flag)
-                elif value.lower() not in FALSE_WORDS:
-                    raise UsageError(
-                        f"{path}:{lineno}: {key} takes a true/false value")
-            else:
-                out.extend([flag, value])
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (s.strip() for s in line.partition("="))
+        if not sep or not key or not value:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if action is not None and action.nargs == 0:
+            if value.lower() in TRUE_WORDS:
+                out.append(flag)
+            elif value.lower() not in FALSE_WORDS:
+                raise UsageError(
+                    f"{path}:{lineno}: {key} takes a true/false value")
+        else:
+            out.extend([flag, value])
     return out
 
 

@@ -8,7 +8,9 @@ heading updates; clusters mixing distinct travel directions are split.
 Seed selection asks one question, whether two points lie within the
 radius, of one batch screen (_near) on the grid of spatial: block by
 block, first against the seeds chosen before the block, then within it.
-The greedy then runs over the pairs it lists.
+The greedy then runs over the pairs it lists. Seed selection and k-means
+measure with the one form of the combined distance,
+geo.combined_distance_m_many, so both read the same bits for a pair.
 
 k-means searches again, each iteration, only the points whose centroid
 can change. Every point keeps a lower bound on its distance to all other
@@ -37,7 +39,6 @@ from .geo import (
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
-    combined_distance_m,
     combined_distance_m_many,
     heading_variability_deg,
     lon_delta_many,
@@ -45,7 +46,7 @@ from .geo import (
     wrap_lon_many,
 )
 from .ingest import PointArrays
-from .spatial import _QueryCells, scalar_margins
+from .spatial import REL_MARGIN, _QueryCells, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -133,8 +134,9 @@ def _near(pts: PointArrays, qi: np.ndarray, ri: np.ndarray, cr: float,
     """The pairs (q, r) of positions in qi and ri whose points lie within
     cr of each other in combined distance, by one batch screen: a pair
     is a hit when its U is under the hit margin of threshold_margins and
-    a miss when its L >= rho * U is over the miss margin; the scalar
-    combined distance, query point first, settles the rest."""
+    a miss when its L >= rho * U is over the miss margin. The combined
+    distance of the rest, query point first, settles them in one call
+    per chunk: a pair is in when it is under cr."""
     hit2, miss2 = scalar_margins(cr)
     qlat, qlon, qh = pts.lat[qi], pts.lon[qi], pts.heading[qi]
     rlat, rlon, rh = pts.lat[ri], pts.lon[ri], pts.heading[ri]
@@ -145,9 +147,8 @@ def _near(pts: PointArrays, qi: np.ndarray, ri: np.ndarray, cr: float,
         # the pairs neither bound decides
         at = np.flatnonzero(~near & (u <= miss2 * np.repeat(inv_rho2, lens)))
         q, r = pq[at], pr[at]
-        near[at] = [combined_distance_m(*pair, theta) < cr for pair in zip(
-            qlat[q].tolist(), qlon[q].tolist(), qh[q].tolist(),
-            rlat[r].tolist(), rlon[r].tolist(), rh[r].tolist())]
+        near[at] = combined_distance_m_many(qlat[q], qlon[q], qh[q], rlat[r],
+                                            rlon[r], rh[r], theta) < cr
         out.append((pq[near], pr[near]))
         # freed before the next chunk is built, which cuts the peak by a
         # quarter
@@ -157,7 +158,8 @@ def _near(pts: PointArrays, qi: np.ndarray, ri: np.ndarray, cr: float,
 
 def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     """Greedy scan in input order; a point becomes a seed only if every
-    existing seed is at least seed_radius_cr away in combined distance.
+    existing seed is at least seed_radius_cr away in combined distance,
+    geo.combined_distance_m_many with the point first.
 
     The points go in blocks of _SEED_BLOCK, and each block takes two
     batch screens (_near). The first drops the points within cr of a
@@ -309,10 +311,6 @@ def _centroid_stats(pts: PointArrays, assign: np.ndarray, k: int, terms):
     return counts, lat, lon, hdg
 
 
-# relative margin of the bound test, as in spatial.threshold_margins.
-# It is taken of the cell size at least: the bound sums distances and
-# drifts whose rounding is absolute, about a nanometer each
-_BOUND_MARGIN = 1e-6
 # points whose centroid moved that kmeans_arrays measures again at a
 # time. A block makes about 36 float64 temporaries per point, 2 MB at
 # 2^13: under the peak of a search chunk. Measured at once, the moved
@@ -376,7 +374,9 @@ def kmeans_arrays(pts: PointArrays, seed_lat, seed_lon, seed_hdg,
                 dist[i] = combined_distance_m_many(
                     pts.lat[i], pts.lon[i], pts.heading[i],
                     clat[own], clon[own], chdg[own], cfg.theta)
-            slack = _BOUND_MARGIN * np.maximum(lower, cells.cell_m)
+            # taken of the cell size at least: the bound sums distances
+            # and drifts whose rounding is absolute, about a nanometer each
+            slack = REL_MARGIN * np.maximum(lower, cells.cell_m)
             redo = np.nonzero(dist >= lower - slack)[0]
             if redo.size:
                 redo = assigner.spare(clat, clon, chdg, alive, assign, dist,

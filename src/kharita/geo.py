@@ -276,22 +276,14 @@ def _vincenty_kernel(lat1, lon1, lat2, lon2) -> np.ndarray:
     return out
 
 
-def combined_distance_m(lat1: float, lon1: float, h1: float,
-                        lat2: float, lon2: float, h2: float,
-                        theta_m: float) -> float:
-    """Joint location+heading distance in meters.
-
-    Euclidean combination of the geodesic separation and the heading
-    separation scaled so that 180 degrees apart costs theta_m meters.
-    """
-    dg = vincenty_m(lat1, lon1, lat2, lon2)
-    da = theta_m * angle_diff_deg(h1, h2) / 180.0
-    return math.hypot(dg, da)
-
-
 def combined_distance_m_many(lat1, lon1, h1, lat2, lon2, h2,
                              theta_m: float) -> np.ndarray:
-    """Vectorized combined_distance_m (broadcast to a common shape)."""
+    """Joint location+heading distance in meters over numpy arrays
+    (broadcast to a common shape): the Euclidean combination of the
+    geodesic separation and the heading separation scaled so that 180
+    degrees apart costs theta_m meters. It is the one form of the
+    metric: seed selection and k-means both measure with it.
+    """
     return np.hypot(vincenty_m_many(lat1, lon1, lat2, lon2),
                     theta_m * angle_diff_deg_many(h1, h2) / 180.0)
 

@@ -142,7 +142,7 @@ def _assign_or_create(state: StreamState, p: GpsPoint) -> int:
     """Node id the point lands on: the nearest node when it is within
     the clustering radius and heading tolerance, else a fresh node."""
     cfg = state.cfg
-    item = state._index.nearest(p.lat, p.lon, cfg.clustering_radius_cr)
+    item = state._index.nearest(p.lat, p.lon)
     if item >= 0 and angle_diff_deg(state.graph.nodes[item].heading_deg,
                                     p.heading_deg) <= cfg.heading_tolerance_ha:
         _update_node(state, item, p)

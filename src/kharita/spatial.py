@@ -8,7 +8,8 @@ row and its two neighbours (_column_count). A 3x3 neighborhood then
 holds every point within cell_m at any latitude. Columns wrap at the
 antimeridian, and a row of fewer than three columns is scanned whole.
 GridIndex, the incremental index of the online mode, gives each row its
-own count and reads each item's position from the record it indexes.
+own count, reads each item's position from the record it indexes and
+answers within its cell size, the online clustering radius.
 The batch searches (nearest_within, threshold_pairs, seed selection and
 k-means assignment, all through _QueryCells) give every row the count
 of the most poleward row their queries reach, so the columns of
@@ -33,8 +34,8 @@ left its bounds against the margins of threshold_margins settle
 whether it is within the radius; Vincenty runs only when several are
 left or the one left straddles the radius. Seed selection lists every
 pair within its radius: a pair whose U is under the hit margin is in,
-one whose L is over the miss margin is out, and the exact distance
-settles the rest. threshold_pairs asks only which of several thresholds
+one whose L is over the miss margin is out, and the exact distance, in
+the array form k-means measures with, settles the rest. threshold_pairs asks only which of several thresholds
 each pair meets, so a pair gets an exact distance only when a threshold
 lies between its L and U. It keeps every pair it finds, so it returns
 them in the smallest unsigned types that hold them: an index in that of
@@ -83,6 +84,11 @@ M_PER_DEG_MAX = EARTH_A * EARTH_A / EARTH_B * math.pi / 180.0
 # 160 MB, at no gain in speed (see Chunks in the docstring)
 _PAIR_BUDGET = 1 << 15
 _INT_MAX = np.iinfo(np.int64).max
+# the relative margin of every screen and bound test: Vincenty and the
+# planar bounds round by about a nanometer, a relative 1e-6 of a
+# millimetre. threshold_margins adds 1e-6 m to it; k-means takes it of
+# its bounds
+REL_MARGIN = 1e-6
 
 
 def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, float]:
@@ -359,12 +365,12 @@ def threshold_margins(threshold):
     """Squared (hit, miss) margins of a distance threshold, or of an
     array of them: a pair whose upper bound U has U^2 under hit is within
     the threshold, and one whose lower bound L has L^2 over miss is
-    beyond it. Each widens the threshold by 1e-6 relative and 1e-6 m:
-    Vincenty and the bounds round by about a nanometer, over 1e-6 of a
-    pair under a millimetre."""
+    beyond it. Each widens the threshold by REL_MARGIN relative and
+    1e-6 m: Vincenty and the bounds round by about a nanometer, over
+    1e-6 of a pair under a millimetre."""
     t = np.asarray(threshold, dtype=np.float64)
-    return (np.maximum(t / (1.0 + 1e-6) - 1e-6, 0.0) ** 2,
-            (t / (1.0 - 1e-6) + 1e-6) ** 2)
+    return (np.maximum(t / (1.0 + REL_MARGIN) - 1e-6, 0.0) ** 2,
+            (t / (1.0 - REL_MARGIN) + 1e-6) ** 2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -412,12 +418,12 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
 
 
 class GridIndex:
-    """The online index: incremental, for within-radius nearest
-    queries, on the grid rule of the module docstring with each row's
-    own column count. It holds no position: item i is records[i], at
-    that record's lat and lon, and items are inserted in order. A cell's
-    key is row * stride + col, with stride the column count of row 0,
-    which no row exceeds.
+    """The online index: incremental, for nearest queries within its
+    cell size cell_m, on the grid rule of the module docstring with each
+    row's own column count. It holds no position: item i is records[i],
+    at that record's lat and lon, and items are inserted in order. A
+    cell's key is row * stride + col, with stride the column count of
+    row 0, which no row exceeds.
     """
 
     def __init__(self, cell_m: float, records: list):
@@ -429,6 +435,10 @@ class GridIndex:
         self._cells: dict[int, list[int]] = {}
         self._records = records
         self._keys: list[int] = []    # by item
+        # the screen of nearest: L^2 is kept within this, and the hit and
+        # miss margins of cell_m settle a lone survivor
+        self._gate = (1.001 * self.cell_m) ** 2
+        self._hit2, self._miss2 = scalar_margins(self.cell_m)
 
     def _row(self, row: int) -> tuple[int, float, int]:
         got = self._rows.get(row)
@@ -488,12 +498,12 @@ class GridIndex:
                 out += got
         return out
 
-    def nearest(self, lat: float, lon: float, radius_m: float) -> int:
-        """The nearest item within radius_m, or -1; ties go to the lowest
-        item. Requires radius_m <= cell_m.
+    def nearest(self, lat: float, lon: float) -> int:
+        """The nearest item within cell_m, or -1; ties go to the lowest
+        item.
 
         One pass over the candidates keeps a candidate while its L is
-        within 1.001 * radius_m, a slack that keeps rounding from
+        within 1.001 * cell_m, a slack that keeps rounding from
         dropping a point at the radius, and the least U seen so far: one
         whose L exceeds another's U cannot win. When one candidate is
         left, the margins of threshold_margins settle it: U
@@ -501,8 +511,8 @@ class GridIndex:
         Vincenty runs only when several candidates are left, or the one
         left straddles the radius.
         """
-        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, radius_m)
-        bound = (1.001 * radius_m) ** 2
+        lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, self.cell_m)
+        bound = self._gate
         records = self._records
         near = []
         for item in self.candidates(lat, lon):
@@ -524,14 +534,13 @@ class GridIndex:
         near = [c for c in near if c[0] <= bound]
         if len(near) == 1:
             lo, hi, item = near[0]
-            hit2, miss2 = scalar_margins(radius_m)
-            if hi < hit2:
+            if hi < self._hit2:
                 return item
-            if lo > miss2:
+            if lo > self._miss2:
                 return -1
         best_d, best_i = math.inf, -1
         for lo, hi, item in near:
             d = vincenty_m(lat, lon, records[item].lat, records[item].lon)
             if d < best_d or (d == best_d and item < best_i):
                 best_d, best_i = d, item
-        return best_i if best_d <= radius_m else -1
+        return best_i if best_d <= self.cell_m else -1

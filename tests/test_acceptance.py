@@ -26,7 +26,7 @@ from kharita.geo import (
     M_PER_DEG_LAT,
     GpsPoint,
     circular_mean_deg,
-    combined_distance_m,
+    combined_distance_m_many,
     vincenty_m,
 )
 from kharita.graphs import (
@@ -107,22 +107,19 @@ def test_01_combined_distance_metric_axioms():
     lats = LAT0 + pos[:, :, 0] / M_PER_DEG_LAT
     lons = LON0 + pos[:, :, 1] / (M_PER_DEG_LAT * COS0)
 
+    theta = np.array(thetas)[np.arange(n) % 3]
+
     t0 = time.perf_counter()
-    worst_slack = math.inf
-    for i in range(n):
-        theta = thetas[i % 3]
-        (xa, ya, ha), (xb, yb, hb), (xc, yc, hc) = (
-            (lats[i, j], lons[i, j], hdg[i, j]) for j in range(3))
-        dab = combined_distance_m(xa, ya, ha, xb, yb, hb, theta)
-        dba = combined_distance_m(xb, yb, hb, xa, ya, ha, theta)
-        dbc = combined_distance_m(xb, yb, hb, xc, yc, hc, theta)
-        dac = combined_distance_m(xa, ya, ha, xc, yc, hc, theta)
-        assert dab >= 0.0
-        assert combined_distance_m(xa, ya, ha, xa, ya, ha, theta) == 0.0
-        assert abs(dab - dba) <= 1e-9 * max(1.0, dab)
-        slack = dab + dbc - dac
-        worst_slack = min(worst_slack, slack)
-        assert slack >= -1e-6
+    a, b, c = ((lats[:, j], lons[:, j], hdg[:, j]) for j in range(3))
+    dab = combined_distance_m_many(*a, *b, theta)
+    dba = combined_distance_m_many(*b, *a, theta)
+    dbc = combined_distance_m_many(*b, *c, theta)
+    dac = combined_distance_m_many(*a, *c, theta)
+    assert np.all(dab >= 0.0)
+    assert np.all(combined_distance_m_many(*a, *a, theta) == 0.0)
+    assert np.all(np.abs(dab - dba) <= 1e-9 * np.maximum(1.0, dab))
+    worst_slack = float(np.min(dab + dbc - dac))
+    assert worst_slack >= -1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report("AC-01", f"{n} triples, theta in {thetas}, worst triangle "

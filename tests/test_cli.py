@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from kharita import cli
 from kharita.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -292,6 +293,27 @@ class TestConfigFile:
                    "--out", str(tmp_path / "x"),
                    "--config", str(tmp_path / "ghost.conf")])
         assert rc == EXIT_USAGE
+
+    def test_unreadable_config_file_is_usage_error(self, dataset, tmp_path,
+                                                   monkeypatch, caplog):
+        # a file that is not UTF-8, and one whose read fails: exit 2, the
+        # file named, nothing written
+        conf = tmp_path / "bad.cfg"
+        conf.write_bytes(b"cr=\xff\n")
+        argv = ["offline", "--input", dataset["csv"],
+                "--out", str(tmp_path / "x"), "--config", str(conf)]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_USAGE
+        assert str(conf) in caplog.text
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        caplog.clear()
+        assert main(argv) == EXIT_USAGE
+        assert str(conf) in caplog.text
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["offline", "online"])
     @pytest.mark.parametrize("key", ["min_speed", "min-speed"])

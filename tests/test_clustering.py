@@ -27,21 +27,19 @@ from kharita.clustering import (
 from kharita.geo import (
     GpsPoint,
     angle_diff_deg,
-    angle_diff_deg_many,
-    combined_distance_m,
+    combined_distance_m_many,
     heading_variability_deg,
     vincenty_m,
-    vincenty_m_many,
     wrap_lon,
 )
 from kharita.spatial import _QueryCells
 
 
 def combined(lat1, lon1, h1, lat2, lon2, h2, theta):
-    dg = vincenty_m(lat1, lon1, lat2, lon2)
-    da = abs(h1 - h2) % 360.0
-    da = min(da, 360.0 - da)
-    return math.hypot(dg, theta * da / 180.0)
+    """The combined distance of one pair, first point first, in the one
+    form that seed selection and k-means measure with."""
+    return float(combined_distance_m_many(lat1, lon1, h1, lat2, lon2, h2,
+                                          theta))
 
 
 def random_points(rng, n, span=0.01):
@@ -75,10 +73,9 @@ def seam_points(rng, n, lat0, lon0, spread_m=200.0):
 
 def combined_matrix(pts, clat, clon, chdg, theta):
     """Combined distance of every point (rows) to every centroid."""
-    dg = vincenty_m_many(pts.lat[:, None], pts.lon[:, None],
-                         clat[None, :], clon[None, :])
-    return np.hypot(dg, theta * angle_diff_deg_many(
-        pts.heading[:, None], chdg[None, :]) / 180.0)
+    return combined_distance_m_many(
+        pts.lat[:, None], pts.lon[:, None], pts.heading[:, None],
+        clat[None, :], clon[None, :], chdg[None, :], theta)
 
 
 def seeded_kmeans(pts: PointArrays, cfg: ClusterConfig):
@@ -118,12 +115,14 @@ def at_distance(lat, lon, bearing_deg, d):
 
 
 def greedy_seeds(pts, cfg):
-    """select_seed_indices by brute force over every earlier seed."""
+    """select_seed_indices by brute force over every earlier seed, each
+    measured from the point."""
     seeds = []
     for i in range(pts.n):
-        if all(combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                        pts.lat[j], pts.lon[j], pts.heading[j],
-                        cfg.theta) >= cfg.seed_radius_cr for j in seeds):
+        if np.all(combined_distance_m_many(
+                pts.lat[i], pts.lon[i], pts.heading[i], pts.lat[seeds],
+                pts.lon[seeds], pts.heading[seeds],
+                cfg.theta) >= cfg.seed_radius_cr):
             seeds.append(i)
     return seeds
 
@@ -172,15 +171,7 @@ class TestSeedSelection:
         rng = np.random.default_rng(17)
         pts = random_points(rng, 500)
         cfg = ClusterConfig(seed_radius_cr=20.0)
-        got = list(select_seed_indices(pts, cfg))
-        expect = []
-        for i in range(pts.n):
-            if all(combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                            pts.lat[j], pts.lon[j], pts.heading[j],
-                            cfg.theta) >= cfg.seed_radius_cr
-                   for j in expect):
-                expect.append(i)
-        assert got == expect
+        assert list(select_seed_indices(pts, cfg)) == greedy_seeds(pts, cfg)
         for lat0, lon0 in POLAR_SEAM:
             pts = seam_points(rng, 300, lat0, lon0)
             assert list(select_seed_indices(pts, cfg)) == greedy_seeds(pts, cfg)
@@ -200,14 +191,12 @@ class TestSeedSelection:
         pts = random_points(rng, 400)
         cfg = ClusterConfig(seed_radius_cr=25.0)
         seeds = select_seed_indices(pts, cfg)
-        ds = [combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                       pts.lat[j], pts.lon[j], pts.heading[j], cfg.theta)
-              for i in seeds for j in seeds if i < j]
-        assert min(ds) >= cfg.seed_radius_cr
-        for i in range(pts.n):
-            assert min(combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                                pts.lat[j], pts.lon[j], pts.heading[j], cfg.theta)
-                       for j in seeds) < cfg.seed_radius_cr
+        # every point to every seed, the point first
+        ds = combined_matrix(pts, pts.lat[seeds], pts.lon[seeds],
+                             pts.heading[seeds], cfg.theta)
+        later = seeds[:, None] > seeds[None, :]
+        assert ds[seeds][later].min() >= cfg.seed_radius_cr
+        assert np.all(ds.min(axis=1) < cfg.seed_radius_cr)
 
     def test_same_spot_opposite_headings_both_seed(self):
         # heading weight makes opposite directions 40 m apart at theta=40
@@ -222,12 +211,39 @@ class TestSeedSelection:
         seeds = select_seed_indices(PointArrays.from_points(pts), ClusterConfig())
         assert list(seeds) == [0]
 
+    def test_measures_as_k_means_does(self):
+        # a pair whose combined distance by scalar Vincenty and
+        # math.hypot rounds under the array form's. With cr at the array
+        # value the pair is not within cr, as the test is strict: both
+        # points seed, and k-means reads that same value for the pair
+        rng = np.random.default_rng(3)
+        theta = 40.0
+        for _ in range(1000):
+            lat = 25.0 + rng.uniform(0.0, 1e-4, 2)
+            lon = 51.0 + rng.uniform(0.0, 1e-4, 2)
+            hdg = rng.uniform(0.0, 360.0, 2)
+            # the later point first, as seed selection measures
+            array = combined(lat[1], lon[1], hdg[1], lat[0], lon[0], hdg[0],
+                             theta)
+            scalar = math.hypot(vincenty_m(lat[1], lon[1], lat[0], lon[0]),
+                                theta * angle_diff_deg(hdg[1], hdg[0]) / 180.0)
+            if scalar < array:
+                break
+        else:
+            pytest.fail("no pair whose two forms round apart")
+        cfg = ClusterConfig(seed_radius_cr=array, heading_weight_theta=theta)
+        pts = PointArrays(lat, lon, hdg, np.full(2, 30.0), np.zeros(2))
+        assert list(select_seed_indices(pts, cfg)) == [0, 1]
+        _, dist, _ = _Assigner(pts, cfg)(lat[:1], lon[:1], hdg[:1],
+                                         np.ones(1, dtype=bool))
+        assert dist[1] == array
+
 
     def test_sub_millimetre_radius_at_the_pole(self):
         # two fixes 5.6e-5 m apart next to the pole, exactly at least cr
         # apart: the planar U there rounds 2.24e-5 relative below
         # Vincenty, so only the 1e-6 m floor of the margins keeps the
-        # second fix a seed, in the scalar screen and in the batch one
+        # second fix a seed, in blocks of one point and of all of them
         cfg = ClusterConfig(seed_radius_cr=5.584753802239989e-05)
         pts = PointArrays(np.array([89.999999999, 89.9999999985]),
                           np.zeros(2), np.zeros(2), np.full(2, 30.0),
@@ -293,16 +309,10 @@ class TestNear:
                                            rng.integers(0, pts.n, 60)]))
             every = np.arange(pts.n)
             for qi, ri in ((every[::2], every[1::2]), (every, every)):
-                # the array form, whose bits differ, only picks the pairs
-                # that the exact scalar distance, query first, decides
-                near = np.argwhere(combined_matrix(
+                # every pair measured, query first
+                want = set(map(tuple, np.argwhere(combined_matrix(
                     pts.take(qi), pts.lat[ri], pts.lon[ri], pts.heading[ri],
-                    cfg.theta) < 2.0 * cr)
-                want = {(q, r) for q, r in near.tolist()
-                        if combined_distance_m(
-                            pts.lat[qi[q]], pts.lon[qi[q]], pts.heading[qi[q]],
-                            pts.lat[ri[r]], pts.lon[ri[r]], pts.heading[ri[r]],
-                            cfg.theta) < cr}
+                    cfg.theta) < cr).tolist()))
                 q, r = clustering._near(pts, qi, ri, cr, cfg.theta)
                 got = list(zip(q.tolist(), r.tolist()))
                 assert len(got) == len(set(got))
@@ -715,10 +725,9 @@ class TestKmeans:
         cfg = ClusterConfig(seed_radius_cr=30.0)
         cents, assign, _ = seeded_kmeans(pts, cfg)
         assert assign.size == pts.n
-        for i in range(pts.n):
-            ds = [combined(pts.lat[i], pts.lon[i], pts.heading[i],
-                           la, lo, h, cfg.theta) for la, lo, h in zip(*as_arrays(cents))]
-            assert ds[assign[i]] == pytest.approx(min(ds), abs=1e-9)
+        ds = combined_matrix(pts, *as_arrays(cents), cfg.theta)
+        np.testing.assert_allclose(ds[np.arange(pts.n), assign],
+                                   ds.min(axis=1), rtol=0.0, atol=1e-9)
 
     def test_centroid_stats(self):
         # two points in one cluster: mean position, max speed, last seen

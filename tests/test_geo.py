@@ -18,7 +18,6 @@ from kharita.geo import (
     angle_diff_deg,
     angle_diff_deg_many,
     circular_mean_deg,
-    combined_distance_m,
     combined_distance_m_many,
     heading_variability_deg,
     initial_bearing_deg,
@@ -291,15 +290,15 @@ class TestLongitude:
 class TestCombinedDistance:
     def test_worked_values(self):
         # same location, opposite headings, theta 40 -> exactly theta
-        d = combined_distance_m(25.0, 51.0, 0.0, 25.0, 51.0, 180.0, 40.0)
+        d = combined_distance_m_many(25.0, 51.0, 0.0, 25.0, 51.0, 180.0, 40.0)
         assert d == pytest.approx(40.0, abs=1e-9)
         # 30 m apart, 90 deg apart, theta 40 -> sqrt(30^2 + 20^2)
         lat2 = 25.0 + 30.0 / 111319.49 * (30.0 / vincenty_m(25.0, 51.0, 25.0 + 30.0 / 111319.49, 51.0))
-        d = combined_distance_m(25.0, 51.0, 0.0, lat2, 51.0, 90.0, 40.0)
+        d = combined_distance_m_many(25.0, 51.0, 0.0, lat2, 51.0, 90.0, 40.0)
         assert d == pytest.approx(math.sqrt(30.0 ** 2 + 20.0 ** 2), rel=1e-4)
 
     def test_theta_zero_reduces_to_geodesic(self):
-        d = combined_distance_m(25.0, 51.0, 10.0, 25.001, 51.0, 200.0, 0.0)
+        d = combined_distance_m_many(25.0, 51.0, 10.0, 25.001, 51.0, 200.0, 0.0)
         assert d == pytest.approx(vincenty_m(25.0, 51.0, 25.001, 51.0), abs=1e-9)
 
     def test_metric_axioms_random(self):
@@ -310,10 +309,10 @@ class TestCombinedDistance:
             lons = rng.uniform(51.0, 51.09, 3)
             hs = rng.uniform(0, 360, 3)
             theta = rng.choice([10.0, 40.0, 100.0])
-            p = list(zip(lats, lons, hs))
 
             def d(i, j):
-                return combined_distance_m(*p[i], *p[j], theta)
+                return float(combined_distance_m_many(
+                    lats[i], lons[i], hs[i], lats[j], lons[j], hs[j], theta))
 
             assert d(0, 0) == 0.0
             assert d(0, 1) == pytest.approx(d(1, 0), abs=1e-9)
@@ -341,10 +340,6 @@ class TestCombinedDistance:
         np.testing.assert_allclose(d, d.T, rtol=1e-9, atol=1e-12)
         # d[a, c] <= d[a, b] + d[b, c] for every a, b, c
         assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-6)
-        scalar = [[combined_distance_m(lat[a], lon[a], h[a],
-                                       lat[b], lon[b], h[b], theta)
-                   for b in range(3)] for a in range(3)]
-        np.testing.assert_allclose(d, scalar, rtol=1e-9, atol=1e-12)
 
 
 class TestCircularMean:

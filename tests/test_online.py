@@ -484,14 +484,15 @@ def _exact_densify_pair(x_i, x_next, sr):
     return [first, *between(x_i, x_next, k - 1, bearing), last], bearing
 
 
-def _exact_nearest(index, lat, lon, radius_m):
+def _exact_nearest(index, lat, lon):
     """GridIndex.nearest by Vincenty on every item: the nearest within
-    radius_m, ties to the lowest item, or -1. Two coarse cuts spare the
-    scalar Vincenty only the items that are surely beyond the radius: a
-    degree of latitude is at least M_PER_DEG_LAT_MIN long, and the batch
-    Vincenty agrees with the scalar one to a nanometre."""
+    the index's cell size, ties to the lowest item, or -1. Two coarse
+    cuts spare the scalar Vincenty only the items that are surely beyond
+    the radius: a degree of latitude is at least M_PER_DEG_LAT_MIN long,
+    and the batch Vincenty agrees with the scalar one to a nanometre."""
     if not index._records:
         return -1
+    radius_m = index.cell_m
     items = np.arange(len(index._records))
     plat, plon = np.array([(r.lat, r.lon) for r in index._records]).T
     near = np.abs(plat - lat) * M_PER_DEG_LAT_MIN <= 2.0 * radius_m

@@ -431,7 +431,11 @@ class TestGridIndex:
                 radius = d * scale[radius_at]
             elif radius_at == "mm":
                 radius = 1e-3
-            assert index.nearest(lat, lon, radius) == \
+            # an index answers within its cell size: another radius
+            # takes an index of its own over the same positions
+            at = index if radius == self.CELL_M else _grid(
+                radius, [positions[i] for i in range(len(positions))])
+            assert at.nearest(lat, lon) == \
                 _brute_nearest(positions, lat, lon, radius)
 
     def test_found_far_from_the_first_inserted_latitude(self):
@@ -444,19 +448,19 @@ class TestGridIndex:
             lon = 10.0 + i * 1.7e-5
             _move(index._records[1], 60.0, lon + east)
             index.move(1)
-            missed += index.nearest(60.0, lon, self.CELL_M) != 1
+            missed += index.nearest(60.0, lon) != 1
         assert missed == 0
 
     def test_columns_wrap_at_the_antimeridian(self):
         index = _grid(self.CELL_M, [(10.0, 179.99995), (10.0, 0.0)])
         assert vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
-        assert index.nearest(10.0, -179.99995, self.CELL_M) == 0
+        assert index.nearest(10.0, -179.99995) == 0
 
     def test_rows_near_the_pole(self):
         # whole-circle rows hold only a few columns; none is scanned twice
         index = _grid(self.CELL_M, [(89.99995, 0.0), (89.99995, 120.0)])
         assert sorted(index.candidates(89.99995, -120.0)) == [0, 1]
-        assert index.nearest(89.99995, -120.0, self.CELL_M) == \
+        assert index.nearest(89.99995, -120.0) == \
             _brute_nearest({0: (89.99995, 0.0), 1: (89.99995, 120.0)},
                            89.99995, -120.0, self.CELL_M)
 
@@ -468,7 +472,7 @@ class TestGridIndex:
         _move(index._records[0], 25.0, 51.0)
         index.move(0)
         assert index.candidates(25.0, 51.0) == [1, 2, 0]
-        assert index.nearest(25.0, 51.00001, self.CELL_M) == 0
+        assert index.nearest(25.0, 51.00001) == 0
 
     def test_vincenty_only_where_the_bounds_leave_it_open(self, monkeypatch):
         calls = []
@@ -484,24 +488,24 @@ class TestGridIndex:
         pos = {i: (r.lat, r.lon) for i, r in enumerate(index._records)}
         lat, lon = 25.0, 51.0
         # one candidate is left, well inside: no exact distance
-        assert index.nearest(lat, lon, self.CELL_M) == 0
+        assert index.nearest(lat, lon) == 0
         assert calls == []
         # the one left is outside by its lower bound: item 0 lies due
         # north, so L is its latitude step at M_PER_DEG_LAT_MIN
         low = (pos[0][0] - lat) * spatial.M_PER_DEG_LAT_MIN
         radius = low / 1.0005
         assert low <= 1.001 * radius    # within the screen's slack
-        assert index.nearest(lat, lon, radius) == -1
+        assert _grid(radius, list(pos.values())).nearest(lat, lon) == -1
         assert calls == []
         # the one left sits at the radius
         d = vincenty_m(lat, lon, *pos[0])
-        assert index.nearest(lat, lon, d) == 0
+        assert _grid(d, list(pos.values())).nearest(lat, lon) == 0
         assert len(calls) == 1
         # two candidates whose bounds overlap
         calls.clear()
         pos[5] = _place(25.0, 51.0, 0.0, 5.0)
         index._records.append(_record(*pos[5]))
         index.insert(5)
-        assert index.nearest(lat, lon, self.CELL_M) == \
+        assert index.nearest(lat, lon) == \
             _brute_nearest(pos, lat, lon, self.CELL_M)
         assert len(calls) == 2

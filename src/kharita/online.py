@@ -2,9 +2,12 @@
 
 The offline pipeline's two phases (clustering, then sparsification)
 collapse into a single pass here: each incoming pair is densified, every
-densified point either joins the nearest node (incremental running
-means, hard heading gate) or starts a new one, and edges are admitted
-through the spanner test at insertion time. Staleness marking and
+densified point either joins the nearest node whose heading is within
+the heading tolerance of its own (incremental running means) or starts
+a new one, and edges are admitted through the spanner test at insertion
+time. The heading comes first, as in the streaming variant of
+Stanojevic et al. (arXiv 1702.06025): a node of the opposite lane,
+however near, is never the one a point joins. Staleness marking and
 periodic re-sparsification keep long-running maps current and sparse.
 """
 from __future__ import annotations
@@ -49,10 +52,11 @@ class StreamState:
     cfg is the one config of the build: every call on the state reads
     it, and consume_stream refuses a state built from another before it
     changes anything. graph's nodes are the map: the index, sized from
-    cfg's clustering radius, reads their positions, and _hsum[node] sums
-    cos + i*sin of the headings the node absorbed. Single writer:
-    process_pair, mark_stale and resparsify must be serialized per
-    state. Read-only snapshots between calls are safe.
+    cfg's clustering radius and heading tolerance, reads their positions
+    and headings, and _hsum[node] sums cos + i*sin of the headings the
+    node absorbed. Single writer: process_pair, mark_stale and
+    resparsify must be serialized per state. Read-only snapshots between
+    calls are safe.
     """
 
     def __init__(self, cfg: OnlineConfig):
@@ -61,7 +65,8 @@ class StreamState:
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
         self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
         self.pairs_processed = 0
-        self._index = GridIndex(cfg.clustering_radius_cr, self.graph.nodes)
+        self._index = GridIndex(cfg.clustering_radius_cr, self.graph.nodes,
+                                cfg.heading_tolerance_ha)
         self._hsum: list[complex] = []
 
     def forget_vehicle(self, vehicle_id: str) -> None:
@@ -139,12 +144,12 @@ def _update_node(state: StreamState, item: int, p: GpsPoint) -> None:
 
 
 def _assign_or_create(state: StreamState, p: GpsPoint) -> int:
-    """Node id the point lands on: the nearest node when it is within
-    the clustering radius and heading tolerance, else a fresh node."""
-    cfg = state.cfg
-    item = state._index.nearest(p.lat, p.lon)
-    if item >= 0 and angle_diff_deg(state.graph.nodes[item].heading_deg,
-                                    p.heading_deg) <= cfg.heading_tolerance_ha:
+    """Node id the point lands on: the nearest node within the
+    clustering radius among those whose heading is within the heading
+    tolerance of the point's, else a fresh node. A nearer node of
+    another heading, such as the opposite lane's, is passed over."""
+    item = state._index.nearest(p.lat, p.lon, p.heading_deg)
+    if item >= 0:
         _update_node(state, item, p)
         return item
     node = ClusterCentroid(p.lat, p.lon, normalize_heading(p.heading_deg),

@@ -8,8 +8,9 @@ row and its two neighbours (_column_count). A 3x3 neighborhood then
 holds every point within cell_m at any latitude. Columns wrap at the
 antimeridian, and a row of fewer than three columns is scanned whole.
 GridIndex, the incremental index of the online mode, gives each row its
-own count, reads each item's position from the record it indexes and
-answers within its cell size, the online clustering radius.
+own count, reads each item's position and heading from the record it
+indexes and answers within its cell size, the online clustering radius,
+among the items within its heading tolerance of the query.
 The batch searches (nearest_within, threshold_pairs, seed selection and
 k-means assignment, all through _QueryCells) give every row the count
 of the most poleward row their queries reach, so the columns of
@@ -28,14 +29,15 @@ than two others, so the survivors hold the two smallest exact
 distances, the nearest and the runner-up that k-means needs. Exact
 Vincenty runs on the survivors alone, and ties go to the lowest index.
 _QueryCells.nearest is the batch form of the screen. The scalar
-GridIndex.nearest needs the nearest alone: one pass over the candidates
-keeps those whose L is within the least U seen so far, and when one is
-left its bounds against the margins of threshold_margins settle
-whether it is within the radius; Vincenty runs only when several are
-left or the one left straddles the radius. Seed selection lists every
-pair within its radius: a pair whose U is under the hit margin is in,
-one whose L is over the miss margin is out, and the exact distance, in
-the array form k-means measures with, settles the rest. threshold_pairs asks only which of several thresholds
+GridIndex.nearest needs the nearest heading-compatible item alone: one
+pass over the candidates keeps the compatible ones whose L is within
+the least U seen so far, and when one is left its bounds against the
+margins of threshold_margins settle whether it is within the radius;
+Vincenty runs only when several are left or the one left straddles the
+radius. Seed selection lists every pair within its radius: a pair whose
+U is under the hit margin is in, one whose L is over the miss margin is
+out, and the exact distance, in the array form k-means measures with,
+settles the rest. threshold_pairs asks only which of several thresholds
 each pair meets, so a pair gets an exact distance only when a threshold
 lies between its L and U. It keeps every pair it finds, so it returns
 them in the smallest unsigned types that hold them: an index in that of
@@ -66,6 +68,7 @@ from .geo import (
     EARTH_B,
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
+    angle_diff_deg,
     angle_diff_deg_many,
     combined_distance_m_many,
     lon_delta,
@@ -419,15 +422,18 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds):
 
 class GridIndex:
     """The online index: incremental, for nearest queries within its
-    cell size cell_m, on the grid rule of the module docstring with each
-    row's own column count. It holds no position: item i is records[i],
-    at that record's lat and lon, and items are inserted in order. A
-    cell's key is row * stride + col, with stride the column count of
-    row 0, which no row exceeds.
+    cell size cell_m among the items whose heading is within
+    tolerance_deg of the query's, on the grid rule of the module
+    docstring with each row's own column count. It holds no position
+    and no heading: item i is records[i], at that record's lat and lon
+    and with its heading_deg, and items are inserted in order. A cell's
+    key is row * stride + col, with stride the column count of row 0,
+    which no row exceeds.
     """
 
-    def __init__(self, cell_m: float, records: list):
+    def __init__(self, cell_m: float, records: list, tolerance_deg: float):
         self.cell_m = float(cell_m)
+        self.tolerance_deg = float(tolerance_deg)
         self._row_deg = self.cell_m / M_PER_DEG_LAT_MIN
         self._stride = _column_count(0, self._row_deg, self.cell_m)
         # row -> (columns, degrees each, key of its column 0)
@@ -498,22 +504,27 @@ class GridIndex:
                 out += got
         return out
 
-    def nearest(self, lat: float, lon: float) -> int:
-        """The nearest item within cell_m, or -1; ties go to the lowest
-        item.
+    def nearest(self, lat: float, lon: float, heading_deg: float) -> int:
+        """The nearest item within cell_m whose heading is within
+        tolerance_deg of heading_deg (geo.angle_diff_deg), or -1; ties
+        go to the lowest item. An item of another heading is skipped
+        however near it lies.
 
-        One pass over the candidates keeps a candidate while its L is
-        within 1.001 * cell_m, a slack that keeps rounding from
+        One pass over the candidates keeps a compatible candidate while
+        its L is within 1.001 * cell_m, a slack that keeps rounding from
         dropping a point at the radius, and the least U seen so far: one
-        whose L exceeds another's U cannot win. When one candidate is
-        left, the margins of threshold_margins settle it: U
-        under the hit margin is inside, L over the miss margin outside.
-        Vincenty runs only when several candidates are left, or the one
-        left straddles the radius.
+        whose L exceeds another's U cannot win. The heading is tested
+        only on the candidates whose L is within that bound, and only
+        compatible ones lower it. When one candidate is left, the
+        margins of threshold_margins settle it: U under the hit margin
+        is inside, L over the miss margin outside. Vincenty runs only
+        when several candidates are left, or the one left straddles the
+        radius.
         """
         lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(lat, self.cell_m)
         bound = self._gate
         records = self._records
+        tolerance = self.tolerance_deg
         near = []
         for item in self.candidates(lat, lon):
             r = records[item]
@@ -525,7 +536,8 @@ class GridIndex:
             dlon = lon_delta(lon, r.lon)
             b = dlon * lon_lo
             lo += b * b
-            if lo <= bound:
+            if lo <= bound and angle_diff_deg(r.heading_deg,
+                                              heading_deg) <= tolerance:
                 a, b = dlat * lat_hi, dlon * lon_hi
                 hi = a * a + b * b
                 if hi < bound:

@@ -239,6 +239,22 @@ def test_05_synthetic_grid_regression():
                     f"{topo30:.4f} (floor 0.70), {elapsed:.1f} s")
 
 
+def test_05_online_synthetic_grid_regression(tmp_path):
+    # the AC-05 city streamed through the online mode, as `kharita
+    # online` reads it; no online TOPO floor is set (ROADMAP item 3)
+    truth, trajectories = generate_synthetic(
+        GridSpec(rows=5, cols=5, block_m=100.0), noise_sigma_m=5.0,
+        n_trajectories=200, sampling_spacing_m=(20.0, 170.0), rng_seed=7)
+    path = str(tmp_path / "city.csv")
+    save_trajectories_csv(trajectories, path)
+    inferred = consume_stream(stream_points(path), OnlineConfig()).graph
+    geo30 = geo_score(inferred, truth, EvalConfig()).f_at(30.0)
+    # pinned from the calibration run (geo 0.9801)
+    assert geo30 >= 0.9801 - 0.02
+    report("AC-05", f"online geo f@30m {geo30:.4f} (floor 0.9601), "
+                    f"{len(inferred.nodes)} nodes")
+
+
 def _degree_maps(graph: RoadGraph):
     out_deg, in_deg = {}, {}
     for (u, v) in graph.edges:
@@ -399,8 +415,8 @@ PINNED_SHA256 = {
     "w.truth.edges": "9574c9aed5246822498d8f238db23abb7476b2467982c7836ae27f69793d6575",
     "w.off.edges": "9731d5643f8f069a162de9eace8e1a290d248918a9fd23b3b81428ae5bf6886b",
     "w.off.geojson": "80c3923c5e04a7239a812295f354a5d88f1cddcf64d072aeed105a7482283dd6",
-    "w.on.edges": "0821f439ab8ff0f7f9f44b2cacb317b7b66f6a65616550297e85041289664d64",
-    "w.on.geojson": "6349d71974899daae85377f120bc6373ed7c591f9d769da15b50d5c1aa63190e",
+    "w.on.edges": "8294e211b7fcbe81712c21e2976c557450e67df385974d6930251dcb64b8f793",
+    "w.on.geojson": "c867af684058fa4733a848bc100716b5151bd59e0995ad54106e1b6c44becbc5",
     "w.ev.report.json": "adf2fba04c47df36c7ba9366eab477b7e3a9d89140d7b967005940ec7a1c48b7",
     "h.off.edges": "133fae17544a910a157181a5f987a3c9eb908c1f0ccda4668bd4b051acedf514",
     "h.off.geojson": "5e04d3ff88822d78bf16d4ea3c5328eaec0b380523d019b8c1e6b7c40d00a68b",

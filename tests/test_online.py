@@ -17,6 +17,7 @@ from kharita.geo import (
     GpsPoint,
     M_PER_DEG_LAT,
     M_PER_DEG_LAT_MIN,
+    angle_diff_deg,
     initial_bearing_deg,
     vincenty_m,
     vincenty_m_many,
@@ -117,6 +118,19 @@ class TestProcessPair:
         process_pair(state, pt("v", 0.0, 0.0), pt("v", 3.0, 10.0, heading=90.0))
         assert len(state.graph.nodes) == 2      # 10 m away but 90 deg off
         assert state.graph.edges == {}          # edge gates fail too
+
+    def test_point_passes_a_nearer_node_of_the_opposite_heading(self):
+        # a southbound node at 0 m and a northbound one at 15 m: a
+        # northbound fix at 3 m joins the northbound node, 12 m off
+        state = StreamState(OnlineConfig())
+        process_pair(state, pt("s", 0.0, 0.0, heading=180.0),
+                     pt("s", 3.0, 0.0, heading=180.0))
+        process_pair(state, pt("n", 0.0, 15.0), pt("n", 3.0, 15.0))
+        assert len(state.graph.nodes) == 2
+        process_pair(state, pt("q", 10.0, 3.0), pt("q", 13.0, 3.0))
+        assert len(state.graph.nodes) == 2
+        assert state.prev_node["q"] == 1
+        assert [n.support for n in state.graph.nodes] == [2, 4]
 
     def test_assignment_drags_node_to_running_mean(self):
         cfg = OnlineConfig()
@@ -484,17 +498,21 @@ def _exact_densify_pair(x_i, x_next, sr):
     return [first, *between(x_i, x_next, k - 1, bearing), last], bearing
 
 
-def _exact_nearest(index, lat, lon):
+def _exact_nearest(index, lat, lon, heading_deg):
     """GridIndex.nearest by Vincenty on every item: the nearest within
-    the index's cell size, ties to the lowest item, or -1. Two coarse
+    the index's cell size among the items whose heading is within its
+    tolerance of heading_deg, ties to the lowest item, or -1. Two coarse
     cuts spare the scalar Vincenty only the items that are surely beyond
     the radius: a degree of latitude is at least M_PER_DEG_LAT_MIN long,
     and the batch Vincenty agrees with the scalar one to a nanometre."""
-    if not index._records:
+    same_way = [(i, r.lat, r.lon) for i, r in enumerate(index._records)
+                if angle_diff_deg(r.heading_deg, heading_deg)
+                <= index.tolerance_deg]
+    if not same_way:
         return -1
     radius_m = index.cell_m
-    items = np.arange(len(index._records))
-    plat, plon = np.array([(r.lat, r.lon) for r in index._records]).T
+    items, plat, plon = np.array(same_way).T
+    items = items.astype(np.int64)
     near = np.abs(plat - lat) * M_PER_DEG_LAT_MIN <= 2.0 * radius_m
     items, plat, plon = items[near], plat[near], plon[near]
     d = vincenty_m_many(np.full(plat.size, lat), np.full(plat.size, lon),

@@ -13,7 +13,13 @@ from kharita.clustering import (
     kmeans_arrays,
     select_seed_indices,
 )
-from kharita.geo import angle_diff_deg_many, vincenty_m, vincenty_m_many, wrap_lon
+from kharita.geo import (
+    angle_diff_deg,
+    angle_diff_deg_many,
+    vincenty_m,
+    vincenty_m_many,
+    wrap_lon,
+)
 from kharita.spatial import (
     GridIndex,
     _QueryCells,
@@ -159,11 +165,16 @@ def _columns_around(col, n):
     return ((col - 1) % n, col % n, (col + 1) % n) if n >= 3 else range(n)
 
 
-def _brute_nearest(positions, lat, lon, radius_m):
+def _brute_nearest(positions, lat, lon, radius_m, headings=None,
+                   heading=0.0, tolerance=180.0):
     """The nearest position's item within radius_m, ties to the lowest
-    item, or -1: every item checked with Vincenty."""
+    item, or -1: every item checked with Vincenty. With headings (item
+    -> heading), only the items within tolerance of heading count."""
     best = (math.inf, -1)
     for item in sorted(positions):
+        if headings is not None and \
+                angle_diff_deg(headings[item], heading) > tolerance:
+            continue
         d = vincenty_m(lat, lon, *positions[item])
         if d <= radius_m and (d, item) < best:
             best = (d, item)
@@ -186,6 +197,9 @@ _lat0 = st.one_of(st.floats(0.0, 89.5), st.sampled_from([89.9, 89.95, 89.99]))
 _lon0 = st.sampled_from([-180.0, -179.9999, 0.0, 51.0, 179.9999])
 # few headings, so equal combined distances occur too
 _sited = st.tuples(_offset, st.sampled_from([0.0, 45.0, 180.0]))
+# headings around the circle, 45 degrees apart and across north, so a
+# difference lands on each sampled tolerance and across the wrap
+_heading = st.sampled_from([0.0, 45.0, 90.0, 180.0, 225.0, 315.0, 359.5])
 
 
 @settings(max_examples=300)
@@ -372,18 +386,22 @@ def test_threshold_bands_next_to_the_pole():
                     assert band.tolist() == [int(np.searchsorted(ts, d))]
 
 
-def _record(lat, lon):
+def _record(lat, lon, heading=0.0):
     """A record GridIndex can index: a node of the online map."""
-    return clustering.ClusterCentroid(lat, lon, 0.0)
+    return clustering.ClusterCentroid(lat, lon, heading)
 
 
 def _move(record, lat, lon):
     record.lat, record.lon = lat, lon
 
 
-def _grid(cell_m, positions):
-    """A GridIndex over records at positions, inserted in order."""
-    index = GridIndex(cell_m, [_record(*p) for p in positions])
+def _grid(cell_m, positions, tolerance_deg=180.0, headings=None):
+    """A GridIndex over records at positions, inserted in order, each
+    with its heading of headings (0 by default). The tolerance of 180
+    makes every item compatible with every query."""
+    headings = headings or [0.0] * len(positions)
+    index = GridIndex(cell_m, [_record(*p, h) for p, h in
+                               zip(positions, headings)], tolerance_deg)
     for item in range(len(positions)):
         index.insert(item)
     return index
@@ -396,21 +414,23 @@ class TestGridIndex:
     @given(lat0=_lat0,
            south=st.booleans(),
            lon0=_lon0,
-           inserts=st.lists(_offset, min_size=1, max_size=25),
+           inserts=st.lists(st.tuples(_offset, _heading), min_size=1,
+                            max_size=25),
            moves=st.lists(st.tuples(st.integers(0, 24), _offset), max_size=10),
-           queries=st.lists(st.tuples(_offset, st.sampled_from(
+           tolerance=st.sampled_from([180.0, 90.0, 45.0, 1e-9]),
+           queries=st.lists(st.tuples(_offset, _heading, st.sampled_from(
                ["cell", "at", "inside", "outside", "mm"])),
                             min_size=1, max_size=6))
     def test_nearest_matches_brute_force(self, lat0, south, lon0, inserts,
-                                         moves, queries):
+                                         moves, tolerance, queries):
         if south:
             lat0 = -lat0
         records = []
-        index = GridIndex(self.CELL_M, records)
-        positions = {}
-        for item, (n, e) in enumerate(inserts):
+        index = GridIndex(self.CELL_M, records, tolerance)
+        positions, headings = {}, [h for _, h in inserts]
+        for item, ((n, e), h) in enumerate(inserts):
             positions[item] = _place(lat0, lon0, n, e)
-            records.append(_record(*positions[item]))
+            records.append(_record(*positions[item], h))
             index.insert(item)
         for item, (n, e) in moves:
             if item in positions:
@@ -420,7 +440,7 @@ class TestGridIndex:
         # every item is in exactly one cell
         assert sorted(i for cell in index._cells.values() for i in cell) == \
             sorted(positions)
-        for (n, e), radius_at in queries:
+        for (n, e), heading, radius_at in queries:
             lat, lon = _place(lat0, lon0, n, e)
             radius = self.CELL_M
             # a radius exactly at some item's distance keeps that item,
@@ -434,9 +454,10 @@ class TestGridIndex:
             # an index answers within its cell size: another radius
             # takes an index of its own over the same positions
             at = index if radius == self.CELL_M else _grid(
-                radius, [positions[i] for i in range(len(positions))])
-            assert at.nearest(lat, lon) == \
-                _brute_nearest(positions, lat, lon, radius)
+                radius, [positions[i] for i in range(len(positions))],
+                tolerance, headings)
+            assert at.nearest(lat, lon, heading) == _brute_nearest(
+                positions, lat, lon, radius, headings, heading, tolerance)
 
     def test_found_far_from_the_first_inserted_latitude(self):
         # the first insert at the equator must not fix the longitude
@@ -448,19 +469,19 @@ class TestGridIndex:
             lon = 10.0 + i * 1.7e-5
             _move(index._records[1], 60.0, lon + east)
             index.move(1)
-            missed += index.nearest(60.0, lon) != 1
+            missed += index.nearest(60.0, lon, 0.0) != 1
         assert missed == 0
 
     def test_columns_wrap_at_the_antimeridian(self):
         index = _grid(self.CELL_M, [(10.0, 179.99995), (10.0, 0.0)])
         assert vincenty_m(10.0, -179.99995, 10.0, 179.99995) < self.CELL_M
-        assert index.nearest(10.0, -179.99995) == 0
+        assert index.nearest(10.0, -179.99995, 0.0) == 0
 
     def test_rows_near_the_pole(self):
         # whole-circle rows hold only a few columns; none is scanned twice
         index = _grid(self.CELL_M, [(89.99995, 0.0), (89.99995, 120.0)])
         assert sorted(index.candidates(89.99995, -120.0)) == [0, 1]
-        assert index.nearest(89.99995, -120.0) == \
+        assert index.nearest(89.99995, -120.0, 0.0) == \
             _brute_nearest({0: (89.99995, 0.0), 1: (89.99995, 120.0)},
                            89.99995, -120.0, self.CELL_M)
 
@@ -472,7 +493,37 @@ class TestGridIndex:
         _move(index._records[0], 25.0, 51.0)
         index.move(0)
         assert index.candidates(25.0, 51.0) == [1, 2, 0]
-        assert index.nearest(25.0, 51.00001) == 0
+        assert index.nearest(25.0, 51.00001, 0.0) == 0
+
+    def test_skips_items_of_another_heading(self):
+        # the opposite lane's item lies 1 m off, a same-way item 15 m
+        # off; a nearer item that is skipped must not narrow the screen
+        pos = [_place(25.0, 51.0, 1.0, 0.0), _place(25.0, 51.0, 15.0, 0.0)]
+        index = _grid(self.CELL_M, pos, 45.0, [180.0, 10.0])
+        assert index.nearest(25.0, 51.0, 0.0) == 1
+        assert index.nearest(25.0, 51.0, 180.0) == 0
+        # a difference of exactly the tolerance is compatible
+        assert index.nearest(25.0, 51.0, 325.0) == 1
+        assert index.nearest(25.0, 51.0, 324.0) == -1
+        # at 180 degrees every item is compatible: the nearest wins
+        assert _grid(self.CELL_M, pos, 180.0,
+                     [180.0, 10.0]).nearest(25.0, 51.0, 0.0) == 0
+
+    def test_ties_go_to_the_lowest_compatible_item(self):
+        index = _grid(self.CELL_M, [(25.0, 51.0)] * 4, 45.0,
+                      [180.0, 90.0, 350.0, 20.0])
+        assert index.nearest(25.0, 51.00001, 0.0) == 2
+        assert index.nearest(25.0, 51.00001, 100.0) == 1
+        assert _grid(self.CELL_M, [(25.0, 51.0)] * 4, 180.0,
+                     [180.0, 90.0, 350.0, 20.0]).nearest(
+                         25.0, 51.00001, 0.0) == 0
+
+    def test_none_when_only_other_headings_are_within_the_radius(self):
+        pos = [_place(25.0, 51.0, n, 0.0) for n in (2.0, -5.0, 25.0)]
+        index = _grid(self.CELL_M, pos, 45.0, [180.0, 90.0, 0.0])
+        assert index.nearest(25.0, 51.0, 0.0) == -1
+        assert _grid(self.CELL_M, pos, 180.0,
+                     [180.0, 90.0, 0.0]).nearest(25.0, 51.0, 0.0) == 0
 
     def test_vincenty_only_where_the_bounds_leave_it_open(self, monkeypatch):
         calls = []
@@ -488,24 +539,24 @@ class TestGridIndex:
         pos = {i: (r.lat, r.lon) for i, r in enumerate(index._records)}
         lat, lon = 25.0, 51.0
         # one candidate is left, well inside: no exact distance
-        assert index.nearest(lat, lon) == 0
+        assert index.nearest(lat, lon, 0.0) == 0
         assert calls == []
         # the one left is outside by its lower bound: item 0 lies due
         # north, so L is its latitude step at M_PER_DEG_LAT_MIN
         low = (pos[0][0] - lat) * spatial.M_PER_DEG_LAT_MIN
         radius = low / 1.0005
         assert low <= 1.001 * radius    # within the screen's slack
-        assert _grid(radius, list(pos.values())).nearest(lat, lon) == -1
+        assert _grid(radius, list(pos.values())).nearest(lat, lon, 0.0) == -1
         assert calls == []
         # the one left sits at the radius
         d = vincenty_m(lat, lon, *pos[0])
-        assert _grid(d, list(pos.values())).nearest(lat, lon) == 0
+        assert _grid(d, list(pos.values())).nearest(lat, lon, 0.0) == 0
         assert len(calls) == 1
         # two candidates whose bounds overlap
         calls.clear()
         pos[5] = _place(25.0, 51.0, 0.0, 5.0)
         index._records.append(_record(*pos[5]))
         index.insert(5)
-        assert index.nearest(lat, lon) == \
+        assert index.nearest(lat, lon, 0.0) == \
             _brute_nearest(pos, lat, lon, self.CELL_M)
         assert len(calls) == 2

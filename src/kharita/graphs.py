@@ -269,8 +269,8 @@ def run_offline_pipeline(trajectories: list[Trajectory],
                          stats: PipelineStats | None = None) -> RoadGraph:
     """Full batch inference: prepare, cluster, infer edges, sparsify.
 
-    Stage order: densify (with speed/heading inference and slow-point
-    filtering), exact-duplicate collapse, seed selection, k-means,
+    Stage order: densify (after the pair rule and speed/heading
+    inference), exact-duplicate collapse, seed selection, k-means,
     heading split, candidate edges, spanner, duplexify.
     """
     st = stats if stats is not None else PipelineStats()

@@ -1,5 +1,5 @@
-"""Trajectory ingestion: CSV parsing, speed/heading inference, slow-point
-filtering, and densification of long gaps between fixes.
+"""Trajectory ingestion: CSV parsing, the pair rule of both modes,
+speed/heading inference, and densification of long gaps between fixes.
 
 Input CSV format (header required, UTF-8 with or without a BOM):
 
@@ -87,7 +87,7 @@ class PointArrays:
 
     @classmethod
     def concat(cls, parts: list["PointArrays"]) -> "PointArrays":
-        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+        return cls(*(np.concatenate([getattr(p, name) for p in parts] or [[]])
                      for name in _FIELDS))
 
     def take(self, which) -> "PointArrays":
@@ -221,6 +221,28 @@ def stream_points(path: str):
         yield GpsPoint(*row)
 
 
+def _implied_speed_kmh(d, dt):
+    """The speed in km/h of a move of d meters in dt seconds."""
+    return d / dt * 3.6
+
+
+def pair_rule(dt, speed, d, cfg: IngestConfig):
+    """(drop, split) for a vehicle's next fix p and its previous kept
+    fix q, on floats or arrays alike, in both modes: p is dropped, or
+    else the fixes split before p, which starts anew, or else (q, p) is
+    a pair. dt is p's time less q's, speed p's speed, d the meters from
+    q to p; each is NaN where there is no q, no known speed, or q has a
+    speed. In order, p is dropped 1. when its speed is at or below
+    cfg.min_speed_kmh, 2. at q's time; the fixes split 3. when dt is
+    over cfg.new_trajectory_gap_s, 4. when q has no speed and implies
+    one to p at or below the minimum. A trajectory left with fewer than
+    two fixes has no pair, and is dropped."""
+    # dt + (dt == 0) is dt, but where p is dropped by 2
+    return ((speed <= cfg.min_speed_kmh) | (dt == 0),
+            (dt > cfg.new_trajectory_gap_s)
+            | (_implied_speed_kmh(d, dt + (dt == 0)) <= cfg.min_speed_kmh))
+
+
 # rows turned into columns at a time by parse_trajectories, so that no
 # more than a block of them is ever held as Python objects
 _PARSE_BLOCK = 4096
@@ -232,10 +254,10 @@ def parse_trajectories(path: str, cfg: IngestConfig) -> list[Trajectory]:
     Same row rules as stream_points, turned into columns a block of rows
     at a time. Vehicles come in order of first appearance and each one's
     fixes in time order, equal times in file order (one stable sort on
-    vehicle, then time). A time gap larger than cfg.new_trajectory_gap_s
-    starts a new trajectory for that vehicle. The trajectories' columns
-    are views of one array per field. Raises EmptyInputError when no
-    valid rows remain.
+    vehicle, then time). A time gap that pair_rule splits at starts a
+    new trajectory for that vehicle. The trajectories' columns are views
+    of one array per field. Raises EmptyInputError when no valid rows
+    remain.
     """
     codes: dict[str, int] = {}      # vehicle id -> order of first appearance
     vehicle_blocks, value_blocks = [], []
@@ -261,7 +283,7 @@ def parse_trajectories(path: str, cfg: IngestConfig) -> list[Trajectory]:
     ts, lat, lon, speed, heading = cols
 
     starts = np.flatnonzero((vehicle[1:] != vehicle[:-1])
-                            | (np.diff(ts) > cfg.new_trajectory_gap_s)) + 1
+                            | pair_rule(np.diff(ts), np.nan, np.nan, cfg)[1]) + 1
     names = list(codes)
     bounds = [0, *starts.tolist(), vehicle.size]
     fixes = PointArrays(lat, lon, heading, speed, ts)
@@ -269,38 +291,23 @@ def parse_trajectories(path: str, cfg: IngestConfig) -> list[Trajectory]:
             for s, e in zip(bounds, bounds[1:])]
 
 
-def infer_speed_heading(tr: Trajectory) -> Trajectory | None:
-    """Fill missing speeds (km/h) and headings from consecutive fixes.
-
-    A trajectory with every field already present is returned as is.
-    Equal-timestamp successors are dropped before inference. Trajectories
-    too short to infer from (fewer than 2 points) are dropped (None).
-
-    A missing heading takes the bearing to the next fix; where the fixes
-    coincide (geo.COINCIDENT_M), or at the last fix, it takes the
-    heading before it, and a stationary prefix takes the first bearing
-    ahead (0 when there is none). A missing speed is the speed implied
-    to the next fix, and the last fix's the one before it.
-    """
+def infer_speed_heading(tr: Trajectory) -> Trajectory:
+    """Fill missing speeds (km/h) and headings from consecutive fixes,
+    two or more at distinct times as pair_rule leaves them; a complete
+    trajectory is returned as is. A missing heading takes the bearing to
+    the next fix; where the fixes coincide (geo.COINCIDENT_M), or at the
+    last fix, the heading before it, and a stationary prefix the first
+    bearing ahead (0 when there is none). A missing speed is the speed
+    implied to the next fix, and the last fix's the one before it."""
     c = tr.cols
     if not (np.isnan(c.speed).any() or np.isnan(c.heading).any()):
         return tr
-    if c.n < 2:
-        return None
-    keep = np.ones(c.n, dtype=bool)
-    keep[1:] = c.ts[1:] != c.ts[:-1]
-    if not keep.all():
-        c = c.take(keep)
-    n = c.n
-    if n < 2:
-        return None
-
     lat, lon = c.lat.tolist(), c.lon.tolist()
     dists = np.array([vincenty_m(lat[i], lon[i], lat[i + 1], lon[i + 1])
-                      for i in range(n - 1)])
+                      for i in range(c.n - 1)])
     # the bearing of each fix to the next; NaN where they coincide and
     # at the last fix
-    bearing = np.full(n, np.nan)
+    bearing = np.full(c.n, np.nan)
     for i in np.flatnonzero(dists > COINCIDENT_M).tolist():
         bearing[i] = initial_bearing_deg(lat[i], lon[i], lat[i + 1], lon[i + 1])
 
@@ -311,23 +318,24 @@ def infer_speed_heading(tr: Trajectory) -> Trajectory | None:
         ahead = bearing[~np.isnan(bearing)]
         heading[0] = ahead[0] if ahead.size else 0.0
     # a fix still without a heading takes the one before it
-    last_set = np.where(np.isnan(heading), 0, np.arange(n))
+    last_set = np.where(np.isnan(heading), 0, np.arange(c.n))
     heading = heading[np.maximum.accumulate(last_set)]
 
     speed = c.speed.copy()
     absent = np.flatnonzero(np.isnan(speed[:-1]))
-    speed[absent] = dists[absent] / np.diff(c.ts)[absent] * 3.6
+    speed[absent] = _implied_speed_kmh(dists[absent], np.diff(c.ts)[absent])
     if np.isnan(speed[-1]):
         speed[-1] = speed[-2]
     return Trajectory(tr.vehicle_id, cols=PointArrays(c.lat, c.lon, heading,
                                                       speed, c.ts))
 
 
-def filter_slow_points(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
-    """Drop fixes at or below the minimum speed (jitter while stopped),
-    and those without a speed."""
-    kept = tr.cols.speed > cfg.min_speed_kmh
-    return tr if kept.all() else Trajectory(tr.vehicle_id, cols=tr.cols.take(kept))
+def _joined(trajectories: list[Trajectory]):
+    """Joined columns of trajectories, each one's first index, each fix's owner."""
+    lengths = np.array([len(tr) for tr in trajectories])
+    return (PointArrays.concat([tr.cols for tr in trajectories]),
+            np.cumsum(lengths) - lengths,
+            np.repeat(np.arange(lengths.size), lengths))
 
 
 def _lerp_speed(a: GpsPoint, b: GpsPoint, f: float) -> float | None:
@@ -453,10 +461,7 @@ def _densify_all(trajectories: list[Trajectory],
     work = [k for k, tr in enumerate(trajectories) if len(tr) >= 2]
     if sr == math.inf or not work:
         return list(trajectories)
-    c = PointArrays.concat([trajectories[k].cols for k in work])
-    lengths = np.array([len(trajectories[k]) for k in work])
-    starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(work)), lengths)
+    c, starts, owner = _joined([trajectories[k] for k in work])
     reach = _REACH_SR * sr
     abs_lat = np.abs(c.lat)
     lat_lo, _, lat_hi, _ = bound_scales(0.0, reach)
@@ -515,20 +520,31 @@ def _densify_all(trajectories: list[Trajectory],
 
 def prepare_trajectories(trajectories: list[Trajectory],
                          cfg: IngestConfig) -> tuple[list[Trajectory], int]:
-    """infer -> filter -> densify over a batch. Returns the surviving
-    trajectories and the number dropped as too short or fully filtered."""
+    """pair_rule -> infer -> densify over a batch: the runs of two fixes
+    or more the rule leaves, views of their trajectory's columns where it
+    drops none inside them, and the number of fixes it dropped or left in
+    no pair. The rule runs at once on the trajectories' joined columns."""
+    c, starts, owner = _joined(trajectories)
+    at = np.flatnonzero(~pair_rule(np.nan, c.speed, np.nan, cfg)[0])    # rule 1 needs no q
+    while True:
+        # q is the fix before p, but where p is its trajectory's first
+        dt = np.where(owner[at[1:]] == owner[at[:-1]], np.diff(c.ts[at]), np.nan)
+        d = np.full(dt.size, np.nan)
+        for j in np.flatnonzero(np.isnan(c.speed[at[:-1]])).tolist():
+            d[j] = vincenty_m(c.lat[at[j]], c.lon[at[j]], c.lat[at[j + 1]], c.lon[at[j + 1]])
+        drop, split = pair_rule(dt, c.speed[at[1:]], d, cfg)
+        if not drop.any():
+            break
+        at = np.delete(at, np.flatnonzero(drop) + 1)
     kept = []
-    dropped = 0
-    for tr in trajectories:
-        got = infer_speed_heading(tr)
-        if got is None:
-            dropped += 1
-            continue
-        got = filter_slow_points(got, cfg)
-        if not len(got):
-            dropped += 1
-            continue
-        kept.append(got)
+    for i in [i for i in np.split(at, np.flatnonzero(split | np.isnan(dt)) + 1) if i.size > 1]:
+        tr, i = trajectories[owner[i[0]]], i - starts[owner[i[0]]]
+        if i.size < len(tr):    # a run of part of tr
+            tr = Trajectory(tr.vehicle_id, cols=tr.cols.take(
+                slice(i[0], i[-1] + 1) if i[-1] - i[0] == i.size - 1 else i))
+        kept.append(infer_speed_heading(tr))
+    dropped = c.n - sum(map(len, kept))
+    del c, owner, at, dt, d    # freed before densify joins the runs
     if dropped:
-        log.warning("dropped %d trajectory segment(s) during preparation", dropped)
+        log.warning("dropped %d fix(es) during preparation", dropped)
     return _densify_all(kept, cfg), dropped

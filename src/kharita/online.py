@@ -30,7 +30,7 @@ from .geo import (
     wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
-from .ingest import IngestConfig, between, pair_bounds
+from .ingest import IngestConfig, between, pair_bounds, pair_rule
 from .spatial import GridIndex, bound_scales, scalar_margins
 
 log = logging.getLogger(__name__)
@@ -64,16 +64,11 @@ class StreamState:
         self.graph = RoadGraph()
         self.prev_node: dict[str, int] = {}      # vehicle_id -> last node
         self.last_fix: dict[str, GpsPoint] = {}  # vehicle_id -> last kept fix
+        self.rule: IngestConfig | None = None    # pair rule of the first feed
         self.pairs_processed = 0
         self._index = GridIndex(cfg.clustering_radius_cr, self.graph.nodes,
                                 cfg.heading_tolerance_ha)
         self._hsum: list[complex] = []
-
-    def forget_vehicle(self, vehicle_id: str) -> None:
-        """Drop the pairing anchor and last fix so no edge spans a gap
-        in the feed."""
-        self.prev_node.pop(vehicle_id, None)
-        self.last_fix.pop(vehicle_id, None)
 
 
 def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
@@ -256,53 +251,40 @@ def consume_stream(points, cfg: OnlineConfig, state: StreamState | None = None,
                    gap_s: float = IngestConfig.new_trajectory_gap_s,
                    min_speed_kmh: float = IngestConfig.min_speed_kmh,
                    on_pair=None) -> StreamState:
-    """Feed an arrival-ordered stream of fixes through process_pair.
-
-    Pairs are formed per vehicle, applying three ingest rules one fix
-    at a time: fixes at or below min_speed_kmh are dropped as idle
-    jitter (filter_slow_points); silence longer than gap_s splits a
-    vehicle's stream so no edge spans it (parse_trajectories); and a
-    pair whose first fix has no speed is skipped when its implied speed
-    is at or below the floor (infer_speed_heading, then the drop). The
-    batch functions take whole trajectories, sorted and split up front
-    with each fix's speed inferred from the next one; a one-pass stream
-    holds only each vehicle's previous fix, so it cannot call them.
-    gap_s and min_speed_kmh default to, and are checked as, those of
-    IngestConfig. A fix older than its vehicle's previous fix came late:
-    a stream cannot re-sort, so it is dropped and the anchor stays.
-    Each vehicle's previous fix is kept in the state, so a stream fed
-    in several calls on one state builds the map of one call: a state
-    given is refused, before any fix is recorded, unless its config
-    equals cfg. Resparsifies every cfg.resparsify_interval pairs;
-    on_pair, when given, is called with the state after every processed
-    pair.
-    """
-    IngestConfig(min_speed_kmh=min_speed_kmh, new_trajectory_gap_s=gap_s)  # checks both
+    """Feed an arrival-ordered stream of fixes through process_pair,
+    each vehicle's paired one fix at a time by ingest.pair_rule under
+    gap_s and min_speed_kmh, checked as IngestConfig checks them: a
+    stream in time order hands it the pairs the batch prepares. A fix
+    older than its vehicle's previous fix came late and is dropped, as
+    a stream cannot re-sort. The state keeps each vehicle's previous
+    fix, so a stream fed in several calls on one state builds the map
+    of one call: a state is refused, before any fix is recorded, unless
+    it was built from cfg and first fed under this gap_s and
+    min_speed_kmh. Resparsifies every cfg.resparsify_interval pairs;
+    on_pair, when given, is called with the state after every pair."""
+    rule = IngestConfig(min_speed_kmh=min_speed_kmh, new_trajectory_gap_s=gap_s)
     if state is None:
         state = StreamState(cfg)
     elif state.cfg != cfg:
         raise ValueError(f"{cfg!r} on a state built from {state.cfg!r}")
+    if state.rule is not None and state.rule != rule:
+        raise ValueError(f"{rule!r} on a state first fed under {state.rule!r}")
+    state.rule = rule
     last = state.last_fix
     for p in points:
-        if p.speed_kmh is not None and p.speed_kmh <= min_speed_kmh:
-            continue
         q = last.get(p.vehicle_id)
-        if q is not None and p.timestamp < q.timestamp:
+        dt = math.nan if q is None else p.timestamp - q.timestamp
+        if dt < 0:
             continue    # late: keep the anchor
+        d = (vincenty_m(q.lat, q.lon, p.lat, p.lon)
+             if q is not None and q.speed_kmh is None else math.nan)
+        drop, split = pair_rule(dt, math.nan if p.speed_kmh is None else p.speed_kmh, d, rule)
+        if drop:
+            continue
         last[p.vehicle_id] = p
-        if q is None:
+        if split or q is None:
+            state.prev_node.pop(p.vehicle_id, None)    # no edge spans a split
             continue
-        dt = p.timestamp - q.timestamp
-        if dt == 0:
-            continue    # same time: p is the anchor now
-        if dt > gap_s:
-            state.forget_vehicle(p.vehicle_id)
-            last[p.vehicle_id] = p    # the fix after the gap starts anew
-            continue
-        if q.speed_kmh is None:
-            implied = 3.6 * vincenty_m(q.lat, q.lon, p.lat, p.lon) / dt
-            if implied <= min_speed_kmh:
-                continue
         process_pair(state, q, p)
         if on_pair is not None:
             on_pair(state)

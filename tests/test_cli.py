@@ -186,6 +186,43 @@ class TestOnline:
                open(outs[1] + ".edges", "rb").read()
 
 
+# files with no usable pair: no row passes the row rules, or
+# ingest.pair_rule leaves no two fixes of one vehicle to pair
+HOSTILE = {
+    "header-only": "",
+    "all-slow": "a,0,25.0,51.0,2,0\na,3,25.0002,51.0,5,0\n",
+    "all-malformed": "a,x,25.0,51.0,30,0\n,3,25.0,51.0,30,0\na,6,91,51.0,30,0\n",
+    "one-fix": "a,0,25.0,51.0,30,0\n",
+    "one-time": "a,0,25.0,51.0,30,0\na,0,25.0002,51.0,30,0\n",
+}
+
+
+class TestHostileFiles:
+    # what each mode makes of them, by design apart: offline exits 1 and
+    # writes no map, online writes an empty one and exits 0
+    @pytest.mark.parametrize("name, mode, rc, counts", [
+        ("header-only", "offline", EXIT_RUNTIME, None),
+        ("header-only", "online", EXIT_OK, (0, 0)),
+        ("all-slow", "offline", EXIT_RUNTIME, None),
+        ("all-slow", "online", EXIT_OK, (0, 0)),
+        ("all-malformed", "offline", EXIT_RUNTIME, None),
+        ("all-malformed", "online", EXIT_OK, (0, 0)),
+        ("one-fix", "offline", EXIT_RUNTIME, None),
+        ("one-fix", "online", EXIT_OK, (0, 0)),
+        ("one-time", "offline", EXIT_RUNTIME, None),
+        ("one-time", "online", EXIT_OK, (0, 0))])
+    def test_exit_code_and_map(self, tmp_path, name, mode, rc, counts):
+        src = tmp_path / "in.csv"
+        src.write_text(CSV_HEADER + HOSTILE[name])
+        out = str(tmp_path / "m")
+        assert main([mode, "--input", str(src), "--out", out]) == rc
+        got = None
+        if (tmp_path / "m.edges").exists():
+            graph = load_map(out + ".edges")
+            got = (len(graph.nodes), len(graph.edges))
+        assert got == counts
+
+
 class TestEval:
     def test_self_comparison_prints_ones(self, dataset, tmp_path, capsys):
         rc = main(["eval", "--inferred", dataset["truth"],

@@ -19,7 +19,8 @@ The generator's share includes the truth graph. In the offline pipeline,
 each stage's traced peak rose this far above what was live when it
 began, in bytes per point after densify:
 
-    prepare_trajectories 112.9
+    prepare_trajectories 114.6 (112.9 before the pair rule; 125.0 when
+                                every run was a new view)
     distinct_points       18.0 (129.1 when it copied every point)
     select_seed_indices   82.7 (64.4 when the points of a block went
                                 through a scalar greedy on a GridIndex;

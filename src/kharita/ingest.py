@@ -40,7 +40,7 @@ from .geo import (
     wrap_lon,
     wrap_lon_many,
 )
-from .spatial import bound_scales, scalar_margins
+from .spatial import bound_scales, pair_bounds, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -332,7 +332,7 @@ def infer_speed_heading(tr: Trajectory) -> Trajectory:
 
 def _joined(trajectories: list[Trajectory]):
     """Joined columns of trajectories, each one's first index, each fix's owner."""
-    lengths = np.array([len(tr) for tr in trajectories])
+    lengths = np.array([len(tr) for tr in trajectories], dtype=np.int64)
     return (PointArrays.concat([tr.cols for tr in trajectories]),
             np.cumsum(lengths) - lengths,
             np.repeat(np.arange(lengths.size), lengths))
@@ -405,21 +405,6 @@ def _insert_between(c: PointArrays, pair: np.ndarray, count: np.ndarray,
     return PointArrays(*out), old_at
 
 
-def pair_bounds(dlat, dlon, scales):
-    """Squared planar bounds (L^2, U^2) on the geodesic distance d of
-    two fixes dlat degrees of latitude and dlon of longitude apart (dlon
-    taken the short way round), under the meters per degree (lat_lo,
-    lon_lo, lat_hi, lon_hi) of spatial.bound_scales at the first fix's
-    latitude and a reach, or of looser scales. Both hold once U is under
-    reach: U >= d whenever L <= reach, and L <= d whenever d <= reach.
-    Both densify modes call it, each with its own count rule: the online
-    one on floats, the batch one on arrays, with the same bits."""
-    lat_lo, lon_lo, lat_hi, lon_hi = scales
-    a, b = dlat * lat_lo, dlon * lon_lo
-    c, d = dlat * lat_hi, dlon * lon_hi
-    return a * a + b * b, c * c + d * d
-
-
 # densify settles a pair's count from its bounds up to this many
 # sampling rates; longer pairs are measured
 _REACH_SR = 4
@@ -436,9 +421,9 @@ def densify(tr: Trajectory, cfg: IngestConfig) -> Trajectory:
 
     The count needs the pair's length d only through n = floor(d/sr)
     and the test d > geo.COINCIDENT_M. The bounds L <= d <= U of
-    pair_bounds, at a reach of _REACH_SR * sr, settle both when L and U
-    fall in one band [n * sr, (n + 1) * sr) inside the margins of
-    spatial.threshold_margins, and L is over the miss margin of
+    spatial.pair_bounds, at a reach of _REACH_SR * sr, settle both when
+    L and U fall in one band [n * sr, (n + 1) * sr) inside the margins
+    of spatial.threshold_margins, and L is over the miss margin of
     COINCIDENT_M.
     Vincenty runs on the other pairs, the longer ones among them, and
     the bearing only on the pairs that get a point.

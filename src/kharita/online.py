@@ -30,8 +30,8 @@ from .geo import (
     wrap_lon,
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
-from .ingest import IngestConfig, between, pair_bounds, pair_rule
-from .spatial import GridIndex, bound_scales, scalar_margins
+from .ingest import IngestConfig, between, pair_rule
+from .spatial import GridIndex, bound_scales, pair_bounds, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
 
     The pair's length d is needed only through k and the test
     d > geo.COINCIDENT_M for a bearing of its own. The planar bounds
-    L <= d <= U of ingest.pair_bounds, at a reach of 2 * sr, settle both
+    L <= d <= U of spatial.pair_bounds, at a reach of 2 * sr, settle both
     for most pairs: U under the hit margin of 2 * sr gives k = 1, and L
     over the miss margin of COINCIDENT_M gives d > COINCIDENT_M. That
     margin's 1e-6 m floor puts it a thousand times over COINCIDENT_M,

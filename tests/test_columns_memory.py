@@ -22,10 +22,12 @@ began, in bytes per point after densify:
     prepare_trajectories 114.6 (112.9 before the pair rule; 125.0 when
                                 every run was a new view)
     distinct_points       18.0 (129.1 when it copied every point)
-    select_seed_indices   82.7 (64.4 when the points of a block went
-                                through a scalar greedy on a GridIndex;
-                                109.4 when a chunk's arrays were kept
-                                while the next was built)
+    select_seed_indices   78.9 (82.7 with a margin screen of its own
+                                in place of threshold_pairs; 94.3 when
+                                threshold_pairs kept a chunk's arrays
+                                while the next was built; 64.4 when the
+                                points of a block went through a scalar
+                                greedy on a GridIndex)
     kmeans_arrays        171.1 (385.2 with moved points measured at
                                 once and pair chunks of 2^17)
     candidate_edges_from_arrays

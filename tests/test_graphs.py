@@ -26,7 +26,7 @@ from kharita.graphs import (
     run_offline_pipeline,
     spurious_edge_threshold,
 )
-from kharita.ingest import EmptyInputError, IngestConfig
+from kharita.ingest import EmptyInputError, IngestConfig, prepare_trajectories
 
 from conftest import trajectory_of
 
@@ -406,8 +406,12 @@ class TestOfflinePipeline:
     def test_empty_after_filtering_raises(self):
         slow = trajectory_of("v", [GpsPoint("v", float(i), 25.0, 51.0, 2.0, 0.0)
                                    for i in range(5)])
-        with pytest.raises(EmptyInputError):
-            run_offline_pipeline([slow], IngestConfig(), ClusterConfig(), SpannerConfig())
+        # an empty list too, as generate_synthetic gives for no drives
+        assert prepare_trajectories([], IngestConfig()) == ([], 0)
+        for trajectories in ([slow], []):
+            with pytest.raises(EmptyInputError):
+                run_offline_pipeline(trajectories, IngestConfig(), ClusterConfig(),
+                                     SpannerConfig())
 
     def test_deterministic(self):
         trs = [self.straight_line("a"), self.straight_line("b", spacing=45.0)]

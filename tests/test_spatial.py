@@ -16,6 +16,7 @@ from kharita.clustering import (
 from kharita.geo import (
     angle_diff_deg,
     angle_diff_deg_many,
+    combined_distance_m_many,
     vincenty_m,
     vincenty_m_many,
     wrap_lon,
@@ -122,6 +123,19 @@ def test_points_exactly_at_the_radius_are_kept():
         q, r, b = threshold_pairs(lat, lon, other_lat, lon, thresholds)
         assert (q.tolist(), r.tolist(), b.tolist()) == ([0], [0], [band])
     assert threshold_pairs(lat, lon, other_lat, lon, [below])[0].size == 0
+    # in combined distance, threshold_pairs keeps a pair at its threshold,
+    # but seed selection's pairs are strictly within cr
+    heading = np.array([0.0]), np.array([90.0]), 40.0
+    cr = float(combined_distance_m_many(lat, lon, heading[0], other_lat, lon,
+                                        *heading[1:])[0])
+    q, r, b = threshold_pairs(lat, lon, other_lat, lon, [cr], heading)
+    assert (q.tolist(), r.tolist(), b.tolist()) == ([0], [0], [0])
+    pts = PointArrays(np.r_[lat, other_lat], np.r_[lon, lon],
+                      np.r_[heading[0], heading[1]], np.zeros(2), np.zeros(2))
+    for radius, pairs in ((cr, []), (np.nextafter(cr, np.inf), [0])):
+        q, r = clustering._near(pts, np.array([0]), np.array([1]), radius,
+                                heading[2])
+        assert (q.tolist(), r.tolist()) == (pairs, pairs)
 
 
 def test_empty_inputs():

@@ -31,7 +31,7 @@ from .geo import (
 )
 from .graphs import MIN_EDGE_WEIGHT_M, RoadGraph, SpannerConfig, greedy_spanner
 from .ingest import IngestConfig, between, pair_rule
-from .spatial import GridIndex, bound_scales, pair_bounds, scalar_margins
+from .spatial import GridIndex, bound_scales, scalar_margins
 
 log = logging.getLogger(__name__)
 
@@ -90,19 +90,23 @@ def _densify_pair(x_i: GpsPoint, x_next: GpsPoint, sr: float):
 
     The pair's length d is needed only through k and the test
     d > geo.COINCIDENT_M for a bearing of its own. The planar bounds
-    L <= d <= U of spatial.pair_bounds, at a reach of 2 * sr, settle both
-    for most pairs: U under the hit margin of 2 * sr gives k = 1, and L
-    over the miss margin of COINCIDENT_M gives d > COINCIDENT_M. That
-    margin's 1e-6 m floor puts it a thousand times over COINCIDENT_M,
-    far beyond Vincenty's nanometre rounding and its short reading (up
-    to 0.34%) of pairs under 2 mm. Vincenty runs on the other pairs.
-    With sr = inf, L has no longitude term, so a pair less than a
-    micrometre apart in latitude needs Vincenty.
+    L <= d <= U under spatial.bound_scales at x_i's latitude and a reach
+    of 2 * sr settle both for most pairs (U >= d once L is within the
+    reach, and L <= d once d is): U under the hit margin of 2 * sr gives
+    k = 1, and L over the miss margin of COINCIDENT_M gives
+    d > COINCIDENT_M. That margin's 1e-6 m floor puts it a thousand
+    times over COINCIDENT_M, far beyond Vincenty's nanometre rounding
+    and its short reading (up to 0.34%) of pairs under 2 mm. Vincenty
+    runs on the other pairs. With sr = inf, L has no longitude term, so
+    a pair less than a micrometre apart in latitude needs Vincenty.
     """
     reach = 2.0 * sr
-    l2, u2 = pair_bounds(x_next.lat - x_i.lat, lon_delta(x_i.lon, x_next.lon),
-                         bound_scales(x_i.lat, reach))
-    if u2 < scalar_margins(reach)[0] and l2 > scalar_margins(COINCIDENT_M)[1]:
+    lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(x_i.lat, reach)
+    dlat, dlon = x_next.lat - x_i.lat, lon_delta(x_i.lon, x_next.lon)
+    a, b = dlat * lat_lo, dlon * lon_lo
+    l2 = a * a + b * b
+    a, b = dlat * lat_hi, dlon * lon_hi
+    if a * a + b * b < scalar_margins(reach)[0] and l2 > scalar_margins(COINCIDENT_M)[1]:
         moved, k = True, 1
     else:
         d = vincenty_m(x_i.lat, x_i.lon, x_next.lat, x_next.lon)

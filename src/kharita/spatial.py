@@ -1,12 +1,13 @@
 """Lat/lon grids for radius-bounded neighbor queries: one grid rule and
 one screen, shared by every search.
 
-Grid rule. Rows are cell_m / M_PER_DEG_LAT_MIN degrees of latitude high.
-A row splits the circle of longitude into a whole number of columns,
-each at least 1.001 * cell_m wide at the most poleward latitude of the
-row and its two neighbours (_column_count). A 3x3 neighborhood then
-holds every point within cell_m at any latitude. Columns wrap at the
-antimeridian, and a row of fewer than three columns is scanned whole.
+Grid rule. A grid's cell is the search radius, or _MIN_GRID_M where
+that is more. Rows are cell / M_PER_DEG_LAT_MIN degrees of latitude
+high. A row splits the circle of longitude into a whole number of
+columns, each at least 1.001 * cell wide at the most poleward latitude
+of the row and its two neighbours (_column_count). A 3x3 neighborhood
+then holds every point within the cell at any latitude. Columns wrap at
+the antimeridian, and a row of fewer than three columns is scanned whole.
 GridIndex, the incremental index of the online mode, gives each row its
 own count, reads each item's position and heading from the record it
 indexes and answers within its cell size, the online clustering radius,
@@ -92,6 +93,11 @@ _INT_MAX = np.iinfo(np.int64).max
 # millimetre. threshold_margins adds 1e-6 m to it; k-means takes it of
 # its bounds
 REL_MARGIN = 1e-6
+# the least grid cell: 180 degrees of latitude hold 2^61 rows of it, so
+# every row index stays inside int64, as _QueryCells keeps its keys there
+# by taking fewer columns. A smaller radius takes cells of this size,
+# whose 3x3 neighbourhood still holds every point within the radius
+_MIN_GRID_M = 180.0 * M_PER_DEG_LAT_MIN / 2.0 ** 61
 
 
 def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, float]:
@@ -121,21 +127,6 @@ def bound_scales(lat: float, radius_m: float) -> tuple[float, float, float, floa
             M_PER_DEG_LAT * math.cos(math.radians(min(a + w, 90.0))),
             M_PER_DEG_MAX,
             M_PER_DEG_MAX * math.cos(math.radians(max(a - w, 0.0))))
-
-
-def pair_bounds(dlat, dlon, scales):
-    """Squared planar bounds (L^2, U^2) on the geodesic distance d of
-    two fixes dlat degrees of latitude and dlon of longitude apart (dlon
-    taken the short way round), under the meters per degree (lat_lo,
-    lon_lo, lat_hi, lon_hi) of bound_scales at the first fix's
-    latitude and a reach, or of looser scales. Both hold once U is under
-    reach: U >= d whenever L <= reach, and L <= d whenever d <= reach.
-    Both densify modes call it, each with its own count rule: the online
-    one on floats, the batch one on arrays, with the same bits."""
-    lat_lo, lon_lo, lat_hi, lon_hi = scales
-    a, b = dlat * lat_lo, dlon * lon_lo
-    c, d = dlat * lat_hi, dlon * lon_hi
-    return a * a + b * b, c * c + d * d
 
 
 def _column_count(row: int, row_deg: float, cell_m: float) -> int:
@@ -173,7 +164,8 @@ class _QueryCells:
         self.lat = np.asarray(lat, dtype=np.float64)
         self.lon = np.asarray(lon, dtype=np.float64)
         self.cell_m = float(cell_m)
-        self.row_deg = self.cell_m / M_PER_DEG_LAT_MIN
+        grid_m = max(self.cell_m, _MIN_GRID_M)
+        self.row_deg = grid_m / M_PER_DEG_LAT_MIN
         ends = [math.floor(a / self.row_deg)
                 for a in (self.lat.min(), self.lat.max())] \
             if self.lat.size else [0, 0]
@@ -182,7 +174,7 @@ class _QueryCells:
         # keep every key inside int64 on tiny cells
         self.row0 = ends[0] - 1
         self.nrows = ends[1] - self.row0 + 2
-        self.ncols = min(min(_column_count(r, self.row_deg, self.cell_m)
+        self.ncols = min(min(_column_count(r, self.row_deg, grid_m)
                              for r in ends),
                          max(1, _INT_MAX // 2 // (self.nrows + 1)))
         key = self._keys(self.lat, self.lon)
@@ -203,7 +195,7 @@ class _QueryCells:
         self.inv_rho2 = np.empty(rows.size)
         for i, r in enumerate(rows.tolist()):
             lat_lo, lon_lo, lat_hi, lon_hi = bound_scales(
-                (r + self.row0 + 0.5) * self.row_deg, 1.5 * self.cell_m)
+                (r + self.row0 + 0.5) * self.row_deg, 1.5 * grid_m)
             rho = min(lat_lo / lat_hi, lon_lo / lon_hi)
             self.lon_hi[i] = lon_hi
             self.inv_rho2[i] = 1.0 / (rho * rho)
@@ -239,7 +231,7 @@ class _QueryCells:
         brings it to _PAIR_BUDGET pairs.
 
         Each row takes bound_scales at its middle latitude with a band of
-        1.5 * cell_m: that covers the rows row-1..row+1, which hold every
+        1.5 grid cells: that covers the rows row-1..row+1, which hold every
         candidate and every path of cell_m from a query of the row, so
         L and U hold for all of its pairs. rho is the smaller ratio of
         lower to upper scale, so that L >= rho * U.
@@ -432,7 +424,9 @@ def threshold_pairs(qlat, qlon, rlat, rlon, thresholds, heading=None):
         l2 = u / np.repeat(inv_rho2, lens)
         keep = l2 <= lo2[-1]
         pq, pr, u, l2 = pq[keep], pr[keep], u[keep], l2[keep]
-        band = np.searchsorted(hi2, u)
+        # U^2 strictly under a hit margin: a square that underflows to
+        # 0 settles no pair within a threshold under a micrometre
+        band = np.searchsorted(hi2, u, "right")
         exact = np.flatnonzero(band != np.searchsorted(lo2, l2))
         band[exact] = np.searchsorted(ts, cells._exact(
             rlat, rlon, pq[exact], pr[exact], heading))
@@ -459,8 +453,9 @@ class GridIndex:
     def __init__(self, cell_m: float, records: list, tolerance_deg: float):
         self.cell_m = float(cell_m)
         self.tolerance_deg = float(tolerance_deg)
-        self._row_deg = self.cell_m / M_PER_DEG_LAT_MIN
-        self._stride = _column_count(0, self._row_deg, self.cell_m)
+        self._grid_m = max(self.cell_m, _MIN_GRID_M)
+        self._row_deg = self._grid_m / M_PER_DEG_LAT_MIN
+        self._stride = _column_count(0, self._row_deg, self._grid_m)
         # row -> (columns, degrees each, key of its column 0)
         self._rows: dict[int, tuple[int, float, int]] = {}
         self._cells: dict[int, list[int]] = {}
@@ -474,7 +469,7 @@ class GridIndex:
     def _row(self, row: int) -> tuple[int, float, int]:
         got = self._rows.get(row)
         if got is None:
-            n = _column_count(row, self._row_deg, self.cell_m)
+            n = _column_count(row, self._row_deg, self._grid_m)
             got = self._rows[row] = (n, 360.0 / n, row * self._stride)
         return got
 

@@ -120,6 +120,13 @@ class TestOffline:
                    "--out", str(tmp_path / "x"), "--cr", "0"])
         assert rc == EXIT_USAGE
 
+    def test_tiny_cr_runs(self, dataset, tmp_path):
+        # a radius far under any grid the search could key in int64
+        out = str(tmp_path / "tiny")
+        assert main(["offline", "--input", dataset["csv"], "--out", out,
+                     "--cr", "1e-300"]) == EXIT_OK
+        assert len(load_map(out + ".edges").nodes) > 0
+
     def test_header_only_input_is_runtime_error(self, tmp_path):
         src = tmp_path / "hdr.csv"
         src.write_text(CSV_HEADER)
@@ -244,6 +251,19 @@ class TestEval:
         out = capsys.readouterr().out
         assert "topo_f" in out.splitlines()[0]
         assert "seed 5" in out
+
+    @pytest.mark.parametrize("flag,rc", [("--visit-distance", EXIT_RUNTIME),
+                                         ("--start-match-distance", EXIT_OK)])
+    def test_tiny_search_distances_run(self, dataset, tmp_path, caplog,
+                                       flag, rc):
+        # no fix lies within 1e-300 m of a truth edge, so no edge is
+        # visited and there is nothing to sample
+        assert main(["eval", "--inferred", dataset["truth"],
+                     "--truth", dataset["truth"],
+                     "--trajectories", dataset["csv"],
+                     "--topo-samples", "3", flag, "1e-300",
+                     "--out", str(tmp_path / "ev")]) == rc
+        assert ("no trajectory-visited" in caplog.text) == (rc == EXIT_RUNTIME)
 
     def test_topo_flag_without_trajectories_is_usage_error(self, dataset):
         rc = main(["eval", "--inferred", dataset["truth"],

@@ -19,8 +19,11 @@ The generator's share includes the truth graph. In the offline pipeline,
 each stage's traced peak rose this far above what was live when it
 began, in bytes per point after densify:
 
-    prepare_trajectories 114.6 (112.9 before the pair rule; 125.0 when
-                                every run was a new view)
+    prepare_trajectories 114.9 (114.6 when a planar-bounds screen left
+                                few pairs to measure; 158.6 with every
+                                gated pair measured in one call; 112.9
+                                before the pair rule; 125.0 when every
+                                run was a new view)
     distinct_points       18.0 (129.1 when it copied every point)
     select_seed_indices   78.9 (82.7 with a margin screen of its own
                                 in place of threshold_pairs; 94.3 when

@@ -1,4 +1,5 @@
 """CSV parsing, the pair rule, inference, and densification tests."""
+import csv
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kharita import ingest
+from kharita.cli import EXIT_OK, main
 from kharita.geo import (
     M_PER_DEG_LAT,
     GpsPoint,
@@ -15,6 +17,7 @@ from kharita.geo import (
     initial_bearing_deg,
     lon_delta,
     vincenty_m,
+    vincenty_m_many,
     wrap_lon,
 )
 from kharita.ingest import (
@@ -79,6 +82,16 @@ class TestParse:
         ))
         trs = parse_trajectories(path, CFG)
         assert trs[0].points[1].timestamp - trs[0].points[0].timestamp == 60.0
+
+    def test_iso_fractions_of_any_length(self, tmp_path):
+        # fractions of one, two and four digits, with a Z or an offset
+        path = write_csv(tmp_path, (
+            "a,2023-05-01T00:05:00.5Z,25.0,51.0,30,0\n"
+            "a,2023-05-01T00:05:00.12+00:00,25.0,51.0,30,0\n"
+            "a,2023-05-01T00:05:00.1234Z,25.0,51.0,30,0\n"
+        ))
+        assert [p.timestamp for p in stream_points(path)] == [
+            1682899500.5, 1682899500.12, 1682899500.1234]
 
     def test_missing_optional_fields(self, tmp_path):
         path = write_csv(tmp_path, "a,100,25.0,51.0,,\n")
@@ -347,15 +360,15 @@ class TestDensify:
 
 
 def _measured_densify(tr, cfg):
-    """densify with every gated pair measured by Vincenty: the rule that
-    the count from bounds must reproduce."""
+    """densify pair by pair: each gated pair measured alone by the array
+    Vincenty, the rule that the batch must reproduce."""
     pts = list(tr.points)
     out = [pts[0]]
     for a, b in zip(pts, pts[1:]):
         if (a.heading_deg is not None and b.heading_deg is not None
                 and angle_diff_deg(a.heading_deg, b.heading_deg)
                 < cfg.densify_angle_gate_deg):
-            d = vincenty_m(a.lat, a.lon, b.lat, b.lon)
+            d = float(vincenty_m_many(a.lat, a.lon, b.lat, b.lon))
             if d > 1e-9 and (n := int(d // cfg.sampling_rate_m)):
                 out += between(a, b, n, initial_bearing_deg(
                     a.lat, a.lon, b.lat, b.lon))
@@ -421,9 +434,8 @@ def test_densify_matches_every_pair_measured(drive):
 @settings(max_examples=200)
 @given(first=_drives(), second=_drives())
 def test_densify_across_latitudes_matches_every_pair_measured(first, second):
-    # densify takes its bound scales at the trajectory's extreme
-    # latitudes, so two drives joined into one, each anywhere, get
-    # bounds as loose as the pair of latitudes makes them. A headingless
+    # two drives joined into one, each anywhere: the pairs of both, and
+    # none across the jump, are measured in one batch. A headingless
     # fix keeps the gate shut across the jump, which would fill the gap
     # between them with up to 1e9 points
     (a, cfg), (b, _) = first, second
@@ -438,9 +450,8 @@ def test_densify_across_latitudes_matches_every_pair_measured(first, second):
 def test_densify_of_a_batch_matches_each_trajectory_alone(drives, cut, lone):
     # prepare_trajectories densifies all trajectories at once on their
     # joined columns; no pair may span two of them, even where one
-    # drive goes straight on into the next, and each keeps the bound
-    # scales of its own latitudes. Trajectories of one fix and of none
-    # ride along at their places
+    # drive goes straight on into the next. Trajectories of one fix and
+    # of none ride along at their places
     cfg = drives[0][1]
     trs = [tr for tr, _ in drives]
     first = trs[0].cols
@@ -454,7 +465,7 @@ def test_densify_of_a_batch_matches_each_trajectory_alone(drives, cut, lone):
         list((_measured_densify(t, cfg) if len(t) >= 2 else t).points) for t in trs]
 
 
-def test_densify_measures_only_the_pairs_the_bounds_leave_open(monkeypatch):
+def test_densify_makes_no_scalar_vincenty_call(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -470,18 +481,15 @@ def test_densify_measures_only_the_pairs_the_bounds_leave_open(monkeypatch):
                                 40.0, 0.0))
         return trajectory_of("v", pts)
 
-    # 15 m, 25 m and 70 m at sr 20 settle by the bounds (counts 0, 1, 3)
+    # 15 m, 25 m and 70 m at sr 20 get 0, 1 and 3 points; 40 m is on a
+    # band edge, and coincident fixes get none
     tr = drive(15.0, 25.0, 70.0)
-    assert list(densify(tr, CFG).points) == list(_measured_densify(tr, CFG).points)
     assert len(densify(tr, CFG)) == 4 + 1 + 3
-    assert calls == []
-    # coincident, 40 m (on a band edge), and beyond 4 * sr: measured
-    for m in (0.0, 40.0, 100.0):
-        calls.clear()
-        densify(drive(m), CFG)
-        assert len(calls) == 1
-    # sr = inf: no pair gets a point, none is measured
-    calls.clear()
+    for got in (tr, drive(40.0), drive(0.0)):
+        assert list(densify(got, CFG).points) == \
+            list(_measured_densify(got, CFG).points)
+    assert list(densify(drive(0.0), CFG).points) == list(drive(0.0).points)
+    # sr = inf: no pair gets a point
     inf_cfg = replace(CFG, sampling_rate_m=math.inf)
     assert list(densify(tr, inf_cfg).points) == list(tr.points)
     assert calls == []
@@ -503,3 +511,32 @@ def test_prepare_pipeline(tmp_path):
     assert len(out) == 1
     # 100 m at 10 s is 36 km/h: survives filtering, both gaps densified
     assert len(out[0]) == 3 + 2 * 4
+
+
+def test_rule_4_measures_each_pair_once(tmp_path, monkeypatch):
+    # the AC-10 city without speeds or headings, with a same-time fix
+    # after every tenth row: rule 2 drops those 48, and rule 4 measures
+    # each speedless pair within a trajectory once, after the drops;
+    # inference measures every pair of each run, and densify none
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "w", "--rows", "4", "--cols", "4",
+                 "--traj", "30", "--noise", "3", "--seed", "9"]) == EXIT_OK
+    with open("w.trajectories.csv", newline="") as fh, \
+            open("h.csv", "w", newline="") as out:
+        rows = csv.reader(fh)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(next(rows))
+        for k, row in enumerate(rows, 1):
+            writer.writerows([row[:4] + ["", ""]] * (1 + (k % 10 == 0)))
+    trs = parse_trajectories("h.csv", CFG)
+    assert sum(map(len, trs)) == 531
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vincenty_m(*args)
+
+    monkeypatch.setattr(ingest, "vincenty_m", counted)
+    _, dropped = prepare_trajectories(trs, CFG)
+    assert dropped == 48
+    assert len(calls) == 906

@@ -383,6 +383,43 @@ def test_tiny_cells_over_a_wide_extent():
     _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, [1e-4]), full, [1e-4])
 
 
+@pytest.mark.parametrize("radius", [1e-300, 5e-324])
+def test_radii_under_the_least_grid_cell_match_brute_force(radius):
+    # radii this small take cells of spatial._MIN_GRID_M, which keep
+    # every row index inside int64; only coincident points are within
+    # them. Every fourth query repeats the one before it, and every third
+    # reference sits on a query
+    rng = np.random.default_rng(17)
+    qlat, qlon = rng.uniform(-89.9, 89.9, 80), rng.uniform(-180.0, 180.0, 80)
+    qlat[1::4], qlon[1::4] = qlat[::4], qlon[::4]
+    rlat = np.append(qlat[::3], rng.uniform(-89.9, 89.9, 20))
+    rlon = np.append(qlon[::3], rng.uniform(-180.0, 180.0, 20))
+    full = _brute(qlat, qlon, rlat, rlon)
+    hit = _check_nearest(*nearest_within(qlat, qlon, rlat, rlon, radius),
+                         full, radius)
+    assert hit.any() and not hit.all()
+    _check_bands(*threshold_pairs(qlat, qlon, rlat, rlon, [radius]), full,
+                 [radius])
+    # a repeated point seeds only where its heading differs
+    heading = rng.choice([0.0, 90.0], qlat.size)
+    pts = PointArrays(qlat, qlon, heading, np.full(qlat.size, 30.0),
+                      np.zeros(qlat.size))
+    cfg = ClusterConfig(seed_radius_cr=radius)
+    want = []
+    for i in range(pts.n):
+        if np.all(combined_distance_m_many(
+                qlat[i], qlon[i], heading[i], qlat[want], qlon[want],
+                heading[want], cfg.theta) >= radius):
+            want.append(i)
+    assert 60 <= len(want) < qlat.size
+    assert select_seed_indices(pts, cfg).tolist() == want
+    # the online index takes the same least cell
+    positions = dict(enumerate(zip(rlat.tolist(), rlon.tolist())))
+    index = _grid(radius, list(positions.values()))
+    assert [index.nearest(a, b, 0.0) for a, b in zip(qlat, qlon)] == \
+        [_brute_nearest(positions, a, b, radius) for a, b in zip(qlat, qlon)]
+
+
 def test_threshold_bands_next_to_the_pole():
     # pairs along a meridian next to the pole, 0.01 mm to 100 m long,
     # where the upper bound meets the distance to within rounding, with a
